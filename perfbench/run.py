@@ -5,25 +5,21 @@ Run from the repository root:
 
     python3 perfbench/run.py --workload k4-cache --seed 1 --seconds 25 --trace 0
 
-builds `perfbench/` (a cargo package of its own) in release mode, makes
+(`--seconds` defaults to BENCHMARK.json's `run_seconds`) builds `perfbench/` (a cargo package of its own) in release mode, makes
 sure the workload's cached inputs exist and verify (`.bench_cache/`,
 built once per checkout, outside every measured figure), runs the
 workload and relays its output. The last line of standard output is one
 JSON object: `correct`, `attempted`, `failed` and `metrics`. `--trace 1`
 runs the traced variant instead, which reports the per-layer metrics.
 
-    python3 perfbench/run.py --workload k4-dram --seconds 25 --steadiness 10
+    python3 perfbench/run.py --workload k4-dram --steadiness 10
 
 is the steadiness report: the workload run ten times with seeds
 1..10, and for every metric its median, quartiles, and the quartile
 spread as a share of the median, next to the metric's bound from
 BENCHMARK.json.
 
-Workloads: k4-cache, k4-dram and k5-d3-gxsc (the ones BENCHMARK.json
-lists), and service-open, the open-loop service load, which is run by
-hand because its latency tail is too unsteady on a shared host to gate
-on. It needs its load, for example `--arrival-rate 20
---latency-limit-ms 50` (about a fifth of one worker's capacity).
+Workloads: k4-cache, k4-dram and k5-d3-gxsc.
 """
 
 import argparse
@@ -35,7 +31,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("k4-cache", "k4-dram", "k5-d3-gxsc", "service-open")
+WORKLOADS = ("k4-cache", "k4-dram", "k5-d3-gxsc")
 # Wall-clock limits for the child processes, in seconds.
 BUILD_LIMIT = 840
 RUN_LIMIT = 170
@@ -75,16 +71,18 @@ def last_json(text):
     return None
 
 
-def steadiness(binary, args, extra):
-    """Runs the workload `args.steadiness` times and prints the spread."""
-    bounds = {}
+def load_spec():
+    """BENCHMARK.json, which sits next to this script's directory."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-            spec = json.load(f)
-        for m in spec.get("end_to_end", []):
-            bounds[m["name"]] = m.get("bound")
-    except (OSError, ValueError):
-        pass
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        fail(f"cannot read BENCHMARK.json: {e}")
+
+
+def steadiness(binary, args, spec, extra):
+    """Runs the workload `args.steadiness` times and prints the spread."""
+    bounds = {m["name"]: m.get("bound") for m in spec.get("end_to_end", [])}
     values = {}
     for i in range(args.steadiness):
         seed = args.seed + i
@@ -111,13 +109,12 @@ def steadiness(binary, args, extra):
 
 
 def main():
+    spec = load_spec()
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--arrival-rate", type=float, help="service-open arrivals per second")
-    p.add_argument("--latency-limit-ms", type=float, help="service-open SLO latency limit")
     p.add_argument("--steadiness", type=int, default=0, metavar="N",
                    help="run N seeds and report each metric's spread")
     args = p.parse_args()
@@ -136,12 +133,8 @@ def main():
         fail("preparing the workload inputs failed")
 
     extra = ["--cache", cache]
-    if args.arrival_rate is not None:
-        extra += ["--arrival-rate", str(args.arrival_rate)]
-    if args.latency_limit_ms is not None:
-        extra += ["--latency-limit-ms", str(args.latency_limit_ms)]
     if args.steadiness:
-        steadiness(binary, args, extra)
+        steadiness(binary, args, spec, extra)
         return
     r = run_child([binary, "run", "--workload", args.workload, "--seed", str(args.seed),
                    "--seconds", str(args.seconds), "--trace", str(args.trace)] + extra, False)

@@ -74,29 +74,39 @@ impl JobRecord {
 /// A closed-loop job stream's results.
 pub struct Stream {
     pub jobs: Vec<JobRecord>,
-    /// Job 0's whole estimate, for the bit-identity checks.
+    /// The stream's first job's whole estimate, for the bit-identity
+    /// checks.
     pub first: Estimate,
     /// Raw scores summed over every job (one long run's worth of
     /// samples).
     pub pooled: Pooled,
 }
 
-/// Runs jobs `0, 1, 2, …` back to back on the calling thread until
-/// `seconds` have passed (the job in flight at the deadline finishes).
-/// Errors are returned as they happen: no workload is meant to produce
-/// any.
+impl Stream {
+    /// Appends `later`, the stream that continued this one.
+    pub fn extend(&mut self, later: Stream) {
+        self.jobs.extend(later.jobs);
+        self.pooled.add(&later.pooled.0);
+    }
+}
+
+/// Runs jobs `first_job, first_job + 1, …` back to back on the calling
+/// thread until `seconds` have passed (the job in flight at the deadline
+/// finishes; at least one job runs). Errors are returned as they happen:
+/// no workload is meant to produce any.
 pub fn run_stream<G: GraphAccess>(
     g: &G,
     kind: &JobKind,
     seed: u64,
+    first_job: u64,
     seconds: f64,
 ) -> Result<Stream, String> {
     let t0 = Instant::now();
     let mut jobs = Vec::new();
     let mut first = None;
     let mut pooled = Pooled::default();
-    let mut j = 0u64;
-    while j == 0 || secs_since(t0) < seconds {
+    let mut j = first_job;
+    while j == first_job || secs_since(t0) < seconds {
         let start = Instant::now();
         let estimate = kind.runner(seed, j).run_local(g).map_err(|e| format!("job {j}: {e}"))?;
         jobs.push(JobRecord::new(secs_since(start), &estimate));

@@ -3,8 +3,7 @@
 //! ```text
 //! gx-perfbench prepare --cache <dir>
 //! gx-perfbench setup --workload <name> --cache <dir>
-//! gx-perfbench run --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//!              --cache <dir> [--arrival-rate <jobs/s>] [--latency-limit-ms <ms>]
+//! gx-perfbench run --workload <name> --seed <n> --seconds <s> --trace <0|1> --cache <dir>
 //! ```
 //!
 //! `prepare` builds or verifies the cached inputs of every workload (its own
@@ -27,7 +26,7 @@ mod trace;
 mod workloads;
 
 use std::path::PathBuf;
-use workloads::{ServiceLoad, Workload};
+use workloads::Workload;
 
 /// What a run measured.
 #[derive(Default)]
@@ -100,11 +99,11 @@ struct Args {
     mode: Mode,
     workload: Workload,
     seed: u64,
-    seconds: f64,
+    /// Required by `run`, which `perfbench/run.py` hands the run length
+    /// `BENCHMARK.json` declares.
+    seconds: Option<f64>,
     trace: bool,
     cache: PathBuf,
-    /// Required by `service-open` only.
-    load: Option<ServiceLoad>,
 }
 
 impl Args {
@@ -116,19 +115,17 @@ impl Args {
             Some("run") => Mode::Run,
             other => return Err(format!("expected `prepare`, `setup` or `run`, got {other:?}")),
         };
-        let (mut workload, mut rate, mut limit_s) = (None, None, None);
+        let mut workload = None;
         let mut a = Args {
             mode,
             workload: Workload::K4Cache,
             seed: 1,
-            seconds: 10.0,
+            seconds: None,
             trace: false,
             cache: PathBuf::from(".bench_cache"),
-            load: None,
         };
         while let Some(flag) = it.next() {
             let val = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            let num = |v: &str| v.parse::<f64>().map_err(|e| format!("{flag} {v}: {e}"));
             match flag.as_str() {
                 "--workload" => {
                     workload = Some(
@@ -136,11 +133,11 @@ impl Args {
                     )
                 }
                 "--seed" => a.seed = val.parse().map_err(|e| format!("--seed {val}: {e}"))?,
-                "--seconds" => a.seconds = num(&val)?,
+                "--seconds" => {
+                    a.seconds = Some(val.parse().map_err(|e| format!("--seconds {val}: {e}"))?)
+                }
                 "--trace" => a.trace = val != "0",
                 "--cache" => a.cache = PathBuf::from(val),
-                "--arrival-rate" => rate = Some(num(&val)?),
-                "--latency-limit-ms" => limit_s = Some(num(&val)? / 1e3),
                 _ => return Err(format!("unknown flag {flag}")),
             }
         }
@@ -149,17 +146,11 @@ impl Args {
             None if a.mode == Mode::Prepare => {}
             None => return Err("--workload is required".into()),
         }
-        if let (Some(rate), Some(limit_s)) = (rate, limit_s) {
-            a.load = Some(ServiceLoad { rate, limit_s });
+        match a.seconds {
+            Some(s) if !s.is_finite() || s <= 0.0 => Err("--seconds must be positive".into()),
+            None if a.mode == Mode::Run => Err("--seconds is required".into()),
+            _ => Ok(a),
         }
-        let positive = |x: Option<f64>| x.is_none_or(|x| x > 0.0);
-        if !(a.seconds > 0.0 && positive(rate) && positive(limit_s)) {
-            return Err("--seconds, --arrival-rate and --latency-limit-ms must be positive".into());
-        }
-        if a.mode == Mode::Run && a.workload == Workload::ServiceOpen && a.load.is_none() {
-            return Err("service-open needs --arrival-rate and --latency-limit-ms".into());
-        }
-        Ok(a)
     }
 }
 
@@ -192,15 +183,8 @@ fn main() {
         Mode::Run => {}
     }
     let mut report = Report::default();
-    match workloads::run(
-        &args.cache,
-        args.workload,
-        args.seed,
-        args.seconds,
-        args.trace,
-        args.load,
-        &mut report,
-    ) {
+    let seconds = args.seconds.unwrap_or_default();
+    match workloads::run(&args.cache, args.workload, args.seed, seconds, args.trace, &mut report) {
         Ok(()) => report.print(),
         Err(e) => {
             for l in &report.lines {

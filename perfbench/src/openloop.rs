@@ -1,6 +1,6 @@
-//! Open-loop load on `gx-service`: seeded, jittered arrivals at a fixed
-//! rate, each job timed from its *scheduled* arrival so a late generator
-//! or a stalled worker cannot hide queueing.
+//! Open-loop load on `gx-service`: a fixed number of seeded, jittered
+//! arrivals at a fixed rate, each job's queue wait measured from its
+//! *scheduled* arrival so a late generator cannot hide queueing.
 //!
 //! One thread (the caller's) is both the generator and the observer: it
 //! sleeps until the next arrival or the next poll tick, submits what is
@@ -8,9 +8,8 @@
 //! (the end of its queue wait) and its result. With the service's single
 //! worker that makes two busy threads at most.
 
-use crate::jobs::Pooled;
 use crate::stats::secs_since;
-use gx_service::{EstimationService, JobHandle, JobResult, JobSpec};
+use gx_service::{EstimationService, JobHandle, JobSpec};
 use gx_walks::{rng_from_seed, WalkRng};
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -27,112 +26,73 @@ pub struct Timeline {
     pub submitted: f64,
     /// When the first progress snapshot was seen (end of queue wait).
     pub first_progress: Option<f64>,
-    /// When the result was seen.
-    pub done: Option<f64>,
-    /// Windows scored, if the job finished with an estimate.
-    pub steps: Option<usize>,
-    /// Scheduler leases the job received.
-    pub leases: usize,
     /// Finished with an estimate that met its target.
     pub ok: bool,
 }
 
-impl Timeline {
-    /// Latency from the scheduled arrival, for finished jobs.
-    pub fn latency(&self) -> Option<f64> {
-        self.done.map(|d| d - self.scheduled)
-    }
-
-    /// Records the terminal result seen at `now`, pooling its scores.
-    fn finish(&mut self, r: &JobResult, now: f64, pooled: &mut Pooled) {
-        self.first_progress.get_or_insert(now);
-        self.done = Some(now);
-        self.leases = r.leases;
-        if let Ok(e) = &r.outcome {
-            self.steps = Some(e.steps);
-            self.ok = e.adaptive.as_ref().is_none_or(|a| a.target_met);
-            pooled.add(&e.raw_scores);
-        }
-    }
-}
-
 /// Inter-arrival gap at `rate` per second: uniform on half to one and a
-/// half mean periods. Poisson gaps were tried first; their clumps made
-/// overlapping jobs a ~1-in-5 event at light load, so the p90 latency sat
-/// on the boundary between lone and shared jobs and jumped between runs
-/// (quartile spread 0.3-0.9 of the median over five seeds).
+/// half mean periods. Poisson gaps clump, and at light load a clump makes
+/// a lone job share the worker, so the queue wait of a short burst jumps
+/// between runs.
 fn gap(rng: &mut WalkRng, rate: f64) -> f64 {
     let u: f64 = rng.gen();
     (0.5 + u) / rate
 }
 
-/// Offers `spec(j)` for `j = 0, 1, …` at seeded arrivals of `rate` per
-/// second for `seconds`, or exactly `max_jobs` arrivals when given, then
-/// drains. Jobs still unfinished `drain_limit` seconds after the last
-/// arrival are cancelled and reported as not ok. Finished jobs' raw
-/// scores are summed into `pooled`.
-#[allow(clippy::too_many_arguments)]
+/// Offers `spec(j)` for `j = 0 .. jobs` at seeded arrivals of `rate` per
+/// second, then drains. Jobs still unfinished `drain_limit` seconds after
+/// the last arrival are cancelled and reported as not ok.
 pub fn run(
     service: &EstimationService,
     mut spec: impl FnMut(u64) -> JobSpec,
     rate: f64,
-    seconds: f64,
-    max_jobs: Option<u64>,
+    jobs: u64,
     seed: u64,
     drain_limit: f64,
-    pooled: &mut Pooled,
 ) -> Vec<Timeline> {
     let mut rng = rng_from_seed(seed ^ 0xA11_1CE5);
-    let mut jobs: Vec<Timeline> = Vec::new();
+    let mut out: Vec<Timeline> = Vec::new();
     let mut live: Vec<(usize, JobHandle)> = Vec::new();
     let mut next = gap(&mut rng, rate);
     let t0 = Instant::now();
-    let more = |j: u64, at: f64| match max_jobs {
-        Some(m) => j < m,
-        None => at < seconds,
-    };
     let mut last_arrival = 0.0f64;
     loop {
         let now = secs_since(t0);
-        while more(jobs.len() as u64, next) && next <= now {
-            let j = jobs.len() as u64;
-            let submitted = secs_since(t0);
+        while (out.len() as u64) < jobs && next <= now {
             let t = Timeline {
                 scheduled: next,
-                submitted,
+                submitted: secs_since(t0),
                 first_progress: None,
-                done: None,
-                steps: None,
-                leases: 0,
                 ok: false,
             };
             // A refused job stays not ok, with no result.
-            if let Ok(h) = service.submit(spec(j)) {
-                live.push((jobs.len(), h));
+            if let Ok(h) = service.submit(spec(out.len() as u64)) {
+                live.push((out.len(), h));
             }
-            jobs.push(t);
+            out.push(t);
             last_arrival = next;
             next += gap(&mut rng, rate);
         }
         let now = secs_since(t0);
         live.retain(|(i, h)| {
-            let t = &mut jobs[*i];
+            let t = &mut out[*i];
             if t.first_progress.is_none() && h.progress().is_some() {
                 t.first_progress = Some(now);
             }
             match h.try_result() {
                 Some(r) => {
-                    t.finish(&r, now, pooled);
+                    t.first_progress.get_or_insert(now);
+                    t.ok = r.outcome.is_ok_and(|e| e.adaptive.is_none_or(|a| a.target_met));
                     false
                 }
                 None => true,
             }
         });
-        let arriving = more(jobs.len() as u64, next);
+        let arriving = (out.len() as u64) < jobs;
         if !arriving && live.is_empty() {
             break;
         }
-        if !arriving && now > last_arrival.max(seconds) + drain_limit {
+        if !arriving && now > last_arrival + drain_limit {
             for (_, h) in &live {
                 h.cancel();
             }
@@ -145,5 +105,5 @@ pub fn run(
             if arriving { (next - now).clamp(0.0, POLL.as_secs_f64()) } else { POLL.as_secs_f64() };
         std::thread::sleep(Duration::from_secs_f64(wake));
     }
-    jobs
+    out
 }

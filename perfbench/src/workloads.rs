@@ -1,18 +1,17 @@
-//! The four workloads: set-up, the timed end-to-end run, and the traced
+//! The three workloads: set-up, the timed end-to-end run, and the traced
 //! run. Each is a different regime of the same estimator; see
 //! `BENCHMARK.json` for why each exists and how large its graph is.
 
 use crate::inputs::{self, Input, Meta};
 use crate::jobs::{
-    check_against_exact, job_seed, run_stream, same_bits, Budget, JobKind, JobRecord, Pooled,
-    Stream,
+    check_against_exact, job_seed, run_stream, same_bits, Budget, JobKind, JobRecord, Stream,
 };
 use crate::openloop::{self, Timeline};
-use crate::stats::{median, quantile, rss_peak_mb, secs_since, tail, timer_overhead_ns};
+use crate::stats::{median, rss_peak_mb, secs_since, tail, timer_overhead_ns};
 use crate::trace::{lease_replay, replay, Counting, LayerTimes, LeaseStats};
 use crate::Report;
 use gx_core::css::CssWeights;
-use gx_core::{alpha_table, EstimatorConfig, Runner, StoppingRule};
+use gx_core::{alpha_table, EstimatorConfig, StoppingRule};
 use gx_graph::{graph_fingerprint, CompressedGraph, Graph, GraphAccess, MmapGraph};
 use gx_graphlets::classify_table;
 use gx_service::{EstimationService, JobSpec, ServiceConfig, SharedGraph};
@@ -20,8 +19,12 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Fresh processes set-up is measured in; the median is reported.
-const SETUP_PROCESSES: usize = 15;
+/// The timed job stream runs in this many equal segments, with a round
+/// of set-up probes before, between and after them, so `setup_s` samples
+/// the same stretch of host time as the throughput figures do.
+const SEGMENTS: usize = 5;
+/// Fresh processes per round of set-up probes.
+const PROBES_PER_ROUND: usize = 6;
 
 /// Relative tolerance of pooled concentrations against exact ones, for
 /// types at or above [`EXACT_FLOOR`]; types below it get `EXACT_FLOOR`
@@ -38,21 +41,10 @@ pub enum Workload {
     K4Cache,
     K4Dram,
     K5D3Gxsc,
-    ServiceOpen,
-}
-
-/// Settings of the open-loop service workload, fixed in the benchmark
-/// command line.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceLoad {
-    /// Mean arrival rate, jobs per second.
-    pub rate: f64,
-    /// Latency limit of the SLO, seconds.
-    pub limit_s: f64,
 }
 
 impl Workload {
-    const ALL: [Self; 4] = [Self::K4Cache, Self::K4Dram, Self::K5D3Gxsc, Self::ServiceOpen];
+    const ALL: [Self; 3] = [Self::K4Cache, Self::K4Dram, Self::K5D3Gxsc];
 
     pub fn parse(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|w| w.name() == name)
@@ -63,13 +55,12 @@ impl Workload {
             Self::K4Cache => "k4-cache",
             Self::K4Dram => "k4-dram",
             Self::K5D3Gxsc => "k5-d3-gxsc",
-            Self::ServiceOpen => "service-open",
         }
     }
 
     pub fn input(self) -> Input {
         match self {
-            Self::K4Cache | Self::ServiceOpen => Input::Epinion,
+            Self::K4Cache => Input::Epinion,
             Self::K4Dram => Input::Ba8m,
             Self::K5D3Gxsc => Input::Facebook,
         }
@@ -78,7 +69,7 @@ impl Workload {
     /// Exact counts the answer checks compare with, if any.
     fn exact_k(self) -> Option<usize> {
         match self {
-            Self::K4Cache | Self::ServiceOpen => Some(4),
+            Self::K4Cache => Some(4),
             Self::K5D3Gxsc => Some(5),
             Self::K4Dram => None,
         }
@@ -116,13 +107,6 @@ impl Workload {
                 walkers: 1,
                 batch_width: 1,
             },
-            // k = 4 to ±5%, checked every 2000 windows: tens of leases.
-            Self::ServiceOpen => JobKind {
-                cfg: EstimatorConfig::recommended(4),
-                budget: Budget::Adaptive(rule(0.05, 2_000)),
-                walkers: 1,
-                batch_width: 1,
-            },
         }
     }
 }
@@ -154,17 +138,6 @@ enum Loaded {
     Compressed(CompressedGraph),
 }
 
-/// The opened graph and what set-up cost.
-struct Setup {
-    loaded: Loaded,
-    meta: Meta,
-    /// Median per-process set-up, and its two parts (medians of their
-    /// own).
-    total_s: f64,
-    open_s: f64,
-    warm_s: f64,
-}
-
 /// Builds every process-wide table the configuration's first job would
 /// build, returning the seconds it took (first use only: the tables are
 /// process-wide).
@@ -178,15 +151,15 @@ fn warm_tables(cfg: &EstimatorConfig) -> f64 {
     secs_since(t)
 }
 
-/// Opens the workload's graph the way its users do: the RAM workloads
-/// load the snapshot into a `Graph`, the others map it.
+/// Opens the workload's graph the way its users do: the RAM workload
+/// loads the snapshot into a `Graph`, the others map it.
 fn open(cache: &Path, w: Workload) -> Result<(Loaded, Meta), String> {
     let input = w.input();
     let meta = inputs::verified(cache, input)
         .ok_or_else(|| format!("{input:?} snapshot missing or stale: run prepare"))?;
     let path = input.path(cache);
     let loaded = match w {
-        Workload::K4Cache | Workload::ServiceOpen => {
+        Workload::K4Cache => {
             let snap = MmapGraph::open_in_ram(&path).map_err(|e| e.to_string())?;
             Loaded::Ram(Arc::new(inputs::to_ram(&snap)?))
         }
@@ -200,60 +173,58 @@ fn open(cache: &Path, w: Workload) -> Result<(Loaded, Meta), String> {
     Ok((loaded, meta))
 }
 
-/// One process's set-up, timed: open (plus, for the service workload,
-/// start the service and hand it the graph), then warm the tables.
-/// Returns `(open_s, warm_s)`; `gx-perfbench setup` prints them.
+/// One process's set-up, timed: open, then warm the tables. Returns
+/// `(open_s, warm_s)`; `gx-perfbench setup` prints them.
 pub fn setup_once(cache: &Path, w: Workload) -> Result<(f64, f64), String> {
     let t = Instant::now();
-    let (loaded, _) = open(cache, w)?;
-    let service = match (w, &loaded) {
-        (Workload::ServiceOpen, Loaded::Ram(g)) => Some(start_service(g).0),
-        _ => None,
-    };
+    let opened = open(cache, w)?;
     let open_s = secs_since(t);
-    if let Some(service) = service {
-        service.shutdown();
-    }
+    drop(opened);
     Ok((open_s, warm_tables(&w.job().cfg)))
 }
 
-/// Opens the workload's graph for this run and measures set-up in
-/// `SETUP_PROCESSES` fresh processes of this binary, one after another,
-/// so every sample pays the first-use costs a real process pays.
-fn setup(cache: &Path, w: Workload) -> Result<Setup, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
-    let (mut total, mut open_t, mut warm) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..SETUP_PROCESSES {
-        let out = std::process::Command::new(&exe)
-            .args(["setup", "--workload", w.name(), "--cache"])
-            .arg(cache)
-            .output()
-            .map_err(|e| format!("set-up probe: {e}"))?;
-        let text = String::from_utf8_lossy(&out.stdout);
-        let v: Vec<f64> = text.split_whitespace().filter_map(|x| x.parse().ok()).collect();
-        match v[..] {
-            [o, wm] if out.status.success() => {
-                total.push(o + wm);
-                open_t.push(o);
-                warm.push(wm);
-            }
-            _ => {
-                return Err(format!(
-                    "set-up probe failed: {}",
-                    String::from_utf8_lossy(&out.stderr).trim()
-                ))
+/// Set-up times of fresh processes of this binary, run one after
+/// another, so every sample pays the first-use costs a real process
+/// pays.
+#[derive(Default)]
+struct Probes {
+    open_s: Vec<f64>,
+    warm_s: Vec<f64>,
+}
+
+impl Probes {
+    /// Runs `n` more probes.
+    fn take(&mut self, cache: &Path, w: Workload, n: usize) -> Result<(), String> {
+        let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
+        for _ in 0..n {
+            let out = std::process::Command::new(&exe)
+                .args(["setup", "--workload", w.name(), "--cache"])
+                .arg(cache)
+                .output()
+                .map_err(|e| format!("set-up probe: {e}"))?;
+            let text = String::from_utf8_lossy(&out.stdout);
+            let v: Vec<f64> = text.split_whitespace().filter_map(|x| x.parse().ok()).collect();
+            match v[..] {
+                [o, wm] if out.status.success() => {
+                    self.open_s.push(o);
+                    self.warm_s.push(wm);
+                }
+                _ => {
+                    return Err(format!(
+                        "set-up probe failed: {}",
+                        String::from_utf8_lossy(&out.stderr).trim()
+                    ))
+                }
             }
         }
+        Ok(())
     }
-    let (loaded, meta) = open(cache, w)?;
-    warm_tables(&w.job().cfg);
-    Ok(Setup {
-        loaded,
-        meta,
-        total_s: median(&total),
-        open_s: median(&open_t),
-        warm_s: median(&warm),
-    })
+
+    /// Median per-process set-up time.
+    fn total_s(&self) -> f64 {
+        let total: Vec<f64> = self.open_s.iter().zip(&self.warm_s).map(|(o, w)| o + w).collect();
+        median(&total)
+    }
 }
 
 /// Per-job and run-level answer checks, tallied into the report.
@@ -276,6 +247,17 @@ impl Checks {
     }
 }
 
+/// What one run of a workload is given.
+struct Ctx<'a> {
+    cache: &'a Path,
+    w: Workload,
+    kind: JobKind,
+    seed: u64,
+    seconds: f64,
+    meta: Meta,
+    exact: Option<Vec<f64>>,
+}
+
 /// Runs `w` for `seconds` and fills `report` with its end-to-end
 /// metrics (or, with `trace`, its per-layer metrics).
 pub fn run(
@@ -284,81 +266,76 @@ pub fn run(
     seed: u64,
     seconds: f64,
     trace: bool,
-    load: Option<ServiceLoad>,
     report: &mut Report,
 ) -> Result<(), String> {
-    let s = setup(cache, w)?;
+    let (loaded, meta) = open(cache, w)?;
+    warm_tables(&w.job().cfg);
     report.line(format!(
         "graph: {} nodes, {} edges, snapshot {:.1} MB",
-        s.meta.nodes,
-        s.meta.edges,
-        s.meta.bytes as f64 / 1e6
+        meta.nodes,
+        meta.edges,
+        meta.bytes as f64 / 1e6
     ));
     let exact = match w.exact_k() {
-        Some(k) => Some(inputs::cached_exact(cache, w.input(), k, &s.meta)?),
+        Some(k) => Some(inputs::cached_exact(cache, w.input(), k, &meta)?),
         None => None,
     };
+    let ctx = Ctx { cache, w, kind: w.job(), seed, seconds, meta, exact };
+    // Each backend differs only in the graph the service is handed in the
+    // traced run and in the answer check its own regime allows.
+    match &loaded {
+        Loaded::Ram(g) => {
+            let service_graph = SharedGraph::Ram(g.clone());
+            measure(g.as_ref(), service_graph, &ctx, trace, |_, _| Ok(0), report)
+        }
+        Loaded::Mapped(g) => {
+            let service_graph = SharedGraph::Mapped(g.clone());
+            let check = |_: &Stream, checks: &mut Checks| engines_agree(g.as_ref(), &ctx, checks);
+            measure(g.as_ref(), service_graph, &ctx, trace, check, report)
+        }
+        Loaded::Compressed(g) => {
+            // The service holds RAM or GXSN graphs; it gets the RAM copy.
+            let ram = Arc::new(inputs::to_ram(g)?);
+            let service_graph = SharedGraph::Ram(ram.clone());
+            let check = |st: &Stream, checks: &mut Checks| same_as_ram(g, &ram, &ctx, st, checks);
+            measure(g, service_graph, &ctx, trace, check, report)
+        }
+    }
+}
+
+/// The timed run, or with `trace` the traced one, over any backend.
+/// `extra_check` adds the backend's own answer checks after the timed
+/// stream and returns how many jobs they ran.
+fn measure<G: GraphAccess>(
+    g: &G,
+    service_graph: SharedGraph,
+    ctx: &Ctx,
+    trace: bool,
+    extra_check: impl FnOnce(&Stream, &mut Checks) -> Result<u64, String>,
+    report: &mut Report,
+) -> Result<(), String> {
     if trace {
-        return run_traced(w, &s, seed, seconds, load, report);
+        return run_traced(g, service_graph, ctx, report);
     }
+    let mut probes = Probes::default();
+    let seg = ctx.seconds / SEGMENTS as f64;
+    probes.take(ctx.cache, ctx.w, PROBES_PER_ROUND)?;
+    let mut st = run_stream(g, &ctx.kind, ctx.seed, 0, seg)?;
+    for _ in 1..SEGMENTS {
+        probes.take(ctx.cache, ctx.w, PROBES_PER_ROUND)?;
+        st.extend(run_stream(g, &ctx.kind, ctx.seed, st.jobs.len() as u64, seg)?);
+    }
+    probes.take(ctx.cache, ctx.w, PROBES_PER_ROUND)?;
+
+    batch_metrics(&st.jobs, report);
     let mut checks = Checks::default();
-    let kind = w.job();
-    match (&s.loaded, w) {
-        (Loaded::Ram(g), Workload::ServiceOpen) => {
-            let exact = exact.as_deref().ok_or("no exact counts")?;
-            let load = load.ok_or("service-open needs --arrival-rate and --latency-limit-ms")?;
-            service_open(g, &kind, seed, seconds, load, exact, &mut checks, report)?;
-        }
-        (Loaded::Ram(g), _) => {
-            let st = run_stream(g.as_ref(), &kind, seed, seconds)?;
-            batch_metrics(&st.jobs, report);
-            check_stream(&st, exact.as_deref(), EXACT_REL_TOL, &mut checks);
-            report.attempted = st.jobs.len() as u64;
-        }
-        (Loaded::Mapped(g), _) => {
-            let st = run_stream(g.as_ref(), &kind, seed, seconds)?;
-            batch_metrics(&st.jobs, report);
-            check_stream(&st, None, EXACT_REL_TOL, &mut checks);
-            // A short prefix job: the lock-step engine must reproduce
-            // the scalar engine bit for bit on this graph.
-            let prefix = kind.runner(seed, u64::MAX - 1).until(StoppingRule {
-                target_rel_ci: 1e-9,
-                max_steps: kind.walkers * 4_000,
-                ..StoppingRule::default()
-            });
-            let batched = prefix.clone().run_local(g.as_ref()).map_err(|e| e.to_string())?;
-            let scalar = prefix.batch_width(1).run_local(g.as_ref()).map_err(|e| e.to_string())?;
-            let same = same_bits(&batched, &scalar);
-            checks.require(same, "batched and scalar engines differ on the prefix job");
-            if same {
-                checks.pass(format!(
-                    "prefix job of {} windows: batched == scalar engine",
-                    scalar.steps
-                ));
-            }
-            report.attempted = st.jobs.len() as u64 + 1;
-        }
-        (Loaded::Compressed(g), _) => {
-            let st = run_stream(g, &kind, seed, seconds)?;
-            batch_metrics(&st.jobs, report);
-            check_stream(&st, exact.as_deref(), EXACT_REL_TOL_K5, &mut checks);
-            // One job per run must read the same off the RAM graph.
-            let ram = inputs::to_ram(g)?;
-            checks.require(
-                graph_fingerprint(&ram) == g.fingerprint(),
-                "RAM copy of the GXSC snapshot has a different fingerprint",
-            );
-            let on_ram = kind.runner(seed, 0).run_local(&ram).map_err(|e| e.to_string())?;
-            let same = same_bits(&st.first, &on_ram);
-            checks.require(same, "job 0 differs between the GXSC snapshot and the RAM graph");
-            if same {
-                checks.pass("job 0: GXSC snapshot == RAM graph, bit for bit");
-            }
-            report.attempted = st.jobs.len() as u64 + 1;
-        }
-    }
-    report.metric("setup_s", s.total_s, "s");
+    let rel = if ctx.kind.cfg.k == 5 { EXACT_REL_TOL_K5 } else { EXACT_REL_TOL };
+    check_stream(&st, ctx.exact.as_deref(), rel, &mut checks);
+    let extra_jobs = extra_check(&st, &mut checks)?;
+    report.attempted = st.jobs.len() as u64 + extra_jobs;
+    report.metric("setup_s", probes.total_s(), "s");
     report.metric("rss_peak_mb", rss_peak_mb(), "MB");
+    report.line(format!("setup_s is the median of {} fresh processes", probes.open_s.len()));
     report.failed = checks.failed;
     report.lines.extend(checks.notes);
     let failed_frac = report.failed as f64 / report.attempted.max(1) as f64;
@@ -366,9 +343,48 @@ pub fn run(
     Ok(())
 }
 
+/// A short prefix job: the lock-step engine must reproduce the scalar
+/// engine bit for bit on this graph.
+fn engines_agree(g: &MmapGraph, ctx: &Ctx, checks: &mut Checks) -> Result<u64, String> {
+    let prefix = ctx.kind.runner(ctx.seed, u64::MAX - 1).until(StoppingRule {
+        target_rel_ci: 1e-9,
+        max_steps: ctx.kind.walkers * 4_000,
+        ..StoppingRule::default()
+    });
+    let batched = prefix.clone().run_local(g).map_err(|e| e.to_string())?;
+    let scalar = prefix.batch_width(1).run_local(g).map_err(|e| e.to_string())?;
+    let same = same_bits(&batched, &scalar);
+    checks.require(same, "batched and scalar engines differ on the prefix job");
+    if same {
+        checks.pass(format!("prefix job of {} windows: batched == scalar engine", scalar.steps));
+    }
+    Ok(1)
+}
+
+/// Job 0 must read the same off the RAM copy of the snapshot.
+fn same_as_ram(
+    g: &CompressedGraph,
+    ram: &Graph,
+    ctx: &Ctx,
+    st: &Stream,
+    checks: &mut Checks,
+) -> Result<u64, String> {
+    checks.require(
+        graph_fingerprint(ram) == g.fingerprint(),
+        "RAM copy of the GXSC snapshot has a different fingerprint",
+    );
+    let on_ram = ctx.kind.runner(ctx.seed, 0).run_local(ram).map_err(|e| e.to_string())?;
+    let same = same_bits(&st.first, &on_ram);
+    checks.require(same, "job 0 differs between the GXSC snapshot and the RAM graph");
+    if same {
+        checks.pass("job 0: GXSC snapshot == RAM graph, bit for bit");
+    }
+    Ok(1)
+}
+
 /// End-to-end metrics of a closed-loop job stream. Jobs run back to
-/// back, so a job's time to its CI is its own run time (and its latency:
-/// the job latency metrics belong to the service workload alone).
+/// back, so a job's time to its CI is its own run time (for fixed-budget
+/// jobs, the time to their budget).
 fn batch_metrics(recs: &[JobRecord], report: &mut Report) {
     let secs: Vec<f64> = recs.iter().map(|r| r.secs).collect();
     let windows: usize = recs.iter().map(|r| r.steps).sum();
@@ -400,110 +416,6 @@ fn check_stream(st: &Stream, exact: Option<&[f64]>, rel: f64, checks: &mut Check
     }
 }
 
-/// Starts a one-worker service holding `g`, returning it with the
-/// canonical graph (the snapshot-cache fingerprint scan is paid here,
-/// once per process).
-fn start_service(g: &Arc<Graph>) -> (EstimationService, Arc<Graph>) {
-    let service = EstimationService::start(ServiceConfig {
-        workers: 1,
-        max_pending: 4096,
-        ..ServiceConfig::default()
-    });
-    let (g, _) = service.snapshot_cache().intern(g.clone());
-    (service, g)
-}
-
-fn service_spec(g: &Arc<Graph>, kind: &JobKind, seed: u64, j: u64) -> JobSpec {
-    let spec =
-        JobSpec::new(g.clone(), kind.cfg.clone()).seed(job_seed(seed, j)).walkers(kind.walkers);
-    match &kind.budget {
-        Budget::Adaptive(rule) => spec.until(rule.clone()),
-        Budget::Fixed(steps) => spec.steps(*steps),
-    }
-}
-
-/// Length of the union of `[start, end]` intervals.
-fn busy_time(mut spans: Vec<(f64, f64)>) -> f64 {
-    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut total = 0.0;
-    let mut cur: Option<(f64, f64)> = None;
-    for (s, e) in spans {
-        cur = match cur {
-            Some((cs, ce)) if s <= ce => Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                total += ce - cs;
-                Some((s, e))
-            }
-            None => Some((s, e)),
-        };
-    }
-    total + cur.map_or(0.0, |(s, e)| e - s)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn service_open(
-    g: &Arc<Graph>,
-    kind: &JobKind,
-    seed: u64,
-    seconds: f64,
-    load: ServiceLoad,
-    exact: &[f64],
-    checks: &mut Checks,
-    report: &mut Report,
-) -> Result<(), String> {
-    let (service, g) = start_service(g);
-    let mut pooled = Pooled::default();
-    let spec = |j| service_spec(&g, kind, seed, j);
-    let jobs = openloop::run(&service, spec, load.rate, seconds, None, seed, 60.0, &mut pooled);
-    service.shutdown();
-
-    let done: Vec<&Timeline> = jobs.iter().filter(|t| t.done.is_some()).collect();
-    let latency: Vec<f64> = done.iter().filter_map(|t| t.latency()).collect();
-    let from_submit: Vec<f64> =
-        done.iter().filter_map(|t| t.done.map(|d| d - t.submitted)).collect();
-    let windows: usize = done.iter().filter_map(|t| t.steps).sum();
-    let busy = busy_time(done.iter().filter_map(|t| t.done.map(|d| (t.submitted, d))).collect());
-    let (lat_tail, pct) = tail(&latency);
-    let (sub_tail, _) = tail(&from_submit);
-    report.metric("windows_per_s", windows as f64 / busy, "windows/s");
-    report.metric("time_to_ci_s", median(&from_submit), "s");
-    report.metric("time_to_ci_tail_s", sub_tail, "s");
-    report.metric("job_latency_s", median(&latency), "s");
-    report.metric("job_latency_tail_s", lat_tail, "s");
-
-    let mut missed = 0usize;
-    for t in &jobs {
-        let ok = t.ok;
-        checks.require(ok, "a service job failed, was refused, or missed its target");
-        if !ok || t.latency().is_none_or(|l| l > load.limit_s) {
-            missed += 1;
-        }
-    }
-    match check_against_exact(&pooled.concentrations(), exact, EXACT_REL_TOL, EXACT_FLOOR) {
-        Ok(worst) => {
-            checks.pass(format!("pooled concentrations vs exact: worst {:.3}%", worst * 100.0))
-        }
-        Err(e) => checks.require(false, format!("pooled vs exact: {e}")),
-    }
-    let lag: Vec<f64> = jobs.iter().map(|t| t.submitted - t.scheduled).collect();
-    report.attempted = jobs.len() as u64;
-    report.line(format!(
-        "jobs: {} at {} /s offered (tail at p{pct:.1}); busy {:.3} s of {:.3} s; generator lag p50 {:.1} us, max {:.1} us",
-        jobs.len(),
-        load.rate,
-        busy,
-        jobs.last().and_then(|t| t.done).unwrap_or(0.0),
-        median(&lag) * 1e6,
-        quantile(&lag, 1.0) * 1e6,
-    ));
-    report.line(format!(
-        "slo_miss_frac = {} ratio (limit {} s)",
-        missed as f64 / jobs.len().max(1) as f64,
-        load.limit_s
-    ));
-    Ok(())
-}
-
 /// Results of the untraced and counting job streams of a traced run.
 struct Streams {
     untraced: Vec<JobRecord>,
@@ -519,7 +431,7 @@ fn streams<G: GraphAccess>(
     seed: u64,
     seconds: f64,
 ) -> Result<Streams, String> {
-    let untraced = run_stream(g, kind, seed, seconds)?;
+    let untraced = run_stream(g, kind, seed, 0, seconds)?;
     let counting = Counting::new(g);
     let t0 = Instant::now();
     let mut counted = Vec::new();
@@ -538,8 +450,7 @@ fn streams<G: GraphAccess>(
 }
 
 /// A small open-loop burst (12 fixed-budget jobs at half the measured
-/// capacity) on the workload's own graph, for the service-layer figures
-/// of workloads that do not run the service themselves.
+/// capacity) on the workload's own graph, for the service-layer figures.
 fn service_burst(
     g: SharedGraph,
     cfg: &EstimatorConfig,
@@ -556,31 +467,20 @@ fn service_burst(
     let t = Instant::now();
     let _ = service.submit(spec(u64::MAX)).map(|h| h.wait());
     let solo = secs_since(t).max(1e-4);
-    let jobs = openloop::run(
-        &service,
-        spec,
-        0.5 / solo,
-        0.0,
-        Some(12),
-        seed,
-        30.0,
-        &mut Pooled::default(),
-    );
+    let jobs = openloop::run(&service, spec, 0.5 / solo, 12, seed, 30.0);
     service.shutdown();
     jobs
 }
 
-fn run_traced(
-    w: Workload,
-    s: &Setup,
-    seed: u64,
-    seconds: f64,
-    load: Option<ServiceLoad>,
+fn run_traced<G: GraphAccess>(
+    g: &G,
+    service_graph: SharedGraph,
+    ctx: &Ctx,
     report: &mut Report,
 ) -> Result<(), String> {
-    let kind = w.job();
-    let seg = seconds * 0.25;
-    let fp = s.meta.fingerprint;
+    let kind = &ctx.kind;
+    let mut probes = Probes::default();
+    probes.take(ctx.cache, ctx.w, (SEGMENTS + 1) * PROBES_PER_ROUND)?;
     let overhead = timer_overhead_ns();
     report.line(format!(
         "timer overhead {overhead:.1} ns per timed call, subtracted (layers cheaper than \
@@ -590,62 +490,15 @@ fn run_traced(
         Budget::Adaptive(r) => r.clone(),
         Budget::Fixed(_) => StoppingRule::default(),
     };
-    let replay_windows = |st: &Streams| -> usize {
-        let w: usize = st.untraced.iter().map(|r| r.steps).sum();
-        let secs: f64 = st.untraced.iter().map(|r| r.secs).sum();
-        ((w as f64 / secs) * seconds * 0.06).clamp(2_000.0, 3_000_000.0) as usize
-    };
-    let burst_windows = |st: &Streams| -> usize {
-        let w: usize = st.untraced.iter().map(|r| r.steps).sum();
-        let secs: f64 = st.untraced.iter().map(|r| r.secs).sum();
-        ((w as f64 / secs) * 0.02 / kind.walkers as f64).clamp(500.0, 100_000.0) as usize
-    };
-    let lease_runner: Runner = kind.runner(seed, 0);
-    let (st, layers, leases, service_jobs) = match &s.loaded {
-        Loaded::Ram(g) => {
-            let st = streams(g.as_ref(), &kind, seed, seg)?;
-            let layers =
-                replay(g.as_ref(), &kind.cfg, job_seed(seed, 0), replay_windows(&st), &rule)?;
-            let leases = lease_replay(g.as_ref(), fp, &lease_runner, kind.round_windows())?;
-            let jobs = if let (Workload::ServiceOpen, Some(load)) = (w, load) {
-                let (service, g) = start_service(g);
-                let spec = |j| service_spec(&g, &kind, seed, j);
-                let jobs = openloop::run(
-                    &service,
-                    spec,
-                    load.rate,
-                    seg,
-                    None,
-                    seed,
-                    60.0,
-                    &mut Pooled::default(),
-                );
-                service.shutdown();
-                jobs
-            } else {
-                service_burst(SharedGraph::Ram(g.clone()), &kind.cfg, burst_windows(&st), seed)
-            };
-            (st, layers, leases, jobs)
-        }
-        Loaded::Mapped(g) => {
-            let st = streams(g.as_ref(), &kind, seed, seg)?;
-            let layers =
-                replay(g.as_ref(), &kind.cfg, job_seed(seed, 0), replay_windows(&st), &rule)?;
-            let leases = lease_replay(g.as_ref(), fp, &lease_runner, kind.round_windows())?;
-            let jobs =
-                service_burst(SharedGraph::Mapped(g.clone()), &kind.cfg, burst_windows(&st), seed);
-            (st, layers, leases, jobs)
-        }
-        Loaded::Compressed(g) => {
-            let st = streams(g, &kind, seed, seg)?;
-            let layers = replay(g, &kind.cfg, job_seed(seed, 0), replay_windows(&st), &rule)?;
-            let leases = lease_replay(g, fp, &lease_runner, kind.round_windows())?;
-            // The service holds RAM or GXSN graphs; it gets the RAM copy.
-            let ram = Arc::new(inputs::to_ram(g)?);
-            let jobs = service_burst(SharedGraph::Ram(ram), &kind.cfg, burst_windows(&st), seed);
-            (st, layers, leases, jobs)
-        }
-    };
+    let st = streams(g, kind, ctx.seed, ctx.seconds * 0.25)?;
+    let windows: usize = st.untraced.iter().map(|r| r.steps).sum();
+    let rate = windows as f64 / st.untraced.iter().map(|r| r.secs).sum::<f64>();
+    let replay_windows = (rate * ctx.seconds * 0.06).clamp(2_000.0, 3_000_000.0) as usize;
+    let burst_windows = (rate * 0.02 / kind.walkers as f64).clamp(500.0, 100_000.0) as usize;
+    let layers = replay(g, &kind.cfg, job_seed(ctx.seed, 0), replay_windows, &rule)?;
+    let leases =
+        lease_replay(g, ctx.meta.fingerprint, &kind.runner(ctx.seed, 0), kind.round_windows())?;
+    let service_jobs = service_burst(service_graph, &kind.cfg, burst_windows, ctx.seed);
     report.line(format!(
         "layer replay of {} windows: bit-identical to Runner::run_with_walk",
         layers.windows
@@ -654,9 +507,9 @@ fn run_traced(
         "lease replay of {} leases: identical to the uninterrupted run",
         leases.leases
     ));
-    layer_metrics(&st, &layers, &leases, &service_jobs, w, overhead, report);
-    report.metric("setup.open_s", s.open_s, "s");
-    report.metric("setup.warm_s", s.warm_s, "s");
+    layer_metrics(&st, &layers, &leases, &service_jobs, overhead, report);
+    report.metric("setup.open_s", median(&probes.open_s), "s");
+    report.metric("setup.warm_s", median(&probes.warm_s), "s");
 
     let mut checks = Checks::default();
     for r in st.untraced.iter().chain(&st.counted) {
@@ -673,13 +526,11 @@ fn run_traced(
 
 /// Per-window figures of the traced run. Timer overhead (one
 /// `Instant` pair per timed call) is subtracted from every timed layer.
-#[allow(clippy::too_many_arguments)]
 fn layer_metrics(
     st: &Streams,
     l: &LayerTimes,
     leases: &LeaseStats,
     service_jobs: &[Timeline],
-    w: Workload,
     overhead: f64,
     report: &mut Report,
 ) {
@@ -729,15 +580,8 @@ fn layer_metrics(
     let waits: Vec<f64> =
         service_jobs.iter().filter_map(|t| t.first_progress.map(|p| p - t.submitted)).collect();
     let lag: Vec<f64> = service_jobs.iter().map(|t| t.submitted - t.scheduled).collect();
-    let leases_per_job = if w == Workload::ServiceOpen {
-        let n: Vec<f64> =
-            service_jobs.iter().filter(|t| t.done.is_some()).map(|t| t.leases as f64).collect();
-        median(&n)
-    } else {
-        leases.leases as f64
-    };
     report.metric("service.queue_wait_s", median(&waits), "s");
-    report.metric("service.leases_per_job", leases_per_job, "leases");
+    report.metric("service.leases_per_job", leases.leases as f64, "leases");
     report.metric("service.lease_overhead_frac", leases.overhead_frac(), "ratio");
     report.metric("service.generator_lag_s", median(&lag), "s");
     report.metric("trace.overhead_frac", (wb / sb) / (wa / sa) - 1.0, "ratio");
