@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload k4-cache --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload k4-cache --seed 1 --seconds 35 --trace 0
 
 (`--seconds` defaults to BENCHMARK.json's `run_seconds`) builds `perfbench/` (a cargo package of its own) in release mode, makes
 sure the workload's cached inputs exist and verify (`.bench_cache/`,

@@ -1,7 +1,7 @@
 //! Estimation jobs: how a workload's job is configured, the closed-loop
 //! job stream the batch workloads time, and the answer checks.
 
-use crate::stats::secs_since;
+use crate::stats::{secs_since, thread_cpu_secs};
 use gx_core::{Estimate, EstimatorConfig, Runner, StoppingRule};
 use gx_graph::GraphAccess;
 use gx_walks::derive_seed;
@@ -60,14 +60,30 @@ pub fn job_seed(seed: u64, j: u64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct JobRecord {
     pub secs: f64,
+    /// The job's on-CPU seconds (see [`thread_cpu_secs`]).
+    pub cpu_secs: f64,
     pub steps: usize,
     /// An adaptive job that stopped on its target, or any fixed job.
     pub target_met: bool,
 }
 
 impl JobRecord {
-    pub fn new(secs: f64, e: &Estimate) -> Self {
-        Self { secs, steps: e.steps, target_met: e.adaptive.as_ref().is_none_or(|a| a.target_met) }
+    /// Runs one job on the calling thread and times it by the wall clock
+    /// and by the thread's CPU clock (`NaN` where that clock is missing;
+    /// the report then refuses the run as not finite).
+    pub fn time(
+        job: impl FnOnce() -> Result<Estimate, String>,
+    ) -> Result<(Self, Estimate), String> {
+        let cpu_now = || thread_cpu_secs().unwrap_or(f64::NAN);
+        let (start, cpu0) = (Instant::now(), cpu_now());
+        let e = job()?;
+        let rec = Self {
+            secs: secs_since(start),
+            cpu_secs: cpu_now() - cpu0,
+            steps: e.steps,
+            target_met: e.adaptive.as_ref().is_none_or(|a| a.target_met),
+        };
+        Ok((rec, e))
     }
 }
 
@@ -107,9 +123,10 @@ pub fn run_stream<G: GraphAccess>(
     let mut pooled = Pooled::default();
     let mut j = first_job;
     while j == first_job || secs_since(t0) < seconds {
-        let start = Instant::now();
-        let estimate = kind.runner(seed, j).run_local(g).map_err(|e| format!("job {j}: {e}"))?;
-        jobs.push(JobRecord::new(secs_since(start), &estimate));
+        let (rec, estimate) = JobRecord::time(|| {
+            kind.runner(seed, j).run_local(g).map_err(|e| format!("job {j}: {e}"))
+        })?;
+        jobs.push(rec);
         pooled.add(&estimate.raw_scores);
         first.get_or_insert(estimate);
         j += 1;

@@ -69,3 +69,37 @@ pub fn timer_overhead_ns() -> f64 {
 pub fn secs_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64()
 }
+
+/// On-CPU seconds of the calling thread (`CLOCK_THREAD_CPUTIME_ID`):
+/// time the thread ran, excluding time it waited for a CPU, whether
+/// behind other threads or, under a hypervisor with steal accounting,
+/// behind other guests. `None` where the clock is unavailable.
+pub fn thread_cpu_secs() -> Option<f64> {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        const SYS_CLOCK_GETTIME: usize = 228;
+        const CLOCK_THREAD_CPUTIME_ID: usize = 3;
+        let mut ts = [0i64; 2];
+        let ret: isize;
+        // SAFETY: clock_gettime writes one `struct timespec` (two i64 on
+        // x86-64) to the pointer, which points at `ts`. The asm block
+        // declares every register the `syscall` instruction clobbers
+        // (rax, rcx, r11).
+        unsafe {
+            core::arch::asm!(
+                "syscall",
+                inlateout("rax") SYS_CLOCK_GETTIME as isize => ret,
+                in("rdi") CLOCK_THREAD_CPUTIME_ID,
+                in("rsi") ts.as_mut_ptr(),
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        (ret == 0).then(|| ts[0] as f64 + ts[1] as f64 * 1e-9)
+    }
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    {
+        None
+    }
+}
