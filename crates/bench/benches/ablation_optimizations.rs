@@ -25,7 +25,8 @@ fn main() {
         let mut row = vec![name.to_string()];
         for (css, nb) in [(false, false), (true, false), (false, true), (true, true)] {
             let cfg = EstimatorConfig { k: 3, d: 1, css, non_backtracking: nb, burn_in: 0 };
-            let e = nrmse_of_type(ds.graph(), &cfg, &truth, 1, n_steps, n_runs, 0xAB1);
+            let e = nrmse_of_type(ds.graph(), &cfg, &truth, 1, n_steps, n_runs, 0xAB1)
+                .expect("valid configuration");
             json.insert(format!("k3/{name}/{}", cfg.name()), serde_json::json!(e));
             row.push(f(e));
         }
@@ -45,7 +46,8 @@ fn main() {
         let mut row = vec![name.to_string()];
         for (css, nb) in [(false, false), (true, false), (false, true), (true, true)] {
             let cfg = EstimatorConfig { k: 4, d: 2, css, non_backtracking: nb, burn_in: 0 };
-            let e = nrmse_of_type(ds.graph(), &cfg, &truth, 5, n_steps, n_runs, 0xAB2);
+            let e = nrmse_of_type(ds.graph(), &cfg, &truth, 5, n_steps, n_runs, 0xAB2)
+                .expect("valid configuration");
             json.insert(format!("k4/{name}/{}", cfg.name()), serde_json::json!(e));
             row.push(f(e));
         }
@@ -64,7 +66,8 @@ fn main() {
     for d in 2..=4 {
         let cfg = EstimatorConfig { k: 4, d, ..Default::default() };
         let r = if d >= 4 { (n_runs / 4).max(4) } else { n_runs };
-        let e = nrmse_of_type(ds.graph(), &cfg, &truth, 5, n_steps, r, 0xAB3);
+        let e = nrmse_of_type(ds.graph(), &cfg, &truth, 5, n_steps, r, 0xAB3)
+            .expect("valid configuration");
         json.insert(format!("dsweep/SRW{d}"), serde_json::json!(e));
         row.push(f(e));
     }

@@ -34,7 +34,8 @@ fn panel(
         for m in methods {
             // PSRW on G(4) is slow; the paper, too, used 10x fewer runs.
             let r = if m.cfg.d >= 4 { (n_runs / 4).max(4) } else { n_runs };
-            let e = nrmse_of_type(ds.graph(), &m.cfg, &truth, type_idx, n_steps, r, 0xF14);
+            let e = nrmse_of_type(ds.graph(), &m.cfg, &truth, type_idx, n_steps, r, 0xF14)
+                .expect("valid configuration");
             row.push(f(e));
             per_method.insert(m.label.clone(), serde_json::json!(e));
         }

@@ -36,7 +36,8 @@ fn main() {
         let mut row = vec![m.label.clone()];
         let mut per_type = Vec::new();
         for t in 0..6 {
-            let e = nrmse_of_type(ds.graph(), &m.cfg, &plain, t, n_steps, n_runs, 0xF15);
+            let e = nrmse_of_type(ds.graph(), &m.cfg, &plain, t, n_steps, n_runs, 0xF15)
+                .expect("valid configuration");
             row.push(f(e));
             per_type.push(e);
         }

@@ -31,7 +31,8 @@ fn series(
         let mut row = vec![steps.to_string()];
         for m in methods {
             let r = if m.cfg.d >= 4 { (n_runs / 4).max(4) } else { n_runs };
-            let e = nrmse_of_type(ds.graph(), &m.cfg, &truth, type_idx, steps, r, 0xF16);
+            let e = nrmse_of_type(ds.graph(), &m.cfg, &truth, type_idx, steps, r, 0xF16)
+                .expect("valid configuration");
             row.push(f(e));
             data.entry(m.label.clone())
                 .or_insert_with(|| serde_json::json!([]))

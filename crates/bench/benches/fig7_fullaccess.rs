@@ -13,7 +13,7 @@
 use gx_baselines::{path_sampling_counts, wedge_sampling};
 use gx_bench::{f, print_table, runs, write_json};
 use gx_core::eval::nrmse;
-use gx_core::{estimate, relationship_edge_count, EstimatorConfig};
+use gx_core::{relationship_edge_count, EstimatorConfig, Runner};
 use gx_datasets::{registry, Dataset};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -23,7 +23,11 @@ use std::time::Instant;
 fn calibrate_steps(ds: &Dataset, cfg: &EstimatorConfig, baseline_secs: f64) -> usize {
     let probe = 4_000usize;
     let t = Instant::now();
-    let _ = estimate(ds.graph(), cfg, probe, 0xCAFE);
+    let _ = Runner::new(cfg.clone())
+        .steps(probe)
+        .seed(0xCAFE)
+        .run(ds.graph())
+        .expect("valid configuration");
     let per_step = t.elapsed().as_secs_f64() / probe as f64;
     ((baseline_secs / per_step) as usize).clamp(1_000, 2_000_000)
 }
@@ -51,7 +55,14 @@ fn main() {
         let two_r = 2.0 * relationship_edge_count(g, 1) as f64;
         let rw: Vec<f64> = (0..n_runs as u64)
             .into_par_iter()
-            .map(|s| estimate(g, &cfg3, steps, gx_walks::derive_seed(0xA1, s)).counts(two_r)[1])
+            .map(|s| {
+                Runner::new(cfg3.clone())
+                    .steps(steps)
+                    .seed(gx_walks::derive_seed(0xA1, s))
+                    .run(g)
+                    .expect("valid configuration")
+                    .counts(two_r)[1]
+            })
             .collect();
         let wg: Vec<f64> = (0..n_runs as u64)
             .into_par_iter()
@@ -86,7 +97,14 @@ fn main() {
         let two_r = 2.0 * relationship_edge_count(g, 2) as f64;
         let rw: Vec<f64> = (0..n_runs as u64)
             .into_par_iter()
-            .map(|s| estimate(g, &cfg4, steps, gx_walks::derive_seed(0xB2, s)).counts(two_r)[5])
+            .map(|s| {
+                Runner::new(cfg4.clone())
+                    .steps(steps)
+                    .seed(gx_walks::derive_seed(0xB2, s))
+                    .run(g)
+                    .expect("valid configuration")
+                    .counts(two_r)[5]
+            })
             .collect();
         let ps: Vec<f64> = (0..n_runs as u64)
             .into_par_iter()

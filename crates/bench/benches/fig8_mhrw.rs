@@ -9,7 +9,7 @@
 use gx_baselines::wedge_mhrw;
 use gx_bench::{f, print_table, runs, steps, write_json};
 use gx_core::eval::nrmse;
-use gx_core::{estimate, EstimatorConfig};
+use gx_core::{EstimatorConfig, Runner};
 use gx_datasets::{dataset, registry};
 use rayon::prelude::*;
 
@@ -19,7 +19,14 @@ fn nrmse_pair(ds: &gx_datasets::Dataset, n_steps: usize, n_runs: usize) -> (f64,
     let cfg = EstimatorConfig::recommended(3);
     let rw: Vec<f64> = (0..n_runs as u64)
         .into_par_iter()
-        .map(|s| estimate(g, &cfg, n_steps, gx_walks::derive_seed(0xF8, s)).concentrations()[1])
+        .map(|s| {
+            Runner::new(cfg.clone())
+                .steps(n_steps)
+                .seed(gx_walks::derive_seed(0xF8, s))
+                .run(g)
+                .expect("valid configuration")
+                .concentrations()[1]
+        })
         .collect();
     let mh: Vec<f64> = (0..n_runs as u64)
         .into_par_iter()

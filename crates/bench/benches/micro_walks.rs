@@ -3,7 +3,7 @@
 //! the CSS overhead, classification, and the exact counters.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gx_core::{estimate, EstimatorConfig};
+use gx_core::{EstimatorConfig, Runner};
 use gx_datasets::dataset;
 use gx_exact::{count_graphlets_esu, four_node_counts, three_node_counts};
 use gx_graphlets::classify_mask;
@@ -60,7 +60,13 @@ fn bench_estimators_end_to_end(c: &mut Criterion) {
                     seed += 1;
                     seed
                 },
-                |s| estimate(g, &cfg, 1_000, s),
+                |s| {
+                    Runner::new(cfg.clone())
+                        .steps(1_000)
+                        .seed(s)
+                        .run(g)
+                        .expect("valid configuration")
+                },
                 BatchSize::SmallInput,
             );
         });

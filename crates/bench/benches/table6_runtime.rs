@@ -10,7 +10,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use gx_bench::{print_table, steps, write_json};
-use gx_core::{estimate, EstimatorConfig};
+use gx_core::{EstimatorConfig, Runner};
 use gx_datasets::small_datasets;
 use gx_exact::count_graphlets_esu_parallel;
 use std::time::Instant;
@@ -42,12 +42,20 @@ fn main() {
     for ds in small_datasets() {
         let g = ds.graph();
         // warm-up: touch the graph once
-        let _ = estimate(g, &methods[0].1, 200, 0);
+        let _ = Runner::new(methods[0].1.clone())
+            .steps(200)
+            .seed(0)
+            .run(g)
+            .expect("valid configuration");
         let mut row = vec![ds.name.to_string()];
         let mut entry = serde_json::Map::new();
         for (name, cfg) in &methods {
             let ms = time_ms(|| {
-                let _ = estimate(g, cfg, n_steps, 1);
+                let _ = Runner::new(cfg.clone())
+                    .steps(n_steps)
+                    .seed(1)
+                    .run(g)
+                    .expect("valid configuration");
             });
             row.push(format!("{ms:.1} ms"));
             entry.insert(name.clone(), serde_json::json!(ms));

@@ -9,7 +9,7 @@
 
 use gx_bench::{print_table, runs, steps, write_json};
 use gx_core::eval::{cosine_similarity, mean, variance};
-use gx_core::{estimate, EstimatorConfig};
+use gx_core::{EstimatorConfig, Runner};
 use gx_datasets::dataset;
 use rayon::prelude::*;
 
@@ -33,9 +33,17 @@ fn main() {
             let sims: Vec<f64> = (0..n_runs as u64)
                 .into_par_iter()
                 .map(|s| {
-                    let a = estimate(weibo.graph(), cfg, n_steps, gx_walks::derive_seed(0x71, s))
+                    let a = Runner::new(cfg.clone())
+                        .steps(n_steps)
+                        .seed(gx_walks::derive_seed(0x71, s))
+                        .run(weibo.graph())
+                        .expect("valid configuration")
                         .concentrations();
-                    let b = estimate(other.graph(), cfg, n_steps, gx_walks::derive_seed(0x72, s))
+                    let b = Runner::new(cfg.clone())
+                        .steps(n_steps)
+                        .seed(gx_walks::derive_seed(0x72, s))
+                        .run(other.graph())
+                        .expect("valid configuration")
                         .concentrations();
                     cosine_similarity(&a, &b)
                 })

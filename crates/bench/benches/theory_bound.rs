@@ -7,7 +7,7 @@
 use gx_bench::{print_table, runs, write_json};
 use gx_core::eval::nrmse;
 use gx_core::theory::{lambda, mixing_time_bound, slem, w_sup};
-use gx_core::{alpha_table, estimate, EstimatorConfig};
+use gx_core::{alpha_table, EstimatorConfig, Runner};
 use gx_exact::exact_counts;
 use gx_graph::generators::classic;
 use gx_graph::subrel::subgraph_relationship_graph;
@@ -22,7 +22,14 @@ fn empirical_steps_needed(g: &Graph, eps: f64, n_runs: usize) -> usize {
     while steps <= 1 << 22 {
         let series: Vec<f64> = (0..n_runs as u64)
             .into_par_iter()
-            .map(|s| estimate(g, &cfg, steps, gx_walks::derive_seed(0x7B, s)).concentrations()[1])
+            .map(|s| {
+                Runner::new(cfg.clone())
+                    .steps(steps)
+                    .seed(gx_walks::derive_seed(0x7B, s))
+                    .run(g)
+                    .expect("valid configuration")
+                    .concentrations()[1]
+            })
             .collect();
         if nrmse(&series, truth[1]) < eps {
             return steps;

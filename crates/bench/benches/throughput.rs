@@ -135,8 +135,7 @@ fn main() {
     let cfg = EstimatorConfig::recommended(4);
     assert_eq!(cfg.name(), "SRW2CSS");
     // Warm-up: classification tables, dense CSS tables. The bench
-    // drives the `Runner` front door — the same entry point the legacy
-    // shorthands delegate to.
+    // drives the `Runner` front door, the only way to run the estimator.
     let _ = Runner::new(cfg.clone()).steps(2_000).seed(7).run(g).expect("valid config");
     let seq_runner = Runner::new(cfg.clone()).steps(steps).seed(42);
 
@@ -400,7 +399,7 @@ fn main() {
     // Adaptive CI-width-vs-wallclock curve: what the coordinator
     // actually costs to hit a given target — the budget-planning data
     // behind README's "how many steps for ±x%?" recipe. Each row runs
-    // `estimate_until_parallel` against one target (capped at the
+    // an adaptive multi-walker `Runner` against one target (capped at the
     // bench's step budget so a smoke run stays fast) and records the
     // steps it chose to spend, the wallclock, and the width it reached.
     {

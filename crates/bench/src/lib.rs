@@ -12,7 +12,7 @@
 //!   suite finishes in minutes);
 //! * `GX_STEPS` — walk steps per run (default 20_000, the paper's budget).
 
-use gx_core::{estimate, EstimatorConfig};
+use gx_core::{Estimate, EstimatorConfig, GxError, Runner};
 use gx_graph::Graph;
 use rayon::prelude::*;
 
@@ -73,18 +73,21 @@ pub fn steps(default: usize) -> usize {
 }
 
 /// Runs `runs` independent estimates (parallel) and returns the
-/// concentration vectors.
+/// concentration vectors, or the runner's rejection of `cfg`.
 pub fn concentration_runs(
     g: &Graph,
     cfg: &EstimatorConfig,
     steps: usize,
     runs: usize,
     seed_base: u64,
-) -> Vec<Vec<f64>> {
-    (0..runs as u64)
+) -> Result<Vec<Vec<f64>>, GxError> {
+    let runs: Vec<Result<Estimate, GxError>> = (0..runs as u64)
         .into_par_iter()
-        .map(|r| estimate(g, cfg, steps, gx_walks::derive_seed(seed_base, r)).concentrations())
-        .collect()
+        .map(|r| {
+            Runner::new(cfg.clone()).steps(steps).seed(gx_walks::derive_seed(seed_base, r)).run(g)
+        })
+        .collect();
+    runs.into_iter().map(|est| est.map(|e| e.concentrations())).collect()
 }
 
 /// NRMSE of one type's concentration estimate over repeated runs.
@@ -96,12 +99,12 @@ pub fn nrmse_of_type(
     steps: usize,
     runs: usize,
     seed_base: u64,
-) -> f64 {
-    let series: Vec<f64> = concentration_runs(g, cfg, steps, runs, seed_base)
+) -> Result<f64, GxError> {
+    let series: Vec<f64> = concentration_runs(g, cfg, steps, runs, seed_base)?
         .into_iter()
         .map(|c| c[type_idx])
         .collect();
-    gx_core::eval::nrmse(&series, truth[type_idx])
+    Ok(gx_core::eval::nrmse(&series, truth[type_idx]))
 }
 
 /// Renders an aligned plain-text table.
@@ -183,8 +186,8 @@ mod tests {
     fn concentration_runs_are_independent_and_parallel_safe() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let a = concentration_runs(&g, &cfg, 2_000, 8, 7);
-        let b = concentration_runs(&g, &cfg, 2_000, 8, 7);
+        let a = concentration_runs(&g, &cfg, 2_000, 8, 7).unwrap();
+        let b = concentration_runs(&g, &cfg, 2_000, 8, 7).unwrap();
         assert_eq!(a, b, "seeded: parallel order must not matter");
         assert_eq!(a.len(), 8);
         // petersen is triangle-free: c32 = 0 in every run
@@ -196,7 +199,7 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let truth = vec![1.0, 0.0];
-        let e = nrmse_of_type(&g, &cfg, &truth, 0, 2_000, 4, 3);
+        let e = nrmse_of_type(&g, &cfg, &truth, 0, 2_000, 4, 3).unwrap();
         assert_eq!(e, 0.0, "all mass on wedges, exactly");
     }
 

@@ -29,7 +29,8 @@
 //! [`BatchStats`] is mergeable: independent walkers produce independent
 //! batches, so [`BatchStats::merge`] pools them with the standard
 //! parallel Welford combination — in walker order, keeping
-//! [`crate::estimate_parallel`] deterministic per `(seed, walkers)`.
+//! multi-walker [`crate::Runner`] runs deterministic per
+//! `(seed, walkers)`.
 
 use crate::checkpoint::{put_f64, put_u64, put_u8, put_usize, Reader};
 use crate::error::{CheckpointError, RuleError};
@@ -835,8 +836,7 @@ pub fn studentized_critical(z: f64, batches: u64) -> f64 {
     }
 }
 
-/// When to stop an adaptive estimation run ([`crate::estimate_until`] /
-/// [`crate::estimate_until_parallel`]).
+/// When to stop an adaptive estimation run ([`crate::Runner::until`]).
 ///
 /// The run stops at the first convergence check where at least
 /// `min_batches` batches have completed and the widest relative
@@ -894,23 +894,10 @@ pub struct StoppingRule {
 }
 
 impl StoppingRule {
-    /// A rule with the given target, check cadence, and budget, and
-    /// default `z` / batching / floor parameters.
-    ///
-    /// Panics immediately on an out-of-domain rule (zero/negative
-    /// target, zero check cadence, …) — see [`StoppingRule::validate`] —
-    /// so a rule that could never fire is rejected at construction, not
-    /// after a silent full-budget run.
-    pub fn new(target_rel_ci: f64, check_every: usize, max_steps: usize) -> Self {
-        match Self::try_new(target_rel_ci, check_every, max_steps) {
-            Ok(rule) => rule,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The non-panicking form of [`StoppingRule::new`]: a rule with the
-    /// given target, check cadence, and budget (default `z` / batching /
-    /// floor parameters), or the typed reason it could never fire.
+    /// A rule with the given target, check cadence, and budget (default
+    /// `z` / batching / floor parameters), or the typed reason it could
+    /// never fire — so a rule that could never fire is rejected at
+    /// construction, not after a silent full-budget run.
     pub fn try_new(
         target_rel_ci: f64,
         check_every: usize,
@@ -922,8 +909,8 @@ impl StoppingRule {
     }
 
     /// Checks the rule's domain, returning the offending field as a
-    /// typed [`RuleError`] — the non-panicking form every
-    /// [`crate::runner::Runner`] path uses.
+    /// typed [`RuleError`]. Every adaptive [`crate::runner::Runner`] path
+    /// checks it before walking.
     pub fn try_validate(&self) -> Result<(), RuleError> {
         if self.target_rel_ci <= 0.0 || self.target_rel_ci.is_nan() {
             return Err(RuleError::TargetNotPositive { target_rel_ci: self.target_rel_ci });
@@ -967,14 +954,6 @@ impl StoppingRule {
         self
     }
 
-    /// Panics if the rule is out of domain — the legacy form, delegating
-    /// to [`StoppingRule::try_validate`].
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// The critical value this rule sizes intervals with once `batches`
     /// batch means are pooled: `z` studentized for small batch counts
     /// (see [`studentized_critical`]).
@@ -1013,8 +992,7 @@ impl Default for StoppingRule {
     }
 }
 
-/// What an adaptive run ([`crate::estimate_until`] /
-/// [`crate::estimate_until_parallel`]) learned about its own
+/// What an adaptive run ([`crate::Runner::until`]) learned about its own
 /// convergence, attached to the [`crate::Estimate`] it returns.
 ///
 /// `steps_used[i]` is the pooled step count at the first convergence
@@ -1424,7 +1402,7 @@ mod tests {
     #[test]
     fn stopping_rule_gates_on_batches_and_width() {
         let rule = StoppingRule { min_batches: 4, target_rel_ci: 0.5, ..Default::default() };
-        rule.validate();
+        assert_eq!(rule.try_validate(), Ok(()));
         // Identical batches -> zero width, but too few batches.
         let tight: Vec<Vec<f64>> = (0..3 * 512).map(|_| vec![1.0]).collect();
         let stats = accumulate(&tight, 512);
@@ -1519,6 +1497,10 @@ mod tests {
             StoppingRule::try_new(0.0, 1_000, 10_000),
             Err(RuleError::TargetNotPositive { target_rel_ci: 0.0 })
         );
+        assert_eq!(
+            StoppingRule::try_new(-0.05, 1_000, 10_000),
+            Err(RuleError::TargetNotPositive { target_rel_ci: -0.05 })
+        );
         assert_eq!(StoppingRule::try_new(0.05, 0, 10_000), Err(RuleError::ZeroCheckEvery));
         assert!(StoppingRule::try_new(0.05, 1_000, 10_000).is_ok());
         let bad = StoppingRule { z: -1.0, ..Default::default() };
@@ -1550,24 +1532,6 @@ mod tests {
     // target can never fire and used to silently burn the whole
     // max_steps budget on every run; check_every == 0 never reached a
     // convergence check at all. `new` now rejects both up front.
-    #[test]
-    #[should_panic(expected = "target_rel_ci")]
-    fn stopping_rule_rejects_zero_target() {
-        let _ = StoppingRule::new(0.0, 1_000, 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "target_rel_ci")]
-    fn stopping_rule_rejects_negative_target() {
-        let _ = StoppingRule::new(-0.05, 1_000, 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "check_every")]
-    fn stopping_rule_rejects_zero_check_cadence() {
-        let _ = StoppingRule::new(0.05, 0, 10_000);
-    }
-
     #[test]
     fn studentized_critical_widens_small_batch_intervals() {
         // Below the studentization threshold the critical value must

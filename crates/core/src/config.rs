@@ -48,7 +48,7 @@ impl EstimatorConfig {
     pub fn l(&self) -> usize {
         debug_assert!(
             self.d >= 1 && self.d <= self.k,
-            "d={} must be in 1..=k (k={}) — validate() the config before use",
+            "d={} must be in 1..=k (k={}) — try_validate() the config before use",
             self.d,
             self.k
         );
@@ -56,8 +56,8 @@ impl EstimatorConfig {
     }
 
     /// Checks the configuration against the supported domain, returning
-    /// the offending dimension as a typed [`ConfigError`]. This is the
-    /// non-panicking form every [`crate::runner::Runner`] path uses.
+    /// the offending dimension as a typed [`ConfigError`]. Every
+    /// [`crate::runner::Runner`] path checks it before walking.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if !(3..=6).contains(&self.k) {
             return Err(ConfigError::UnsupportedK { k: self.k });
@@ -69,15 +69,6 @@ impl EstimatorConfig {
             return Err(ConfigError::BurnInTooLarge { burn_in: self.burn_in as u64 });
         }
         Ok(())
-    }
-
-    /// Panics if the configuration is out of the supported domain — the
-    /// legacy form, delegating to [`EstimatorConfig::try_validate`] (the
-    /// panic message is the error's `Display`).
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 
     /// The paper's method name, e.g. `SRW2CSS`, `SRW1CSSNB`.
@@ -115,7 +106,7 @@ impl EstimatorConfig {
     /// use gx_core::{measure_burn_in, EstimatorConfig};
     /// let g = gx_graph::generators::classic::petersen();
     /// let cfg = EstimatorConfig::recommended(3);
-    /// let pilot = measure_burn_in(&g, &cfg, 7, 4_096, 256);
+    /// let pilot = measure_burn_in(&g, &cfg, 7, 4_096, 256).expect("a valid pilot");
     /// let cfg = cfg.with_burn_in(pilot.suggested_burn_in);
     /// # assert_eq!(cfg.burn_in % 256, 0);
     /// ```
@@ -145,18 +136,6 @@ mod tests {
         assert_eq!(EstimatorConfig { k: 3, d: 3, ..Default::default() }.l(), 1);
     }
 
-    #[test]
-    #[should_panic(expected = "must be in 1..=k")]
-    fn validate_rejects_d_above_k() {
-        EstimatorConfig { k: 3, d: 4, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported")]
-    fn validate_rejects_k7() {
-        EstimatorConfig { k: 7, d: 1, ..Default::default() }.validate();
-    }
-
     // Regression: `l()` on an unvalidated config with d > k + 1 used to
     // wrap (`k - d + 1` on usize) in release builds and panic with the
     // bare overflow message in debug builds. Now debug builds panic
@@ -173,14 +152,6 @@ mod tests {
     #[cfg(not(debug_assertions))]
     fn l_saturates_instead_of_wrapping_in_release() {
         assert_eq!(EstimatorConfig { k: 3, d: 6, ..Default::default() }.l(), 0);
-    }
-
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "pathological")]
-    fn validate_rejects_pathological_burn_in() {
-        let burn_in = (EstimatorConfig::MAX_BURN_IN + 1) as usize;
-        EstimatorConfig { burn_in, ..Default::default() }.validate();
     }
 
     #[test]
@@ -216,8 +187,17 @@ mod tests {
     #[test]
     fn validate_accepts_large_but_sane_burn_in() {
         #[cfg(target_pointer_width = "64")]
-        EstimatorConfig { burn_in: EstimatorConfig::MAX_BURN_IN as usize, ..Default::default() }
-            .validate();
-        EstimatorConfig { burn_in: 1_000_000, ..Default::default() }.validate();
+        assert_eq!(
+            EstimatorConfig {
+                burn_in: EstimatorConfig::MAX_BURN_IN as usize,
+                ..Default::default()
+            }
+            .try_validate(),
+            Ok(())
+        );
+        assert_eq!(
+            EstimatorConfig { burn_in: 1_000_000, ..Default::default() }.try_validate(),
+            Ok(())
+        );
     }
 }

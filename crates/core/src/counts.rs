@@ -25,7 +25,7 @@ pub fn relationship_edge_count(g: &Graph, d: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{estimate, EstimatorConfig};
+    use crate::{EstimatorConfig, Runner};
     use gx_exact::exact_counts;
     use gx_graph::generators::classic;
 
@@ -41,7 +41,7 @@ mod tests {
     fn count_estimates_converge_srw1() {
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate(&g, &cfg, 150_000, 3);
+        let est = Runner::new(cfg.clone()).steps(150_000).seed(3).run(&g).unwrap();
         let two_r = 2.0 * relationship_edge_count(&g, 1) as f64;
         let counts = est.counts(two_r);
         let exact = exact_counts(&g, 3);
@@ -55,7 +55,7 @@ mod tests {
     fn count_estimates_converge_srw2_css() {
         let g = classic::lollipop(6, 4);
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 150_000, 7);
+        let est = Runner::new(cfg.clone()).steps(150_000).seed(7).run(&g).unwrap();
         let two_r = 2.0 * relationship_edge_count(&g, 2) as f64;
         let counts = est.counts(two_r);
         let exact = exact_counts(&g, 4);

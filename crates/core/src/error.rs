@@ -3,10 +3,8 @@
 //! Historically every entry point policed its domain with `assert!`, so a
 //! bad configuration took the whole process down — acceptable in a
 //! research harness, not in a serving layer. The [`crate::runner::Runner`]
-//! paths return these enums instead; the old panicking `validate()`
-//! methods delegate to the fallible `try_validate()` forms and panic with
-//! the same messages, so existing callers (and their tests) see no
-//! behavioral change.
+//! paths, the `try_validate()` checks and [`crate::measure_burn_in`]
+//! return these enums instead.
 
 use std::fmt;
 
@@ -277,6 +275,13 @@ pub enum GxError {
     /// The estimation service refused or terminated the job (shed load,
     /// deadline passed, cancelled, or shut down).
     Service(ServiceError),
+    /// A burn-in pilot ([`crate::measure_burn_in`]) too short for four
+    /// complete batches: the diagnosis compares the leading half of the
+    /// batch means against a trailing half of at least two.
+    PilotTooShort {
+        /// Complete batches the pilot budget covers.
+        batches: usize,
+    },
     /// An I/O error while writing or reading a checkpoint. Only the
     /// [`std::io::ErrorKind`] is kept so the error stays `Copy` and
     /// comparable; the OS-level message is reported at the call site.
@@ -308,6 +313,9 @@ impl fmt::Display for GxError {
                 "bounded-memory stopping rule requires a single walker \
                  (requested {walkers}): pair-collapses would desynchronize pooled batch lengths"
             ),
+            Self::PilotTooShort { batches } => {
+                write!(f, "burn-in pilot needs at least 4 complete batches, got {batches}")
+            }
             Self::Checkpoint(e) => write!(f, "checkpoint refused: {e}"),
             Self::Snapshot(e) => write!(f, "graph snapshot refused: {e}"),
             Self::Service(e) => write!(f, "estimation service: {e}"),
@@ -371,9 +379,8 @@ mod tests {
 
     #[test]
     fn display_messages_keep_the_legacy_panic_substrings() {
-        // The panicking validate() paths now delegate to try_validate()
-        // and panic with `Display` — these substrings are load-bearing
-        // for every pre-existing #[should_panic(expected = …)] test.
+        // The messages keep the wording of the panics these errors
+        // replaced, so callers matching on the old text still match.
         assert!(ConfigError::UnsupportedK { k: 7 }.to_string().contains("unsupported"));
         assert!(ConfigError::DOutOfRange { k: 3, d: 4 }.to_string().contains("must be in 1..=k"));
         assert!(ConfigError::BurnInTooLarge { burn_in: 1 << 33 }
@@ -390,6 +397,9 @@ mod tests {
         assert!(GxError::WalkDimensionMismatch { walk_d: 1, cfg_d: 2 }
             .to_string()
             .contains("walk dimension"));
+        assert!(GxError::PilotTooShort { batches: 2 }
+            .to_string()
+            .contains("at least 4 complete batches"));
     }
 
     #[test]

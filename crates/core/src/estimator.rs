@@ -1,13 +1,12 @@
 //! Algorithm 1: unbiased estimation of graphlet statistics.
 
-use crate::accuracy::{BatchStats, BurnInReport, ScoreAccumulator, StoppingRule};
+use crate::accuracy::{BatchStats, BurnInReport, ScoreAccumulator};
 use crate::checkpoint::{put_f64, put_u128, put_u32, put_u8, put_usize, Reader};
 use crate::config::EstimatorConfig;
 use crate::css::CssWeights;
-use crate::error::CheckpointError;
+use crate::error::{CheckpointError, GxError, RuleError};
 use crate::pie::pie_tilde;
 use crate::result::Estimate;
-use crate::runner::Runner;
 use crate::window::NodeWindow;
 use gx_graph::{GraphAccess, NodeId};
 use gx_graphlets::{
@@ -17,50 +16,6 @@ use gx_walks::{
     effective_degree, export_rng_state, import_rng_state, random_start_edge, random_start_node,
     random_start_state, rng_from_seed, BatchWalk, G2Walk, GdWalk, SrwWalk, StateWalk, WalkRng,
 };
-
-/// Runs the estimator with a walk chosen by `cfg.d` (SRW on `G`, the O(1)
-/// edge walk on `G(2)`, or the enumerating walk on `G(d ≥ 3)`), starting
-/// from a random state drawn with `seed`.
-///
-/// `steps` is the sample budget n of Algorithm 1: the number of windows
-/// scored, matching the paper's "random walk steps" (e.g. 20K in §6).
-///
-/// This is the stable shorthand for
-/// [`Runner::new(cfg).steps(n).seed(s)`](crate::runner::Runner) — it
-/// delegates to the runner (golden-bit tests pin zero estimate drift)
-/// and panics on invalid input where the runner returns
-/// [`crate::GxError`].
-pub fn estimate<G: GraphAccess>(g: &G, cfg: &EstimatorConfig, steps: usize, seed: u64) -> Estimate {
-    match Runner::new(cfg.clone()).steps(steps).seed(seed).run_local(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs the estimator until [`StoppingRule::converged`] holds at a
-/// convergence check (every `rule.check_every` scored windows) or the
-/// `rule.max_steps` budget is exhausted — adaptive stopping on the
-/// batch-means confidence intervals of [`crate::accuracy`].
-///
-/// The scored-window stream is identical to [`estimate`]'s for the same
-/// `(g, cfg, seed)` — scoring consumes no randomness — so a run that
-/// exhausts `max_steps` returns bit-identical `raw_scores` to
-/// `estimate(g, cfg, max_steps, seed)`.
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).until(rule).seed(s)`](crate::runner::Runner);
-/// panics on invalid input where the runner returns [`crate::GxError`].
-pub fn estimate_until<G: GraphAccess>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    seed: u64,
-    rule: &StoppingRule,
-) -> Estimate {
-    match Runner::new(cfg.clone()).until(rule.clone()).seed(seed).run_local(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// Builds every process-wide table the configuration will touch (α,
 /// classification, dense CSS), so parallel walkers never serialize on a
@@ -240,26 +195,6 @@ fn step_and_accumulate<G: GraphAccess, W: StateWalk>(
     }
 }
 
-/// Runs Algorithm 1 with a caller-supplied walk (any [`StateWalk`] whose
-/// `d` matches `cfg.d`).
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).steps(n).run_with_walk`](crate::runner::Runner::run_with_walk);
-/// panics on invalid input (including a walk/config dimension mismatch)
-/// where the runner returns [`crate::GxError`].
-pub fn estimate_with_walk<G: GraphAccess, W: StateWalk>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    walk: W,
-    steps: usize,
-    rng: WalkRng,
-) -> Estimate {
-    match Runner::new(cfg.clone()).steps(steps).run_with_walk(g, walk, rng) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Burn-in plus the first `l` states (Algorithm 1 line 3): the shared
 /// preamble of the fixed-budget and adaptive runners.
 fn prime_window<G: GraphAccess, W: StateWalk>(
@@ -284,17 +219,16 @@ fn prime_window<G: GraphAccess, W: StateWalk>(
 }
 
 /// A walker's persistent chain state: walk + RNG + window + scorer,
-/// resumable in increments. This is the unit the adaptive runners are
-/// built on — a chain scores `n` more windows per [`WalkSession::run`]
-/// call with *no* re-burn-in between rounds, so the round-based parallel
-/// coordinator ([`crate::estimate_until_parallel`]) pays priming once
-/// per walker, not once per round.
+/// resumable in increments. This is the unit every runner path is built
+/// on — a chain scores `n` more windows per [`WalkSession::run`] call
+/// with *no* re-burn-in between rounds, so the round-based coordinator
+/// ([`crate::runner::RunHandle`]) pays priming once per walker, not once
+/// per round.
 ///
-/// The scored-window stream is identical to [`estimate_with_walk`]'s
-/// for the same `(g, cfg, walk, rng)`: the walk only advances *between*
-/// scored windows (lazily, before the next score), so a session is
-/// never stepped past its last scored window — splitting a budget
-/// across `run` calls cannot change a single sampled window.
+/// The walk only advances *between* scored windows (lazily, before the
+/// next score), so a session is never stepped past its last scored
+/// window — splitting a budget across `run` calls cannot change a
+/// single sampled window.
 pub(crate) struct WalkSession<'g, G: GraphAccess, W: StateWalk> {
     g: &'g G,
     walk: W,
@@ -582,8 +516,9 @@ fn batched_ticks<'g, G: GraphAccess, W: BatchWalk>(
 }
 
 /// [`WalkSession`] with the walk flavor resolved at runtime from
-/// `cfg.d`, replaying [`estimate`]'s exact start-state and RNG protocol
-/// — the persistent-chain form of the dispatch in [`estimate_batch`].
+/// `cfg.d`: SRW on `G`, the O(1) edge walk on `G(2)`, or the
+/// enumerating walk on `G(d ≥ 3)`, started from a random state drawn
+/// with the walker's seed.
 pub(crate) enum AnySession<'g, G: GraphAccess> {
     D1(WalkSession<'g, G, SrwWalk<'g, G>>),
     D2(WalkSession<'g, G, G2Walk<'g, G>>),
@@ -890,52 +825,37 @@ fn subset_connected<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> bool {
     seen.count_ones() as usize == d
 }
 
-/// [`estimate_until`] with a caller-supplied walk.
-///
-/// Scores windows in the same order as [`estimate_with_walk`] (the walk
-/// only ever advances between scored windows), checking the stopping
-/// rule every `rule.check_every` scored windows. Like the fixed-budget
-/// runner, the walk is never advanced past the last scored window.
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).until(rule).run_with_walk`](crate::runner::Runner::run_with_walk);
-/// panics on invalid input where the runner returns [`crate::GxError`].
-pub fn estimate_until_with_walk<G: GraphAccess, W: StateWalk>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    walk: W,
-    rule: &StoppingRule,
-    rng: WalkRng,
-) -> Estimate {
-    match Runner::new(cfg.clone()).until(rule.clone()).run_with_walk(g, walk, rng) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Measures initialization bias of the chain `(g, cfg, seed)` and
 /// suggests a burn-in, per the batch-mean comparison documented on
-/// [`BurnInReport`]: run a `pilot_steps` pilot (same start-state and
-/// RNG protocol as [`estimate`]), split it into `batch_len`-step
-/// batches, and flag leading batches whose total-score mean disagrees
-/// with the trailing half's distribution.
+/// [`BurnInReport`]: run a `pilot_steps` pilot (the chain a one-walker
+/// [`crate::Runner`] with this seed walks), split it into
+/// `batch_len`-step batches, and flag leading batches whose total-score
+/// mean disagrees with the trailing half's distribution.
 ///
 /// Run it with `cfg.burn_in == 0` (measuring the raw chain) and feed
-/// `suggested_burn_in` back into the config an `estimate_until*` run
-/// uses; the pilot is wasted work only if the suggestion is zero — on
-/// the graphs the paper targets it usually is, which is itself the
-/// useful answer ("burn-in is not your problem").
+/// `suggested_burn_in` back into the config an adaptive run uses; the
+/// pilot is wasted work only if the suggestion is zero — on the graphs
+/// the paper targets it usually is, which is itself the useful answer
+/// ("burn-in is not your problem").
+///
+/// Rejects an invalid `cfg` as [`GxError::Config`], `batch_len == 0`
+/// as [`RuleError::ZeroBatchLen`], and a pilot shorter than four
+/// complete batches as [`GxError::PilotTooShort`].
 pub fn measure_burn_in<G: GraphAccess>(
     g: &G,
     cfg: &EstimatorConfig,
     seed: u64,
     pilot_steps: usize,
     batch_len: usize,
-) -> BurnInReport {
-    cfg.validate();
-    assert!(batch_len >= 1, "batch length must be at least 1");
+) -> Result<BurnInReport, GxError> {
+    cfg.try_validate()?;
+    if batch_len == 0 {
+        return Err(RuleError::ZeroBatchLen.into());
+    }
     let batches = pilot_steps / batch_len;
-    assert!(batches >= 4, "burn-in pilot needs at least 4 complete batches, got {batches}");
+    if batches < 4 {
+        return Err(GxError::PilotTooShort { batches });
+    }
     let mut session = AnySession::new(g, cfg, seed, batch_len, 0);
     let mut means = Vec::with_capacity(batches);
     let mut prev = 0.0;
@@ -945,12 +865,14 @@ pub fn measure_burn_in<G: GraphAccess>(
         means.push((sum - prev) / batch_len as f64);
         prev = sum;
     }
-    BurnInReport::from_batch_means(means, batch_len)
+    Ok(BurnInReport::from_batch_means(means, batch_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accuracy::StoppingRule;
+    use crate::runner::Runner;
     use gx_exact::exact_counts;
     use gx_graph::generators::{classic, erdos_renyi_gnm, holme_kim};
     use gx_graph::Graph;
@@ -959,7 +881,7 @@ mod tests {
     /// on `g` within `tol` (absolute), for the given configuration.
     fn assert_converges(g: &Graph, cfg: &EstimatorConfig, steps: usize, seed: u64, tol: f64) {
         let exact = exact_counts(g, cfg.k).concentrations();
-        let est = estimate(g, cfg, steps, seed).concentrations();
+        let est = Runner::new(cfg.clone()).steps(steps).seed(seed).run(g).unwrap().concentrations();
         for (i, (e, x)) in est.iter().zip(&exact).enumerate() {
             assert!(
                 (e - x).abs() < tol,
@@ -1037,13 +959,13 @@ mod tests {
 
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 5_000, 77);
+        let est = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(est.valid_samples, 3709);
         assert_eq!(bits(&est), vec![0x40b3180000000000, 0x408a5aaaaaaaaa38, 0, 0, 0, 0]);
 
         let g = holme_kim(40, 4, 0.5, &mut rng_from_seed(9));
         let cfg = EstimatorConfig { k: 5, d: 2, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 20_000, 23);
+        let est = Runner::new(cfg.clone()).steps(20_000).seed(23).run(&g).unwrap();
         assert_eq!(est.valid_samples, 16494);
         assert_eq!(
             bits(&est),
@@ -1074,14 +996,14 @@ mod tests {
 
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 3, d: 1, css: true, non_backtracking: true, burn_in: 0 };
-        let est = estimate(&g, &cfg, 10_000, 11);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(11).run(&g).unwrap();
         assert_eq!(est.valid_samples, 9621);
         assert_eq!(bits(&est), vec![0x40a4ba0000000000, 0x40ab1c2e8ba2e798]);
 
         // d = 3 exercises the G(d)-degree fallback + state-degree reuse.
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 5, d: 3, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 3_000, 5);
+        let est = Runner::new(cfg.clone()).steps(3_000).seed(5).run(&g).unwrap();
         assert_eq!(est.valid_samples, 2372);
         assert_eq!(
             bits(&est),
@@ -1115,11 +1037,11 @@ mod tests {
     fn estimator_is_deterministic_given_seed() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let a = estimate(&g, &cfg, 5_000, 77);
-        let b = estimate(&g, &cfg, 5_000, 77);
+        let a = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores);
         assert_eq!(a.valid_samples, b.valid_samples);
-        let c = estimate(&g, &cfg, 5_000, 78);
+        let c = Runner::new(cfg.clone()).steps(5_000).seed(78).run(&g).unwrap();
         assert_ne!(a.raw_scores, c.raw_scores);
     }
 
@@ -1129,7 +1051,7 @@ mod tests {
         // must put the whole mass there.
         let g = classic::star(12);
         let cfg = EstimatorConfig { k: 4, d: 2, ..Default::default() };
-        let est = estimate(&g, &cfg, 20_000, 3);
+        let est = Runner::new(cfg.clone()).steps(20_000).seed(3).run(&g).unwrap();
         let c = est.concentrations();
         assert!((c[1] - 1.0).abs() < 1e-12, "3-star concentration {c:?}");
     }
@@ -1138,12 +1060,12 @@ mod tests {
     fn valid_fraction_is_sane() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert!(est.valid_fraction() > 0.5);
         assert!(est.valid_fraction() <= 1.0);
         // NB improves the valid fraction (§4.2's whole point).
         let cfg_nb = EstimatorConfig { k: 3, d: 1, non_backtracking: true, ..Default::default() };
-        let est_nb = estimate(&g, &cfg_nb, 10_000, 5);
+        let est_nb = Runner::new(cfg_nb.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert!(est_nb.valid_fraction() > est.valid_fraction());
     }
 
@@ -1151,7 +1073,7 @@ mod tests {
     fn burn_in_only_shifts_the_stream() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, burn_in: 100, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert_eq!(est.steps, 10_000);
         assert!(est.valid_samples > 0);
     }
@@ -1160,7 +1082,7 @@ mod tests {
     fn estimates_carry_accuracy_stats() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         let stats = est.accuracy().expect("estimator runs collect accuracy");
         assert_eq!(stats.batch_len(), crate::accuracy::default_batch_len(10_000));
         assert_eq!(stats.batches() as usize, 10_000 / stats.batch_len());
@@ -1191,7 +1113,7 @@ mod tests {
             batch_len: 128,
             ..Default::default()
         };
-        let est = estimate_until(&g, &cfg, 7, &rule);
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(7).run(&g).unwrap();
         assert!(est.steps < rule.max_steps, "converged before the cap (took {})", est.steps);
         assert_eq!(est.steps % rule.check_every, 0, "stopped at a check point");
         let w = est.max_relative_half_width(rule.z, rule.min_concentration);
@@ -1201,7 +1123,7 @@ mod tests {
     #[test]
     fn estimate_until_at_the_cap_matches_fixed_budget_bitwise() {
         // Scoring consumes no randomness, so a run that exhausts
-        // max_steps scores exactly the windows estimate() scores.
+        // max_steps scores exactly the windows a fixed budget scores.
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
         let rule = StoppingRule {
@@ -1210,8 +1132,8 @@ mod tests {
             max_steps: 5_000,
             ..Default::default()
         };
-        let until = estimate_until(&g, &cfg, 77, &rule);
-        let fixed = estimate(&g, &cfg, 5_000, 77);
+        let until = Runner::new(cfg.clone()).until(rule.clone()).seed(77).run(&g).unwrap();
+        let fixed = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(until.steps, 5_000);
         assert_eq!(until.raw_scores, fixed.raw_scores);
         assert_eq!(until.valid_samples, fixed.valid_samples);
@@ -1222,7 +1144,7 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let rule = StoppingRule { max_steps: 0, ..Default::default() };
-        let est = estimate_until(&g, &cfg, 3, &rule);
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(3).run(&g).unwrap();
         assert_eq!(est.steps, 0);
         assert_eq!(est.valid_samples, 0);
         assert!(est.raw_scores.iter().all(|&x| x == 0.0));
@@ -1233,14 +1155,14 @@ mod tests {
     fn measure_burn_in_reports_pilot_batches() {
         let g = classic::lollipop(6, 5);
         let cfg = EstimatorConfig::recommended(3);
-        let report = measure_burn_in(&g, &cfg, 7, 4_096, 256);
+        let report = measure_burn_in(&g, &cfg, 7, 4_096, 256).unwrap();
         assert_eq!(report.batch_len, 256);
         assert_eq!(report.batch_means.len(), 16);
         assert_eq!(report.suggested_burn_in % 256, 0);
         assert!(report.first_batch_z.is_finite());
-        // The pilot replays estimate()'s chain: batch means must be the
+        // The pilot replays the runner's chain: batch means must be the
         // per-batch raw-score deltas of the fixed-budget run.
-        let est = estimate(&g, &cfg, 4_096, 7);
+        let est = Runner::new(cfg.clone()).steps(4_096).seed(7).run(&g).unwrap();
         let total: f64 = report.batch_means.iter().sum::<f64>() * 256.0;
         let raw: f64 = est.raw_scores.iter().sum();
         assert!((total - raw).abs() < 1e-9 * raw.max(1.0), "pilot total {total} vs raw {raw}");
@@ -1250,17 +1172,23 @@ mod tests {
     fn measure_burn_in_is_deterministic() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let a = measure_burn_in(&g, &cfg, 3, 2_048, 128);
-        let b = measure_burn_in(&g, &cfg, 3, 2_048, 128);
+        let a = measure_burn_in(&g, &cfg, 3, 2_048, 128).unwrap();
+        let b = measure_burn_in(&g, &cfg, 3, 2_048, 128).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "at least 4 complete batches")]
     fn measure_burn_in_rejects_tiny_pilots() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let _ = measure_burn_in(&g, &cfg, 3, 300, 128);
+        let err = measure_burn_in(&g, &cfg, 3, 300, 128).unwrap_err();
+        assert_eq!(err, GxError::PilotTooShort { batches: 2 });
+        assert!(err.to_string().contains("at least 4 complete batches"));
+        let err = measure_burn_in(&g, &cfg, 3, 4_096, 0).unwrap_err();
+        assert_eq!(err, GxError::Rule(RuleError::ZeroBatchLen));
+        let bad = EstimatorConfig { k: 7, ..cfg };
+        let err = measure_burn_in(&g, &bad, 3, 4_096, 128).unwrap_err();
+        assert_eq!(err, GxError::Config(crate::ConfigError::UnsupportedK { k: 7 }));
     }
 
     #[test]
@@ -1269,6 +1197,8 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 2, ..Default::default() };
         let walk = SrwWalk::new(&g, 0, false);
-        let _ = estimate_with_walk(&g, &cfg, walk, 10, rng_from_seed(1));
+        // The runner rejects the pairing as a typed error before a
+        // session exists; the session itself still guards the invariant.
+        let _ = WalkSession::from_parts(&g, &cfg, walk, rng_from_seed(1), 1, 0);
     }
 }

@@ -15,14 +15,15 @@
 //!
 //! ```
 //! use gx_graph::generators::classic;
-//! use gx_core::{estimate, EstimatorConfig};
+//! use gx_core::{EstimatorConfig, Runner};
 //!
 //! // triangle concentration of the Figure-1 graph with SRW1 + CSS
 //! let g = classic::paper_figure1();
 //! let cfg = EstimatorConfig { k: 3, d: 1, css: true, ..Default::default() };
-//! let est = estimate(&g, &cfg, 20_000, 7);
+//! let est = Runner::new(cfg).steps(20_000).seed(7).run(&g)?;
 //! let c = est.concentrations();
 //! assert!((c[1] - 0.5).abs() < 0.1); // exact value is 0.5
+//! # Ok::<(), gx_core::GxError>(())
 //! ```
 
 pub mod accuracy;
@@ -48,10 +49,8 @@ pub use checkpoint::{graph_fingerprint, write_atomic};
 pub use config::EstimatorConfig;
 pub use counts::relationship_edge_count;
 pub use error::{CheckpointError, ConfigError, GxError, RuleError, ServiceError};
-pub use estimator::{
-    estimate, estimate_until, estimate_until_with_walk, estimate_with_walk, measure_burn_in,
-};
-pub use parallel::{estimate_parallel, estimate_until_parallel, EstimatorPool, ParallelConfig};
+pub use estimator::measure_burn_in;
+pub use parallel::available_cores;
 pub use result::Estimate;
 pub use runner::{Corruption, FailingWriter, FaultPlan, Progress, RunHandle, Runner};
 pub use window::NodeWindow;

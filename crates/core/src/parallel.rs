@@ -10,96 +10,21 @@
 //! per core) and is the paper's own §6 protocol, which repeats
 //! independent runs anyway.
 //!
-//! Determinism: walker `i` runs the exact sequential pipeline with seed
-//! `seed` for `i = 0` and [`derive_seed`]`(seed, i)` otherwise, and the
-//! merge folds walker results in index order — so a fixed
-//! `(seed, walkers)` pair gives bit-identical results on every run and
-//! machine, and `walkers == 1` is *bit-identical* to [`crate::estimate`].
+//! This module holds the fan-out policy that [`crate::Runner::walkers`]
+//! applies: walker `i` runs the exact sequential pipeline with seed
+//! `seed` for `i = 0` and [`derive_seed`]`(seed, i)` otherwise
+//! ([`walker_seed`]), scores a near-equal share of the budget
+//! ([`walker_steps`]), and the merge folds walker results in index order
+//! — so a fixed `(seed, walkers)` pair gives bit-identical results on
+//! every run and machine, whatever the thread count.
 
-use crate::accuracy::StoppingRule;
-use crate::config::EstimatorConfig;
-use crate::error::GxError;
-use crate::result::Estimate;
-use crate::runner::Runner;
-use gx_graph::GraphAccess;
 use gx_walks::derive_seed;
-
-/// How to fan an estimation run across walkers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Number of independent walkers (≥ 1). Each gets its own RNG
-    /// stream and a near-equal share of the step budget.
-    pub walkers: usize,
-}
 
 /// Usable cores on this host (`available_parallelism`, 1 on failure) —
 /// the single source of the core-count policy for walkers and threads.
 pub fn available_cores() -> usize {
     // gx-lint: allow(determinism) -- host probe only sizes the walker pool; estimates are walker-count-independent given a seed (covered by parallel determinism tests)
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-impl ParallelConfig {
-    /// One walker per available CPU.
-    pub fn auto() -> Self {
-        Self { walkers: available_cores() }
-    }
-
-    /// Exactly `walkers` walkers. Panics on zero; see
-    /// [`ParallelConfig::try_with_walkers`] for the fallible form.
-    pub fn with_walkers(walkers: usize) -> Self {
-        assert!(walkers >= 1, "ParallelConfig needs at least one walker");
-        Self { walkers }
-    }
-
-    /// Exactly `walkers` walkers, rejecting a zero fan-out as
-    /// [`GxError::NoWalkers`] instead of panicking — the form for
-    /// service layers assembling configurations from untrusted input.
-    pub fn try_with_walkers(walkers: usize) -> Result<Self, GxError> {
-        if walkers == 0 {
-            return Err(GxError::NoWalkers);
-        }
-        Ok(Self { walkers })
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
-/// A reusable handle for parallel estimation runs with a fixed fan-out.
-///
-/// This is the surface a serving layer sits on: construct once with the
-/// deployment's parallelism, then issue estimation requests against any
-/// `Sync` graph.
-#[derive(Debug, Clone)]
-pub struct EstimatorPool {
-    config: ParallelConfig,
-}
-
-impl EstimatorPool {
-    /// Creates a pool with the given fan-out.
-    pub fn new(config: ParallelConfig) -> Self {
-        Self { config }
-    }
-
-    /// The pool's walker count.
-    pub fn walkers(&self) -> usize {
-        self.config.walkers
-    }
-
-    /// Runs [`estimate_parallel`] with this pool's fan-out.
-    pub fn estimate<G: GraphAccess + Sync>(
-        &self,
-        g: &G,
-        cfg: &EstimatorConfig,
-        steps: usize,
-        seed: u64,
-    ) -> Estimate {
-        estimate_parallel(g, cfg, steps, seed, self.config.walkers)
-    }
 }
 
 /// Seed of walker `i`: walker 0 keeps the caller's seed so a one-walker
@@ -121,95 +46,13 @@ pub fn walker_steps(steps: usize, walkers: usize, walker: usize) -> usize {
     steps / walkers + usize::from(walker < steps % walkers)
 }
 
-/// Algorithm 1 fanned across `walkers` independent walkers.
-///
-/// `steps` is the *total* sample budget: walker `i` scores
-/// [`walker_steps`]`(steps, walkers, i)` windows from its own walk
-/// (own random start, own RNG stream — see [`walker_seed`]), and the
-/// per-walker `raw_scores` / `valid_samples` are summed in walker
-/// order. The result is deterministic for a fixed `(seed, walkers)`;
-/// with `walkers == 1` it is bit-identical to [`crate::estimate`].
-///
-/// Requires `G: Sync` — the metered `ApiGraph` is deliberately not
-/// `Sync` (its counters are unsynchronized), so crawling simulations
-/// stay sequential while in-memory graphs parallelize.
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).steps(n).walkers(w)`](crate::runner::Runner):
-/// every walker uses the batch length derived from the *total* budget
-/// (pooled batch means need equal-length batches), runs chunked over
-/// the machine's cores, and merges in walker order. Panics on invalid
-/// input where the runner returns [`GxError`]; golden-bit tests pin
-/// zero estimate drift through the delegation.
-pub fn estimate_parallel<G: GraphAccess + Sync>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    steps: usize,
-    seed: u64,
-    walkers: usize,
-) -> Estimate {
-    match Runner::new(cfg.clone()).steps(steps).seed(seed).walkers(walkers).run(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Adaptive stopping fanned across independent walkers: the round-based
-/// coordinator marrying [`estimate_parallel`]'s engine with
-/// [`crate::estimate_until`]'s stopping rule, so "give me these counts
-/// to ±x% at 95% confidence" is answered by every core cooperating on
-/// one budget.
-///
-/// Each walker is a *persistent* chain (own random start, own RNG
-/// stream per [`walker_seed`], burn-in paid exactly once — the chain
-/// resumes across rounds, never re-primed). A round advances every
-/// still-budgeted walker by `rule.check_every` scored windows; between
-/// rounds the coordinator folds each walker's *new* batch means into
-/// the pooled statistics in walker order (the incremental replay of
-/// [`crate::BatchStats::fold_series_suffix`] — every walker uses
-/// `rule.batch_len`, so pooling is exact) and evaluates the stopping
-/// rule on the *pooled* confidence intervals, studentized while the
-/// pooled batch count is small. Further rounds are dispatched only
-/// while something is still wide: all qualifying types under
-/// `rule.per_type`, the widest qualifying type otherwise.
-///
-/// `rule.max_steps` is the total budget, split near-equally
-/// ([`walker_steps`]); the returned [`Estimate`] carries the pooled
-/// statistics plus an [`crate::AdaptiveReport`] with per-type
-/// `steps_used` / converged status.
-///
-/// Determinism: the coordinator consumes no randomness of its own and
-/// folds walkers in index order, so a fixed `(seed, walkers)` is
-/// bit-identical on every run and machine — and `walkers == 1` *is*
-/// the sequential [`crate::estimate_until`] round-for-round: same
-/// chain, same check schedule, bit-identical estimate and report at
-/// the same stop step (tested).
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).until(rule).parallel(par)`](crate::runner::Runner):
-/// each walker is a persistent chain (burn-in paid once, resumed across
-/// rounds), a round advances every still-budgeted walker by
-/// `rule.check_every` scored windows, and the pooled statistics grow by
-/// an *incremental* walker-order fold of each round's new batch means
-/// (see [`crate::runner::RunHandle`]). Panics on invalid input where
-/// the runner returns [`GxError`].
-pub fn estimate_until_parallel<G: GraphAccess + Sync>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    seed: u64,
-    rule: &StoppingRule,
-    par: &ParallelConfig,
-) -> Estimate {
-    match Runner::new(cfg.clone()).until(rule.clone()).seed(seed).parallel(*par).run(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::estimate;
+    use crate::accuracy::StoppingRule;
+    use crate::config::EstimatorConfig;
+    use crate::error::GxError;
+    use crate::runner::Runner;
     use gx_exact::exact_counts;
     use gx_graph::generators::classic;
 
@@ -221,8 +64,8 @@ mod tests {
             EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() },
             EstimatorConfig::psrw(4),
         ] {
-            let seq = estimate(&g, &cfg, 5_000, 77);
-            let par = estimate_parallel(&g, &cfg, 5_000, 77, 1);
+            let seq = Runner::new(cfg.clone()).steps(5_000).seed(77).run_local(&g).unwrap();
+            let par = Runner::new(cfg.clone()).steps(5_000).seed(77).walkers(1).run(&g).unwrap();
             assert_eq!(seq.raw_scores, par.raw_scores, "{}", cfg.name());
             assert_eq!(seq.valid_samples, par.valid_samples);
             assert_eq!(seq.steps, par.steps);
@@ -235,15 +78,15 @@ mod tests {
     fn fixed_seed_and_walkers_is_deterministic() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let a = estimate_parallel(&g, &cfg, 8_000, 42, 4);
-        let b = estimate_parallel(&g, &cfg, 8_000, 42, 4);
+        let a = Runner::new(cfg.clone()).steps(8_000).seed(42).walkers(4).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).steps(8_000).seed(42).walkers(4).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores);
         assert_eq!(a.valid_samples, b.valid_samples);
         // CI output is part of the determinism contract: the pooled
         // batch-means statistics must match bit-for-bit too.
         assert_eq!(a.accuracy, b.accuracy);
         // Different fan-out is a different (deterministic) estimate.
-        let c = estimate_parallel(&g, &cfg, 8_000, 42, 3);
+        let c = Runner::new(cfg.clone()).steps(8_000).seed(42).walkers(3).run(&g).unwrap();
         assert_ne!(a.raw_scores, c.raw_scores);
     }
 
@@ -252,7 +95,8 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let (steps, walkers, seed) = (9_000, 4, 11);
-        let par = estimate_parallel(&g, &cfg, steps, seed, walkers);
+        let par =
+            Runner::new(cfg.clone()).steps(steps).seed(seed).walkers(walkers).run(&g).unwrap();
         let stats = par.accuracy().expect("parallel runs pool accuracy");
         let batch_len = crate::accuracy::default_batch_len(steps);
         assert_eq!(stats.batch_len(), batch_len, "batch length follows the total budget");
@@ -268,14 +112,16 @@ mod tests {
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let (steps, walkers, seed) = (10_001, 4, 9);
-        let par = estimate_parallel(&g, &cfg, steps, seed, walkers);
+        let par =
+            Runner::new(cfg.clone()).steps(steps).seed(seed).walkers(walkers).run(&g).unwrap();
         let mut valid = 0usize;
         let mut raw = vec![0.0; par.raw_scores.len()];
         let mut budget = 0usize;
         for i in 0..walkers {
             let share = walker_steps(steps, walkers, i);
             budget += share;
-            let w = estimate(&g, &cfg, share, walker_seed(seed, i));
+            let w =
+                Runner::new(cfg.clone()).steps(share).seed(walker_seed(seed, i)).run(&g).unwrap();
             valid += w.valid_samples;
             for (acc, x) in raw.iter_mut().zip(&w.raw_scores) {
                 *acc += x;
@@ -303,7 +149,13 @@ mod tests {
         let g = classic::paper_figure1();
         let cfg = EstimatorConfig { k: 3, d: 1, css: true, non_backtracking: true, burn_in: 0 };
         let exact = exact_counts(&g, 3).concentrations();
-        let est = estimate_parallel(&g, &cfg, 60_000, 1, 4).concentrations();
+        let est = Runner::new(cfg.clone())
+            .steps(60_000)
+            .seed(1)
+            .walkers(4)
+            .run(&g)
+            .unwrap()
+            .concentrations();
         for (i, (e, x)) in est.iter().zip(&exact).enumerate() {
             assert!((e - x).abs() < 0.02, "type {}: {e:.4} vs {x:.4}", i + 1);
         }
@@ -314,30 +166,23 @@ mod tests {
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
         let exact = exact_counts(&g, 4).concentrations();
-        let est = estimate_parallel(&g, &cfg, 120_000, 3, 8).concentrations();
+        let est = Runner::new(cfg.clone())
+            .steps(120_000)
+            .seed(3)
+            .walkers(8)
+            .run(&g)
+            .unwrap()
+            .concentrations();
         for (i, (e, x)) in est.iter().zip(&exact).enumerate() {
             assert!((e - x).abs() < 0.02, "type {}: {e:.4} vs {x:.4}", i + 1);
         }
     }
 
     #[test]
-    fn pool_surface_forwards() {
-        let g = classic::petersen();
-        let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let pool = EstimatorPool::new(ParallelConfig::with_walkers(2));
-        assert_eq!(pool.walkers(), 2);
-        let a = pool.estimate(&g, &cfg, 4_000, 5);
-        let b = estimate_parallel(&g, &cfg, 4_000, 5, 2);
-        assert_eq!(a.raw_scores, b.raw_scores);
-        assert!(ParallelConfig::auto().walkers >= 1);
-        assert!(ParallelConfig::default().walkers >= 1);
-    }
-
-    #[test]
     fn more_walkers_than_steps_still_works() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate_parallel(&g, &cfg, 3, 11, 8);
+        let est = Runner::new(cfg.clone()).steps(3).seed(11).walkers(8).run(&g).unwrap();
         assert_eq!(est.steps, 3);
         assert!(est.valid_samples <= 3);
     }
@@ -349,13 +194,17 @@ mod tests {
         // machine's thread count.
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let a = estimate_parallel(&g, &cfg, 2_048, 13, 512);
-        let b = estimate_parallel(&g, &cfg, 2_048, 13, 512);
+        let a = Runner::new(cfg.clone()).steps(2_048).seed(13).walkers(512).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).steps(2_048).seed(13).walkers(512).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores);
         assert_eq!(a.steps, 2_048);
         let mut raw = vec![0.0; a.raw_scores.len()];
         for i in 0..512 {
-            let w = estimate(&g, &cfg, walker_steps(2_048, 512, i), walker_seed(13, i));
+            let w = Runner::new(cfg.clone())
+                .steps(walker_steps(2_048, 512, i))
+                .seed(walker_seed(13, i))
+                .run(&g)
+                .unwrap();
             for (acc, x) in raw.iter_mut().zip(&w.raw_scores) {
                 *acc += x;
             }
@@ -364,18 +213,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one walker")]
     fn zero_walkers_rejected() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let _ = estimate_parallel(&g, &cfg, 100, 1, 0);
+        let err = Runner::new(cfg).steps(100).seed(1).walkers(0).run(&g).unwrap_err();
+        assert_eq!(err, GxError::NoWalkers);
+        assert!(err.to_string().contains("at least one walker"));
     }
 
     #[test]
     fn adaptive_one_walker_is_bit_identical_to_sequential() {
-        // The coordinator with one walker replays sequential
-        // estimate_until round-for-round: same chain, same check
-        // schedule, bit-identical everything — report included.
+        // The coordinator with one walker replays the sequential run
+        // round-for-round: same chain, same check schedule,
+        // bit-identical everything — report included.
         let g = classic::lollipop(5, 4);
         let rule = StoppingRule {
             target_rel_ci: 0.25,
@@ -389,9 +239,9 @@ mod tests {
             EstimatorConfig::recommended(3),
             EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() },
         ] {
-            let seq = crate::estimate_until(&g, &cfg, 23, &rule);
+            let seq = Runner::new(cfg.clone()).until(rule.clone()).seed(23).run_local(&g).unwrap();
             let par =
-                estimate_until_parallel(&g, &cfg, 23, &rule, &ParallelConfig::with_walkers(1));
+                Runner::new(cfg.clone()).until(rule.clone()).seed(23).walkers(1).run(&g).unwrap();
             assert_eq!(seq.raw_scores, par.raw_scores, "{}", cfg.name());
             assert_eq!(seq.steps, par.steps);
             assert_eq!(seq.valid_samples, par.valid_samples);
@@ -412,8 +262,8 @@ mod tests {
             min_batches: 6,
             ..Default::default()
         };
-        let a = estimate_until_parallel(&g, &cfg, 5, &rule, &ParallelConfig::with_walkers(4));
-        let b = estimate_until_parallel(&g, &cfg, 5, &rule, &ParallelConfig::with_walkers(4));
+        let a = Runner::new(cfg.clone()).until(rule.clone()).seed(5).walkers(4).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).until(rule.clone()).seed(5).walkers(4).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores);
         assert_eq!(a.accuracy, b.accuracy);
         assert_eq!(a.adaptive, b.adaptive);
@@ -446,13 +296,18 @@ mod tests {
             batch_len: 64,
             ..Default::default()
         };
-        let until = estimate_until_parallel(&g, &cfg, 9, &rule, &ParallelConfig::with_walkers(3));
+        let until =
+            Runner::new(cfg.clone()).until(rule.clone()).seed(9).walkers(3).run(&g).unwrap();
         assert_eq!(until.steps, rule.max_steps);
         assert!(!until.adaptive().unwrap().target_met);
         let mut raw = vec![0.0; until.raw_scores.len()];
         let mut valid = 0;
         for i in 0..3 {
-            let w = estimate(&g, &cfg, walker_steps(rule.max_steps, 3, i), walker_seed(9, i));
+            let w = Runner::new(cfg.clone())
+                .steps(walker_steps(rule.max_steps, 3, i))
+                .seed(walker_seed(9, i))
+                .run(&g)
+                .unwrap();
             valid += w.valid_samples;
             for (acc, x) in raw.iter_mut().zip(&w.raw_scores) {
                 *acc += x;
@@ -467,7 +322,7 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let rule = StoppingRule { max_steps: 0, ..Default::default() };
-        let est = estimate_until_parallel(&g, &cfg, 3, &rule, &ParallelConfig::with_walkers(4));
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(3).walkers(4).run(&g).unwrap();
         assert_eq!(est.steps, 0);
         assert_eq!(est.valid_samples, 0);
         assert!(est.raw_scores.iter().all(|&x| x == 0.0));
@@ -493,7 +348,7 @@ mod tests {
             per_type: true,
             ..Default::default()
         };
-        let est = estimate_until_parallel(&g, &cfg, 11, &rule, &ParallelConfig::with_walkers(2));
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(11).walkers(2).run(&g).unwrap();
         let report = est.adaptive().expect("report");
         assert!(report.target_met, "both k=3 types should converge well inside the cap");
         assert!(report.converged.iter().all(|&c| c));
@@ -520,7 +375,7 @@ mod tests {
             batch_len: 32,
             ..Default::default()
         };
-        let est = estimate_until_parallel(&g, &cfg, 1, &rule, &ParallelConfig::with_walkers(4));
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(1).walkers(4).run(&g).unwrap();
         assert_eq!(est.steps, 1_003);
     }
 }

@@ -22,9 +22,8 @@ pub struct Estimate {
     /// estimates assembled without the accumulator (hand-built results);
     /// every estimator entry point populates it.
     pub accuracy: Option<BatchStats>,
-    /// Per-type convergence report from an adaptive run. Populated by
-    /// [`crate::estimate_until`] / [`crate::estimate_until_parallel`]
-    /// (and the `_with_walk` variant); `None` for fixed-budget runs.
+    /// Per-type convergence report from an adaptive run
+    /// ([`crate::Runner::until`]); `None` for fixed-budget runs.
     pub adaptive: Option<AdaptiveReport>,
 }
 
@@ -73,7 +72,7 @@ impl Estimate {
     }
 
     /// The adaptive-run convergence report, when this estimate came
-    /// from `estimate_until*`.
+    /// from an adaptive ([`crate::Runner::until`]) run.
     pub fn adaptive(&self) -> Option<&AdaptiveReport> {
         self.adaptive.as_ref()
     }

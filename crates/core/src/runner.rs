@@ -1,20 +1,16 @@
-//! The unified estimation front-end: one composable entry point for
-//! fixed/adaptive × sequential/parallel runs.
+//! The estimation front-end: the one entry point for fixed/adaptive ×
+//! sequential/parallel runs.
 //!
-//! Four PRs of growth left the framework fronted by six free functions
-//! (`estimate`, `estimate_with_walk`, `estimate_until`,
-//! `estimate_until_with_walk`, `estimate_parallel`,
-//! `estimate_until_parallel`), each with its own argument order. They
-//! all parameterize the *same* estimator — the paper's single framework
-//! is one algorithm over `(k, d, css, nb)` — so the [`Runner`] builder
-//! composes the four orthogonal axes explicitly:
+//! The paper's framework is one algorithm over `(k, d, css, nb)`, and its
+//! parallel form is the same estimator run as independent chains, so the
+//! [`Runner`] builder composes the orthogonal axes explicitly:
 //!
 //! * **config** — the [`EstimatorConfig`] passed to [`Runner::new`];
 //! * **budget** — [`Runner::steps`] (fixed) or [`Runner::until`]
 //!   (adaptive, with a [`StoppingRule`]);
-//! * **execution** — [`Runner::walkers`] / [`Runner::parallel`]
-//!   (independent chains cooperating on the budget) and
-//!   [`Runner::seed`];
+//! * **execution** — [`Runner::walkers`] (independent chains
+//!   cooperating on the budget; `.walkers(available_cores())` for one
+//!   per core), [`Runner::batch_width`] and [`Runner::seed`];
 //! * **observability** — [`Runner::on_progress`] callbacks and the
 //!   resumable [`RunHandle`] from [`Runner::start`];
 //! * **resilience** — [`RunHandle::checkpoint`] snapshots a live run
@@ -25,10 +21,11 @@
 //!   robustness testing (see the [`crate::checkpoint`] module docs for
 //!   the corruption model).
 //!
-//! Every runner path is **panic-free on bad input**: [`Runner::run`]
-//! returns [`GxError`] where the legacy free functions panic (they are
-//! kept as stable shorthands delegating here, so their behavior — and
-//! their golden-bit outputs — are unchanged).
+//! Every runner path is **panic-free on bad input**: an invalid
+//! configuration, rule, fan-out or walk comes back as a [`GxError`].
+//! [`Runner::run_local`] serves graphs that are not `Sync` (the metered
+//! crawling graph), and [`Runner::run_with_walk`] a caller-supplied
+//! walk.
 //!
 //! ```
 //! use gx_core::{EstimatorConfig, runner::Runner};
@@ -45,8 +42,8 @@
 //!
 //! A runner's output is a pure function of
 //! `(graph, config, budget, seed, walkers)`: the same chains, scored
-//! windows, and walker-order merges as the legacy entry points, bit for
-//! bit — regardless of thread count ([`Runner::run`] vs
+//! windows, and walker-order merges bit for bit — regardless of thread
+//! count ([`Runner::run`] vs
 //! [`Runner::run_local`]) and regardless of how a [`RunHandle`] is
 //! advanced (the persistent [`crate::estimator`] chains only ever step
 //! *between* scored windows, so splitting a budget over
@@ -63,7 +60,7 @@ use crate::checkpoint::{
 use crate::config::EstimatorConfig;
 use crate::error::{CheckpointError, GxError};
 use crate::estimator::{prewarm, AnySession, WalkSession};
-use crate::parallel::{available_cores, walker_seed, walker_steps, ParallelConfig};
+use crate::parallel::{available_cores, walker_seed, walker_steps};
 use crate::result::Estimate;
 use gx_graph::GraphAccess;
 use gx_graphlets::num_graphlets;
@@ -326,12 +323,6 @@ impl Runner {
         self
     }
 
-    /// [`Runner::walkers`] from a [`ParallelConfig`] (e.g.
-    /// `ParallelConfig::auto()` for one walker per core).
-    pub fn parallel(self, par: ParallelConfig) -> Self {
-        self.walkers(par.walkers)
-    }
-
     /// Advances walkers through the lock-step batched engine, `b` lanes
     /// per group (clamped to the walker count at start). Width 1 — the
     /// default — is the scalar engine; wider groups interleave one walk
@@ -362,8 +353,10 @@ impl Runner {
         self
     }
 
-    /// Validates everything the run needs up front.
-    fn check(&self) -> Result<(), GxError> {
+    /// Validates everything the run needs up front and resolves the
+    /// budget: the adaptive rule (`None` for fixed budgets), the batch
+    /// length, and the total step cap.
+    fn check(&self) -> Result<(Option<&StoppingRule>, usize, usize), GxError> {
         self.cfg.try_validate()?;
         if self.walkers == 0 {
             return Err(GxError::NoWalkers);
@@ -373,7 +366,7 @@ impl Runner {
         }
         match &self.budget {
             Budget::Unset => Err(GxError::NoBudget),
-            Budget::Fixed(_) => Ok(()),
+            Budget::Fixed(steps) => Ok((None, default_batch_len(*steps), *steps)),
             Budget::Until(rule) => {
                 rule.try_validate()?;
                 if rule.max_series_batches != 0 && self.walkers > 1 {
@@ -381,7 +374,7 @@ impl Runner {
                     // desynchronize the pooled batch lengths.
                     return Err(GxError::BoundedMemoryParallel { walkers: self.walkers });
                 }
-                Ok(())
+                Ok((Some(rule), rule.batch_len, rule.max_steps))
             }
         }
     }
@@ -407,8 +400,7 @@ impl Runner {
     /// [`Runner::run`] confined to the calling thread: walkers advance
     /// one after another in walker order instead of across cores.
     /// Bit-identical output; this is the path for graphs that are not
-    /// `Sync` (restricted-access crawling) and what the sequential
-    /// legacy shorthands delegate to.
+    /// `Sync` (restricted-access crawling).
     pub fn run_local<G: GraphAccess>(&self, g: &G) -> Result<Estimate, GxError> {
         self.drive(g, |handle, windows| handle.advance(windows))
     }
@@ -423,24 +415,23 @@ impl Runner {
         mut advance: impl FnMut(&mut RunHandle<'g, G>, usize) -> Progress,
     ) -> Result<Estimate, GxError> {
         let mut handle = self.start(g)?;
-        let windows = self.increment(&handle);
+        let windows = self.increment(handle.caps.iter().copied().max().unwrap_or(0));
         while !handle.is_finished() {
             advance(&mut handle, windows);
         }
         Ok(handle.finish())
     }
 
-    /// The per-walker advance size [`Runner::run`] drives the handle
-    /// with: the rule's check cadence for adaptive budgets; the whole
-    /// share for fixed budgets (split into ~16 increments when a
-    /// progress callback wants ticks — the chains' resumability makes
-    /// the split invisible in the output).
-    fn increment<G: GraphAccess>(&self, handle: &RunHandle<'_, G>) -> usize {
+    /// The per-walker round size every runner path drives its chains
+    /// with, given the largest walker share `max_share`: the rule's
+    /// check cadence for adaptive budgets; the whole share for fixed
+    /// budgets (split into ~16 increments when a progress callback wants
+    /// ticks — the chains' resumability makes the split invisible in the
+    /// output).
+    fn increment(&self, max_share: usize) -> usize {
         match &self.budget {
             Budget::Until(rule) => rule.check_every,
-            Budget::Fixed(_) if self.progress.is_some() => {
-                (handle.caps.iter().copied().max().unwrap_or(0) / 16).max(1)
-            }
+            Budget::Fixed(_) if self.progress.is_some() => (max_share / 16).max(1),
             _ => usize::MAX,
         }
     }
@@ -451,12 +442,8 @@ impl Runner {
     /// `GraphAccess`; the handle advances walkers on the calling thread
     /// unless [`RunHandle::advance_par`] is used.
     pub fn start<'g, G: GraphAccess>(&self, g: &'g G) -> Result<RunHandle<'g, G>, GxError> {
-        self.check()?;
-        let (rule, batch_len, max_steps) = match &self.budget {
-            Budget::Fixed(steps) => (None, default_batch_len(*steps), *steps),
-            Budget::Until(rule) => (Some(rule.clone()), rule.batch_len, rule.max_steps),
-            Budget::Unset => unreachable!("check() rejects unset budgets"),
-        };
+        let (rule, batch_len, max_steps) = self.check()?;
+        let rule = rule.cloned();
         let max_series_batches = rule.as_ref().map_or(0, |r| r.max_series_batches);
         let types = num_graphlets(self.cfg.k);
         let mut sessions = Vec::new();
@@ -554,125 +541,116 @@ impl Runner {
         Self::resume(g, &mut bytes.as_slice())
     }
 
-    /// Runs the configured budget over a caller-supplied walk — the
-    /// runner form of the `_with_walk` shorthands. A supplied walk is
-    /// one concrete chain, so the fan-out must be 1
+    /// Runs the configured budget over a caller-supplied walk. A
+    /// supplied walk is one concrete chain, so the fan-out must be 1
     /// ([`GxError::ParallelCustomWalk`] otherwise) and the walk's
     /// dimension must match the configuration's `d`
     /// ([`GxError::WalkDimensionMismatch`]).
     ///
+    /// The chain follows a [`RunHandle`]'s schedule: rounds of the
+    /// runner's increment (the rule's `check_every`, or ~16 rounds over a
+    /// fixed budget when a progress callback is set), a convergence check
+    /// after each adaptive round, and one [`Runner::on_progress`] tick per
+    /// round with the handle's [`Progress`] widths. Fed walker 0's start
+    /// (its seed's RNG and random start state), the result is
+    /// bit-identical to [`Runner::run_local`].
+    ///
     /// [`Runner::seed`] has no effect here — the caller supplies both
     /// the walk's start state and the RNG, which together *are* the
-    /// seed. [`Runner::on_progress`] works as on session runs: ticks at
-    /// every convergence check (adaptive) or ~16 increments (fixed).
+    /// seed.
     pub fn run_with_walk<G: GraphAccess, W: StateWalk>(
         &self,
         g: &G,
         walk: W,
         rng: WalkRng,
     ) -> Result<Estimate, GxError> {
-        self.cfg.try_validate()?;
-        if self.walkers == 0 {
-            return Err(GxError::NoWalkers);
-        }
+        let (rule, batch_len, max_steps) = self.check()?;
         if self.walkers > 1 {
             return Err(GxError::ParallelCustomWalk { walkers: self.walkers });
         }
         if walk.d() != self.cfg.d {
             return Err(GxError::WalkDimensionMismatch { walk_d: walk.d(), cfg_d: self.cfg.d });
         }
-        match &self.budget {
-            Budget::Unset => Err(GxError::NoBudget),
-            Budget::Fixed(steps) => {
-                let batch_len = default_batch_len(*steps);
-                let mut session = WalkSession::from_parts(g, &self.cfg, walk, rng, batch_len, 0);
-                match &self.progress {
-                    // Splitting the budget over `run` calls cannot move
-                    // a sample, so ticking is observability-only.
-                    None => session.run(*steps),
-                    Some(cb) => {
-                        let chunk = (*steps / 16).max(1);
-                        let (mut done, mut rounds) = (0usize, 0usize);
-                        while done < *steps {
-                            let n = chunk.min(*steps - done);
-                            session.run(n);
-                            done += n;
-                            rounds += 1;
-                            let stats = session.stats();
-                            let crit = studentized_critical(1.96, stats.batches());
-                            cb(&Progress {
-                                steps: done,
-                                walkers: 1,
-                                rounds,
-                                batches: stats.batches(),
-                                width: stats.max_relative_half_width(crit, 0.01),
-                                converged: false,
-                                finished: done >= *steps,
-                            });
-                        }
-                    }
-                }
-                Ok(session.into_estimate(&self.cfg))
+        let cap = rule.map_or(0, |r| r.max_series_batches);
+        let mut session = WalkSession::from_parts(g, &self.cfg, walk, rng, batch_len, cap);
+        let mut tracker = AdaptiveTracker::new(num_graphlets(self.cfg.k));
+        let round = self.increment(max_steps);
+        let (mut done, mut rounds, mut met) = (0usize, 0usize, false);
+        while done < max_steps && !met {
+            let n = round.min(max_steps - done);
+            session.run(n);
+            done += n;
+            rounds += 1;
+            if let Some(rule) = rule {
+                met = tracker.observe(rule, session.stats(), done);
             }
-            Budget::Until(rule) => {
-                rule.try_validate()?;
-                let session = WalkSession::from_parts(
-                    g,
-                    &self.cfg,
-                    walk,
-                    rng,
-                    rule.batch_len,
-                    rule.max_series_batches,
-                );
-                Ok(run_adaptive_walk(session, &self.cfg, rule, self.progress.as_ref()))
+            if let Some(cb) = &self.progress {
+                let (batches, width) = ci_width(session.stats(), rule);
+                cb(&Progress {
+                    steps: done,
+                    walkers: 1,
+                    rounds,
+                    batches,
+                    width,
+                    converged: met,
+                    finished: met || done >= max_steps,
+                });
             }
         }
+        let crit = rule.map(|r| r.critical_value(session.stats().batches()));
+        let mut est = session.into_estimate(&self.cfg);
+        est.adaptive = crit
+            .map(|crit| tracker.report(1, rounds, done, met, crit, vec![WalkerStatus::Healthy]));
+        Ok(est)
     }
 }
 
-/// The single-chain adaptive driver for a caller-supplied walk: rounds
-/// of `check_every` scored windows with a convergence check (and a
-/// progress tick) after each, capped at `max_steps`, packing the result
-/// and its [`crate::AdaptiveReport`]. The session-based runner paths
-/// follow the identical schedule through [`RunHandle`]; this driver
-/// serves the generic [`WalkSession`], which cannot live inside the
-/// runtime-dispatched handle.
-fn run_adaptive_walk<G: GraphAccess, W: StateWalk>(
-    mut session: WalkSession<'_, G, W>,
-    cfg: &EstimatorConfig,
-    rule: &StoppingRule,
-    progress: Option<&ProgressFn>,
-) -> Estimate {
-    let mut tracker = AdaptiveTracker::new(session.stats().types());
-    let (mut done, mut rounds, mut met) = (0usize, 0usize, false);
-    while done < rule.max_steps {
-        let round = rule.check_every.min(rule.max_steps - done);
-        session.run(round);
-        done += round;
-        rounds += 1;
-        met = tracker.observe(rule, session.stats(), done);
-        if let Some(cb) = progress {
-            let stats = session.stats();
-            let crit = rule.critical_value(stats.batches());
-            cb(&Progress {
-                steps: done,
-                walkers: 1,
-                rounds,
-                batches: stats.batches(),
-                width: stats.max_relative_half_width(crit, rule.min_concentration),
-                converged: met,
-                finished: met || done >= rule.max_steps,
-            });
+/// Pooled batch count and widest studentized relative CI half-width of
+/// `stats`: under the adaptive rule's `z` and concentration floor, or
+/// 95% / 1% for fixed budgets — the [`Progress`] widths of every runner
+/// path.
+fn ci_width(stats: &BatchStats, rule: Option<&StoppingRule>) -> (u64, f64) {
+    let batches = stats.batches();
+    let width = match rule {
+        Some(rule) => {
+            stats.max_relative_half_width(rule.critical_value(batches), rule.min_concentration)
         }
-        if met {
-            break;
+        None => stats.max_relative_half_width(studentized_critical(1.96, batches), 0.01),
+    };
+    (batches, width)
+}
+
+/// Advances each walker slot by its share, creating a slot's chain with
+/// `open(walker)` on its first advance (`base` is the walker index of
+/// `slots[0]`). Width 1 runs the walkers one after another on the scalar
+/// engine; wider groups run `width` lanes in lock step. Grouping is pure
+/// scheduling — each lane's stream is bit-identical to its scalar run —
+/// so the group boundaries need no relation to thread chunks or
+/// checkpoint cadence.
+fn advance_slots<'g, G: GraphAccess>(
+    slots: &mut [Option<AnySession<'g, G>>],
+    shares: &[usize],
+    base: usize,
+    width: usize,
+    open: &impl Fn(usize) -> AnySession<'g, G>,
+) {
+    if width <= 1 {
+        for (off, (slot, &share)) in slots.iter_mut().zip(shares).enumerate() {
+            if share > 0 {
+                slot.get_or_insert_with(|| open(base + off)).run(share);
+            }
         }
+        return;
     }
-    let crit = rule.critical_value(session.stats().batches());
-    let mut est = session.into_estimate(cfg);
-    debug_assert_eq!(est.steps, done);
-    est.adaptive = Some(tracker.report(1, rounds, done, met, crit, vec![WalkerStatus::Healthy]));
-    est
+    for (c, (sub, sub_shares)) in slots.chunks_mut(width).zip(shares.chunks(width)).enumerate() {
+        let mut group = Vec::with_capacity(sub.len());
+        for (off, (slot, &share)) in sub.iter_mut().zip(sub_shares).enumerate() {
+            if share > 0 {
+                group.push((slot.get_or_insert_with(|| open(base + c * width + off)), share));
+            }
+        }
+        AnySession::run_batch(&mut group);
+    }
 }
 
 /// A live, resumable estimation run: the persistent per-walker chains
@@ -803,51 +781,27 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     /// which makes it a safe poll. A finished run behaves the same for
     /// any `windows`.
     pub fn advance(&mut self, windows: usize) -> Progress {
-        if windows == 0 {
+        let Some(shares) = self.begin_round(windows) else {
             return self.snapshot();
+        };
+        let (g, cfg, seed, batch_len, cap) =
+            (self.g, &self.cfg, self.seed, self.batch_len, self.max_series_batches);
+        let open = |i| AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap);
+        advance_slots(&mut self.sessions, &shares, 0, self.batch_width, &open);
+        self.after_round(&shares)
+    }
+
+    /// Opens a round of up to `windows` more scored windows per walker:
+    /// fires the poisonings due, then returns the per-walker shares —
+    /// or `None` when no chain would move (`windows == 0`, or a finished
+    /// run), the documented no-op of both advances.
+    fn begin_round(&mut self, windows: usize) -> Option<Vec<usize>> {
+        if windows == 0 {
+            return None;
         }
         self.apply_poison();
         let shares = self.shares(windows);
-        if shares.iter().all(|&s| s == 0) {
-            return self.snapshot();
-        }
-        let (g, cfg, seed, batch_len, cap) =
-            (self.g, &self.cfg, self.seed, self.batch_len, self.max_series_batches);
-        if self.batch_width <= 1 {
-            for (i, &share) in shares.iter().enumerate() {
-                if share == 0 {
-                    continue;
-                }
-                self.sessions[i]
-                    .get_or_insert_with(|| {
-                        AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap)
-                    })
-                    .run(share);
-            }
-        } else {
-            // Lock-step engine: walkers advance in groups of
-            // `batch_width` lanes. Grouping is pure scheduling — each
-            // lane's stream is bit-identical to its scalar run — so the
-            // group boundaries need no relation to thread chunks or
-            // checkpoint cadence.
-            let mut base = 0usize;
-            for chunk in self.sessions.chunks_mut(self.batch_width) {
-                let mut group = Vec::with_capacity(chunk.len());
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    if shares[i] == 0 {
-                        continue;
-                    }
-                    let s = slot.get_or_insert_with(|| {
-                        AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap)
-                    });
-                    group.push((s, shares[i]));
-                }
-                AnySession::run_batch(&mut group);
-                base += chunk.len();
-            }
-        }
-        self.after_round(&shares)
+        shares.iter().any(|&s| s > 0).then_some(shares)
     }
 
     /// Bookkeeping shared by the sequential and threaded advances.
@@ -859,7 +813,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         // Incremental pooled-merge, adaptive budgets only: fold each
         // walker's new batches (walker order) into the chronological
         // pooled stream. Fixed budgets never consult the pool — their
-        // final (and progress) statistics are the legacy walker-order
+        // final (and progress) statistics are the walker-order
         // Chan merge of the sessions' own streams, so maintaining a
         // second copy here would be pure waste.
         if let Some(rule) = &self.rule {
@@ -981,7 +935,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         self.snapshot()
     }
 
-    /// The fixed-budget statistics: the legacy walker-order Chan merge
+    /// The fixed-budget statistics: the walker-order Chan merge
     /// of the sessions' own streams (one walker: that chain's stream,
     /// untouched) — the same fold [`RunHandle::finish`] packs, so
     /// progress widths and the final estimate's widths agree bitwise.
@@ -995,18 +949,8 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
 
     fn snapshot(&self) -> Progress {
         let (batches, width) = match &self.rule {
-            Some(rule) => {
-                let crit = rule.critical_value(self.pooled.batches());
-                (
-                    self.pooled.batches(),
-                    self.pooled.max_relative_half_width(crit, rule.min_concentration),
-                )
-            }
-            None => {
-                let stats = self.fixed_stats();
-                let crit = studentized_critical(1.96, stats.batches());
-                (stats.batches(), stats.max_relative_half_width(crit, 0.01))
-            }
+            Some(rule) => ci_width(&self.pooled, Some(rule)),
+            None => ci_width(&self.fixed_stats(), None),
         };
         Progress {
             steps: self.steps(),
@@ -1359,58 +1303,21 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
     /// [`RunHandle::advance`]`(0)`: no threads spawn, nothing moves, the
     /// current [`Progress`] is returned.
     pub fn advance_par(&mut self, windows: usize) -> Progress {
-        if windows == 0 {
+        let Some(shares) = self.begin_round(windows) else {
             return self.snapshot();
-        }
-        self.apply_poison();
-        let shares = self.shares(windows);
-        if shares.iter().all(|&s| s == 0) {
-            return self.snapshot();
-        }
+        };
         let threads = available_cores().min(self.sessions.len());
         let chunk = self.sessions.len().div_ceil(threads);
         let (g, cfg, seed, batch_len, cap) =
             (self.g, &self.cfg, self.seed, self.batch_len, self.max_series_batches);
-        let bw = self.batch_width;
+        let open = |i| AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap);
+        let width = self.batch_width;
         std::thread::scope(|scope| {
-            for (c, slots) in self.sessions.chunks_mut(chunk).enumerate() {
-                let shares = &shares;
-                scope.spawn(move || {
-                    if bw <= 1 {
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            let i = c * chunk + off;
-                            if shares[i] == 0 {
-                                continue;
-                            }
-                            slot.get_or_insert_with(|| {
-                                AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap)
-                            })
-                            .run(shares[i]);
-                        }
-                    } else {
-                        // Lock-step groups within this thread's walkers.
-                        // Group boundaries are scheduling-only (each
-                        // lane's stream is bit-identical regardless), so
-                        // sub-chunking the thread chunk is fine even when
-                        // the two chunk sizes do not divide evenly.
-                        let mut base = 0usize;
-                        for sub in slots.chunks_mut(bw) {
-                            let mut group = Vec::with_capacity(sub.len());
-                            for (off, slot) in sub.iter_mut().enumerate() {
-                                let i = c * chunk + base + off;
-                                if shares[i] == 0 {
-                                    continue;
-                                }
-                                let s = slot.get_or_insert_with(|| {
-                                    AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap)
-                                });
-                                group.push((s, shares[i]));
-                            }
-                            AnySession::run_batch(&mut group);
-                            base += sub.len();
-                        }
-                    }
-                });
+            for (c, (slots, part)) in
+                self.sessions.chunks_mut(chunk).zip(shares.chunks(chunk)).enumerate()
+            {
+                let open = &open;
+                scope.spawn(move || advance_slots(slots, part, c * chunk, width, open));
             }
         });
         self.after_round(&shares)

@@ -9,7 +9,7 @@
 
 use graphlet_rw::graph::generators::holme_kim;
 use graphlet_rw::graphlets::atlas;
-use graphlet_rw::{measure_burn_in, EstimatorConfig, ParallelConfig, Runner, StoppingRule};
+use graphlet_rw::{measure_burn_in, EstimatorConfig, Runner, StoppingRule};
 use rand::SeedableRng;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     // distribution. On well-connected graphs the answer is usually 0 —
     // which is exactly the useful thing to know.
     let cfg = EstimatorConfig::recommended(4);
-    let pilot = measure_burn_in(&g, &cfg, 99, 16_384, 512);
+    let pilot = measure_burn_in(&g, &cfg, 99, 16_384, 512).expect("a pilot of 32 batches");
     println!(
         "\nburn-in pilot: first-batch z = {:+.2}, suggested burn-in = {} steps",
         pilot.first_batch_z, pilot.suggested_burn_in
@@ -47,7 +47,7 @@ fn main() {
     let est = Runner::new(cfg)
         .until(rule.clone())
         .seed(1)
-        .parallel(ParallelConfig::with_walkers(4))
+        .walkers(4)
         .on_progress(|p| {
             println!(
                 "  check {:>2}: {:>8} steps, {:>3} batches, width {:>6}",

@@ -66,7 +66,7 @@ fn main() {
     // --- Adaptive stopping ---------------------------------------------
     // Walk until every common type's 95% CI is within ±5%, checking
     // every 20k steps, with a 2M-step safety cap.
-    let rule = StoppingRule::new(0.05, 20_000, 2_000_000);
+    let rule = StoppingRule::try_new(0.05, 20_000, 2_000_000).expect("a rule that can fire");
     let adaptive =
         Runner::new(cfg.clone()).until(rule.clone()).seed(1).run(&g).expect("valid rule");
     println!(

@@ -7,7 +7,7 @@
 use graphlet_rw::exact::exact_counts;
 use graphlet_rw::graph::generators::holme_kim;
 use graphlet_rw::graphlets::atlas;
-use graphlet_rw::{estimate, EstimatorConfig, EstimatorPool, ParallelConfig, Runner};
+use graphlet_rw::{available_cores, EstimatorConfig, Runner};
 use rand::SeedableRng;
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
     let par = Runner::new(cfg.clone())
         .steps(80_000)
         .seed(1)
-        .parallel(ParallelConfig::auto()) // one walker per core
+        .walkers(available_cores()) // one walker per core
         .run(&g)
         .expect("valid configuration");
     println!(
@@ -63,13 +63,4 @@ fn main() {
     // contract a serving layer builds on.
     let err = Runner::new(EstimatorConfig { k: 9, ..Default::default() }).steps(100).run(&g);
     println!("k = 9 rejected up front: {}", err.unwrap_err());
-
-    // The legacy shorthands remain and delegate to the runner bit for
-    // bit; a reusable pool still serves fixed fan-outs.
-    let one = Runner::new(cfg.clone()).steps(20_000).seed(1).run(&g).unwrap();
-    let seq = estimate(&g, &cfg, 20_000, 1);
-    assert_eq!(one.raw_scores, seq.raw_scores, "shorthand ≡ runner, bitwise");
-    let pool = EstimatorPool::new(ParallelConfig::auto());
-    let pooled = pool.estimate(&g, &cfg, 20_000, 1);
-    println!("pool with {} walkers: {} valid samples", pool.walkers(), pooled.valid_samples);
 }

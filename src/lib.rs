@@ -27,10 +27,13 @@
 //! assert!((conc.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 //! ```
 //!
-//! The free functions ([`estimate`], [`estimate_parallel`],
-//! [`estimate_until`], …) remain as stable shorthands for the common
-//! runner chains; they delegate to [`Runner`] bit-for-bit and panic on
-//! invalid input where the runner returns [`GxError`].
+//! [`Runner`] is the only way to run the estimator: `.steps(n)` or
+//! `.until(rule)` picks the budget, `.walkers(n)` the fan-out
+//! (`.walkers(available_cores())` for one chain per core), and
+//! `.run(&g)`, `.run_local(&g)` (graphs that are not `Sync`),
+//! `.run_with_walk(..)` (a caller-supplied walk) or `.start(&g)` (a
+//! resumable [`RunHandle`]) executes it. Invalid input comes back as a
+//! [`GxError`]; nothing on these paths panics.
 
 /// Graph substrate: CSR storage, builders, generators, connectivity, the
 /// restricted-access model, explicit `G(d)` construction.
@@ -60,11 +63,10 @@ pub use gx_datasets as datasets;
 pub use gx_service as service;
 
 pub use gx_core::{
-    estimate, estimate_parallel, estimate_until, estimate_until_parallel, estimate_until_with_walk,
-    estimate_with_walk, graph_fingerprint, measure_burn_in, write_atomic, AdaptiveReport,
-    BatchStats, BurnInReport, CheckpointError, ConfigError, Corruption, Estimate, EstimatorConfig,
-    EstimatorPool, FailingWriter, FaultPlan, GxError, ParallelConfig, Progress, RuleError,
-    RunHandle, Runner, ServiceError, StoppingRule, WalkerStatus,
+    available_cores, graph_fingerprint, measure_burn_in, write_atomic, AdaptiveReport, BatchStats,
+    BurnInReport, CheckpointError, ConfigError, Corruption, Estimate, EstimatorConfig,
+    FailingWriter, FaultPlan, GxError, Progress, RuleError, RunHandle, Runner, ServiceError,
+    StoppingRule, WalkerStatus,
 };
 pub use gx_graph::{
     read_header, write_gxsc, write_gxsn, CompressedGraph, Graph, GraphAccess, MmapGraph, NodeId,

@@ -1,5 +1,5 @@
 //! Conformance suite for the adaptive parallel stopping coordinator
-//! (`estimate_until_parallel`): sequential equivalence at one walker,
+//! (`Runner::until(..).walkers(n)`): sequential equivalence at one walker,
 //! determinism per (seed, walkers), empirical coverage of the
 //! studentized (t) intervals against exact counts, and per-type
 //! stopping order.
@@ -10,9 +10,7 @@
 use graphlet_rw::core::relationship_edge_count;
 use graphlet_rw::exact::exact_counts;
 use graphlet_rw::graph::generators::classic;
-use graphlet_rw::{
-    estimate_until, estimate_until_parallel, EstimatorConfig, ParallelConfig, StoppingRule,
-};
+use graphlet_rw::{EstimatorConfig, Runner, StoppingRule};
 
 const Z95: f64 = 1.96;
 
@@ -42,7 +40,7 @@ fn coverage_rule() -> StoppingRule {
 
 #[test]
 fn one_walker_coordinator_is_bit_identical_to_sequential() {
-    // (a) walkers == 1 replays sequential estimate_until round-for-round:
+    // (a) walkers == 1 replays the sequential run round-for-round:
     // the same chain hits the same checks and stops at the same step with
     // bit-identical scores, pooled statistics, and report.
     let g = classic::lollipop(6, 5);
@@ -55,8 +53,8 @@ fn one_walker_coordinator_is_bit_identical_to_sequential() {
         ..Default::default()
     };
     for cfg in [EstimatorConfig::recommended(3), EstimatorConfig::recommended(4)] {
-        let seq = estimate_until(&g, &cfg, 17, &rule);
-        let par = estimate_until_parallel(&g, &cfg, 17, &rule, &ParallelConfig::with_walkers(1));
+        let seq = Runner::new(cfg.clone()).until(rule.clone()).seed(17).run_local(&g).unwrap();
+        let par = Runner::new(cfg.clone()).until(rule.clone()).seed(17).walkers(1).run(&g).unwrap();
         assert_eq!(seq.raw_scores, par.raw_scores, "{}", cfg.name());
         assert_eq!(seq.steps, par.steps, "{}: same stop step", cfg.name());
         assert_eq!(seq.valid_samples, par.valid_samples);
@@ -67,8 +65,8 @@ fn one_walker_coordinator_is_bit_identical_to_sequential() {
     // Per-type mode too — the latching path.
     let rule = StoppingRule { per_type: true, ..rule };
     let cfg = EstimatorConfig::recommended(3);
-    let seq = estimate_until(&g, &cfg, 29, &rule);
-    let par = estimate_until_parallel(&g, &cfg, 29, &rule, &ParallelConfig::with_walkers(1));
+    let seq = Runner::new(cfg.clone()).until(rule.clone()).seed(29).run_local(&g).unwrap();
+    let par = Runner::new(cfg.clone()).until(rule.clone()).seed(29).walkers(1).run(&g).unwrap();
     assert_eq!(seq.raw_scores, par.raw_scores);
     assert_eq!(seq.adaptive, par.adaptive);
 }
@@ -82,9 +80,9 @@ fn coordinator_is_deterministic_per_seed_and_walkers() {
     let rule = per_type_rule();
     let mut raw_fingerprints = Vec::new();
     for walkers in [1usize, 2, 5, 8] {
-        let par = ParallelConfig::with_walkers(walkers);
-        let a = estimate_until_parallel(&g, &cfg, 31, &rule, &par);
-        let b = estimate_until_parallel(&g, &cfg, 31, &rule, &par);
+        let runner = Runner::new(cfg.clone()).until(rule.clone()).seed(31).walkers(walkers);
+        let a = runner.run(&g).unwrap();
+        let b = runner.run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores, "walkers={walkers}");
         assert_eq!(a.steps, b.steps, "walkers={walkers}");
         assert_eq!(a.valid_samples, b.valid_samples, "walkers={walkers}");
@@ -113,12 +111,16 @@ fn t_interval_coverage_is_near_nominal_with_per_type_stopping() {
     let rule = coverage_rule();
     let exact = exact_counts(&g, 3);
     let two_r = 2.0 * relationship_edge_count(&g, cfg.d) as f64;
-    let par = ParallelConfig::with_walkers(2);
     let (mut hits, mut trials) = (0usize, 0usize);
     let mut early_stops = 0usize;
     let mut studentized_runs = 0usize;
     for chain in 0..32u64 {
-        let est = estimate_until_parallel(&g, &cfg, 500 + chain, &rule, &par);
+        let est = Runner::new(cfg.clone())
+            .until(rule.clone())
+            .seed(500 + chain)
+            .walkers(2)
+            .run(&g)
+            .unwrap();
         let report = est.adaptive().expect("adaptive runs carry a report");
         if report.steps_used.iter().any(|&s| s < rule.max_steps) {
             early_stops += 1;
@@ -158,7 +160,7 @@ fn per_type_stopping_orders_types_by_convergence_speed() {
     let g = classic::lollipop(6, 5);
     let cfg = EstimatorConfig::recommended(3);
     let rule = per_type_rule();
-    let est = estimate_until_parallel(&g, &cfg, 71, &rule, &ParallelConfig::with_walkers(2));
+    let est = Runner::new(cfg.clone()).until(rule.clone()).seed(71).walkers(2).run(&g).unwrap();
     let report = est.adaptive().expect("report");
     assert!(report.target_met, "both types should converge inside the cap");
     assert!(report.converged.iter().all(|&c| c));

@@ -9,10 +9,9 @@
 // Every facade re-export, by name. An unused import would be a warning,
 // not a failure, so each one is exercised in the test bodies.
 use graphlet_rw::{
-    baselines, core, datasets, exact, graph, graphlets, walks, AdaptiveReport, BatchStats,
-    BurnInReport, ConfigError, Estimate, EstimatorConfig, EstimatorPool, Graph, GraphAccess,
-    GraphletId, GxError, NodeId, ParallelConfig, Progress, RuleError, RunHandle, Runner,
-    StoppingRule,
+    available_cores, baselines, core, datasets, exact, graph, graphlets, walks, AdaptiveReport,
+    BatchStats, BurnInReport, ConfigError, Estimate, EstimatorConfig, Graph, GraphAccess,
+    GraphletId, GxError, NodeId, Progress, RuleError, RunHandle, Runner, StoppingRule,
 };
 
 #[test]
@@ -28,26 +27,29 @@ fn estimation_entry_points_are_all_callable() {
         ..Default::default()
     };
 
-    // The six stable shorthands.
-    let a = graphlet_rw::estimate(&g, &cfg, 2_000, 1);
-    let b = graphlet_rw::estimate_parallel(&g, &cfg, 2_000, 1, 2);
-    let c = graphlet_rw::estimate_until(&g, &cfg, 1, &rule);
-    let d =
-        graphlet_rw::estimate_until_parallel(&g, &cfg, 1, &rule, &ParallelConfig::with_walkers(2));
-    let e = graphlet_rw::estimate_with_walk(
-        &g,
-        &cfg,
-        walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
-        2_000,
-        walks::rng_from_seed(1),
-    );
-    let f = graphlet_rw::estimate_until_with_walk(
-        &g,
-        &cfg,
-        walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
-        &rule,
-        walks::rng_from_seed(1),
-    );
+    // Fixed / adaptive budgets × one / many walkers × every run entry.
+    let a = Runner::new(cfg.clone()).steps(2_000).seed(1).run(&g).unwrap();
+    let b = Runner::new(cfg.clone()).steps(2_000).seed(1).walkers(2).run(&g).unwrap();
+    let c = Runner::new(cfg.clone()).until(rule.clone()).seed(1).run_local(&g).unwrap();
+    let d = Runner::new(cfg.clone()).until(rule.clone()).seed(1).walkers(2).run(&g).unwrap();
+    let e = Runner::new(cfg.clone())
+        .steps(2_000)
+        .run_with_walk(
+            &g,
+            walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
+            walks::rng_from_seed(1),
+        )
+        .unwrap();
+    let f = Runner::new(cfg.clone())
+        .until(rule.clone())
+        .run_with_walk(
+            &g,
+            walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
+            walks::rng_from_seed(1),
+        )
+        .unwrap();
+    let per_core = Runner::new(cfg.clone()).steps(2_000).walkers(available_cores()).run(&g);
+    assert_eq!(per_core.unwrap().steps, 2_000);
     for est in [&a, &b, &c, &d, &e, &f] {
         assert!(est.steps > 0 && est.valid_samples > 0);
     }
@@ -55,7 +57,7 @@ fn estimation_entry_points_are_all_callable() {
     // The runner front door: builder, handle, progress, typed errors.
     let runner = Runner::new(cfg.clone()).steps(2_000).seed(1).walkers(2);
     let est: Estimate = runner.run(&g).expect("valid chain");
-    assert_eq!(est.raw_scores, b.raw_scores, "runner ≡ estimate_parallel shorthand");
+    assert_eq!(est.raw_scores, b.raw_scores, "the same chain is the same estimate");
     let mut handle: RunHandle<'_, Graph> = runner.start(&g).expect("valid chain");
     let p: Progress = handle.advance(1_000);
     assert!(p.steps > 0 && !p.converged);
@@ -68,17 +70,12 @@ fn estimation_entry_points_are_all_callable() {
     assert!(matches!(err, RuleError::TargetNotPositive { .. }));
 
     // Burn-in measurement + report types.
-    let report: BurnInReport = graphlet_rw::measure_burn_in(&g, &cfg, 1, 1_024, 128);
+    let report: BurnInReport = graphlet_rw::measure_burn_in(&g, &cfg, 1, 1_024, 128).unwrap();
     assert_eq!(report.batch_means.len(), 8);
     let adaptive: &AdaptiveReport = d.adaptive().expect("adaptive runs report");
     assert_eq!(adaptive.walkers, 2);
     let stats: &BatchStats = a.accuracy().expect("fixed runs carry stats");
     assert!(stats.batches() > 0);
-
-    // The pool handle a serving layer holds.
-    let pool = EstimatorPool::new(ParallelConfig::with_walkers(2));
-    assert_eq!(pool.walkers(), 2);
-    assert_eq!(pool.estimate(&g, &cfg, 2_000, 1).raw_scores, b.raw_scores);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use graphlet_rw::baselines::{guise_estimate, path_sampling_counts, wedge_mhrw, w
 use graphlet_rw::core::relationship_edge_count;
 use graphlet_rw::datasets::dataset;
 use graphlet_rw::graph::ApiGraph;
-use graphlet_rw::{estimate, EstimatorConfig};
+use graphlet_rw::{EstimatorConfig, Runner};
 
 #[test]
 fn all_triangle_estimators_agree() {
@@ -14,7 +14,12 @@ fn all_triangle_estimators_agree() {
     let g = ds.graph();
     let truth = ds.exact_concentrations(3)[1];
 
-    let rw = estimate(g, &EstimatorConfig::recommended(3), 30_000, 1).concentrations()[1];
+    let rw = Runner::new(EstimatorConfig::recommended(3))
+        .steps(30_000)
+        .seed(1)
+        .run(g)
+        .unwrap()
+        .concentrations()[1];
     let wedge = wedge_sampling(g, 30_000, 2).concentrations()[1];
     let mhrw = wedge_mhrw(g, 30_000, 3).c32();
 
@@ -38,7 +43,11 @@ fn path_sampling_and_framework_agree_on_counts() {
     let two_r2 = 2.0 * relationship_edge_count(g, 2) as f64;
     for seed in 0..runs {
         let ps = path_sampling_counts(g, 100_000, 50_000, 5 + seed);
-        let est = estimate(g, &EstimatorConfig::recommended(4), 100_000, 70 + seed);
+        let est = Runner::new(EstimatorConfig::recommended(4))
+            .steps(100_000)
+            .seed(70 + seed)
+            .run(g)
+            .unwrap();
         let rw = est.counts(two_r2);
         for t in 0..6 {
             ps_mean[t] += ps.counts[t] / runs as f64;
@@ -100,7 +109,9 @@ fn framework_is_cheaper_per_step_than_wedge_mhrw() {
     let steps = 5_000;
 
     let api = ApiGraph::new(g);
-    let _ = estimate(&api, &EstimatorConfig::recommended(3), steps, 1);
+    // The metered graph is not `Sync`: it runs on the calling thread.
+    let _ =
+        Runner::new(EstimatorConfig::recommended(3)).steps(steps).seed(1).run_local(&api).unwrap();
     let rw_fetched = api.stats().distinct_nodes_fetched;
 
     let api = ApiGraph::new(g);

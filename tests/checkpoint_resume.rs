@@ -20,8 +20,8 @@
 use graphlet_rw::graph::generators::classic;
 use graphlet_rw::walks::{rng_from_seed, SrwWalk};
 use graphlet_rw::{
-    estimate_until_with_walk, CheckpointError, Corruption, EstimatorConfig, FailingWriter,
-    FaultPlan, GxError, Progress, Runner, StoppingRule, WalkerStatus,
+    CheckpointError, Corruption, EstimatorConfig, FailingWriter, FaultPlan, GxError, Progress,
+    Runner, StoppingRule, WalkerStatus,
 };
 
 fn rule() -> StoppingRule {
@@ -640,9 +640,14 @@ fn bounded_memory_works_with_custom_walks() {
         ..Default::default()
     };
     let walk = || SrwWalk::new(&g, 0, false);
-    let unbounded = estimate_until_with_walk(&g, &cfg, walk(), &r, rng_from_seed(5));
-    let capped =
-        estimate_until_with_walk(&g, &cfg, walk(), &r.clone().bounded_memory(8), rng_from_seed(5));
+    let unbounded = Runner::new(cfg.clone())
+        .until(r.clone())
+        .run_with_walk(&g, walk(), rng_from_seed(5))
+        .unwrap();
+    let capped = Runner::new(cfg.clone())
+        .until(r.clone().bounded_memory(8))
+        .run_with_walk(&g, walk(), rng_from_seed(5))
+        .unwrap();
     assert_eq!(bits(&unbounded), bits(&capped));
     assert!(capped.accuracy.as_ref().unwrap().batches() <= 8);
 }

@@ -2,7 +2,7 @@
 //! against exact ground truth.
 
 use graphlet_rw::datasets::dataset;
-use graphlet_rw::{estimate, EstimatorConfig};
+use graphlet_rw::{EstimatorConfig, Runner};
 
 /// Runs `runs` estimates and checks the mean concentration of every type
 /// lands within `tol` of the exact value (law of large numbers, averaged
@@ -13,7 +13,8 @@ fn check_mean_convergence(name: &str, cfg: &EstimatorConfig, steps: usize, runs:
     let m = truth.len();
     let mut mean = vec![0.0f64; m];
     for seed in 0..runs {
-        let est = estimate(ds.graph(), cfg, steps, 0xABCD + seed);
+        let est =
+            Runner::new(cfg.clone()).steps(steps).seed(0xABCD + seed).run(ds.graph()).unwrap();
         for (acc, c) in mean.iter_mut().zip(est.concentrations()) {
             *acc += c / runs as f64;
         }
@@ -64,7 +65,7 @@ fn estimates_are_reproducible_across_processes() {
     // fixed dataset + fixed seed: byte-identical raw scores.
     let ds = dataset("epinion-sim");
     let cfg = EstimatorConfig::recommended(4);
-    let a = estimate(ds.graph(), &cfg, 2_000, 99);
-    let b = estimate(ds.graph(), &cfg, 2_000, 99);
+    let a = Runner::new(cfg.clone()).steps(2_000).seed(99).run(ds.graph()).unwrap();
+    let b = Runner::new(cfg.clone()).steps(2_000).seed(99).run(ds.graph()).unwrap();
     assert_eq!(a.raw_scores, b.raw_scores);
 }

@@ -13,7 +13,7 @@ use graphlet_rw::exact::exact_counts;
 use graphlet_rw::graph::connectivity::largest_connected_component;
 use graphlet_rw::graph::generators::{classic, erdos_renyi_gnm};
 use graphlet_rw::graph::Graph;
-use graphlet_rw::{estimate, estimate_parallel, estimate_until, EstimatorConfig, StoppingRule};
+use graphlet_rw::{EstimatorConfig, Runner, StoppingRule};
 use rand::SeedableRng;
 
 const Z95: f64 = 1.96;
@@ -31,7 +31,7 @@ fn count_ci_coverage(
     let two_r = 2.0 * relationship_edge_count(g, cfg.d) as f64;
     let (mut hits, mut trials) = (0, 0);
     for chain in 0..chains {
-        let est = estimate(g, cfg, steps, seed0 + chain);
+        let est = Runner::new(cfg.clone()).steps(steps).seed(seed0 + chain).run(g).unwrap();
         for (i, &truth) in exact.counts.iter().enumerate() {
             if truth == 0 {
                 continue;
@@ -83,7 +83,7 @@ fn estimate_until_terminates_with_target_width_on_two_graphs() {
     };
     for (name, g) in [("lollipop", &lollipop), ("er", &er)] {
         let cfg = EstimatorConfig::recommended(3);
-        let est = estimate_until(g, &cfg, 9, &rule);
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(9).run(g).unwrap();
         let w = est.max_relative_half_width(rule.z, rule.min_concentration);
         println!("{name}: stopped after {} steps, width {w:.4}", est.steps);
         assert!(est.steps < rule.max_steps, "{name}: hit the step cap");
@@ -98,8 +98,8 @@ fn parallel_ci_output_is_deterministic_per_seed_and_walkers() {
     let cfg = EstimatorConfig::recommended(4);
     let mut fingerprints = Vec::new();
     for walkers in [1usize, 2, 5, 8] {
-        let a = estimate_parallel(&g, &cfg, 12_000, 31, walkers);
-        let b = estimate_parallel(&g, &cfg, 12_000, 31, walkers);
+        let a = Runner::new(cfg.clone()).steps(12_000).seed(31).walkers(walkers).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).steps(12_000).seed(31).walkers(walkers).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores, "walkers={walkers}");
         assert_eq!(a.accuracy, b.accuracy, "walkers={walkers}: CI stats must be deterministic");
         let stats = a.accuracy().expect("accuracy collected");
@@ -107,8 +107,8 @@ fn parallel_ci_output_is_deterministic_per_seed_and_walkers() {
     }
     // walkers == 1 replays the sequential estimator bit-for-bit,
     // error bars included.
-    let seq = estimate(&g, &cfg, 12_000, 31);
-    let par1 = estimate_parallel(&g, &cfg, 12_000, 31, 1);
+    let seq = Runner::new(cfg.clone()).steps(12_000).seed(31).run_local(&g).unwrap();
+    let par1 = Runner::new(cfg.clone()).steps(12_000).seed(31).walkers(1).run(&g).unwrap();
     assert_eq!(seq.raw_scores, par1.raw_scores);
     assert_eq!(seq.accuracy, par1.accuracy);
     // Different fan-outs are different (each deterministic) estimates.
@@ -127,7 +127,7 @@ fn obm_variance_agrees_with_nonoverlapping_batch_means() {
     let er = largest_connected_component(&erdos_renyi_gnm(60, 180, &mut rng)).0;
     for (name, g) in [("lollipop", &lollipop), ("er", &er)] {
         for cfg in [EstimatorConfig::recommended(3), EstimatorConfig::recommended(4)] {
-            let est = estimate(g, &cfg, 40_000, 17);
+            let est = Runner::new(cfg.clone()).steps(40_000).seed(17).run(g).unwrap();
             let stats = est.accuracy().expect("stats collected");
             assert!(stats.batches() >= 100, "√n batching: {} batches", stats.batches());
             let mut checked = 0;
@@ -166,7 +166,7 @@ fn concentration_ci_brackets_exact_concentration_on_most_chains() {
     let cfg = EstimatorConfig::recommended(3);
     let (mut hits, mut trials) = (0usize, 0usize);
     for chain in 0..32u64 {
-        let est = estimate(&g, &cfg, 30_000, 300 + chain);
+        let est = Runner::new(cfg.clone()).steps(30_000).seed(300 + chain).run(&g).unwrap();
         for (i, &truth) in exact.iter().enumerate() {
             if truth == 0.0 {
                 continue;

@@ -1,9 +1,9 @@
 //! Conformance suite for the unified `Runner` front-end.
 //!
-//! The acceptance contract of the redesign:
-//! * all six legacy `estimate*` free functions produce **bit-identical**
-//!   `raw_scores` (and identical `AdaptiveReport`s where applicable)
-//!   through the `Runner` rewiring;
+//! The acceptance contract of the front-end:
+//! * `run_with_walk` fed the runner's own walker-0 start replays
+//!   `run_local` **bit for bit** — raw scores, error bars, the
+//!   `AdaptiveReport` and every progress tick — for d ∈ {1, 2, 3};
 //! * every invalid `EstimatorConfig` / `StoppingRule` / fan-out
 //!   combination yields the right `GxError` variant from the runner
 //!   paths (no panics);
@@ -13,10 +13,12 @@
 //!   bit-identical at every fan-out.
 
 use graphlet_rw::graph::generators::classic;
-use graphlet_rw::walks::{random_start_edge, rng_from_seed, G2Walk, SrwWalk};
+use graphlet_rw::walks::{
+    random_start_edge, random_start_node, random_start_state, rng_from_seed, G2Walk, GdWalk,
+    SrwWalk,
+};
 use graphlet_rw::{
-    estimate, estimate_parallel, estimate_until, estimate_until_parallel, estimate_until_with_walk,
-    estimate_with_walk, ConfigError, EstimatorConfig, GxError, ParallelConfig, RuleError, Runner,
+    ConfigError, Estimate, EstimatorConfig, Graph, GxError, Progress, RuleError, Runner,
     StoppingRule,
 };
 use std::cell::RefCell;
@@ -38,89 +40,74 @@ fn bits(est: &graphlet_rw::Estimate) -> Vec<u64> {
     est.raw_scores.iter().map(|x| x.to_bits()).collect()
 }
 
-// --- The six legacy shorthands ≡ their Runner chains -----------------------
+// --- run_with_walk ≡ the runner's walker 0 ---------------------------------
+
+/// Runs `runner` over a caller-supplied walk started the way the runner
+/// starts walker 0 for `seed`: the seed's RNG, then the random start
+/// state of the configuration's `d`.
+fn run_walker_zero(runner: &Runner, g: &Graph, cfg: &EstimatorConfig, seed: u64) -> Estimate {
+    let nb = cfg.non_backtracking;
+    let mut rng = rng_from_seed(seed);
+    let est = match cfg.d {
+        1 => {
+            let start = random_start_node(g, &mut rng);
+            runner.run_with_walk(g, SrwWalk::new(g, start, nb), rng)
+        }
+        2 => {
+            let (u, v) = random_start_edge(g, &mut rng);
+            runner.run_with_walk(g, G2Walk::new(g, u, v, nb), rng)
+        }
+        d => {
+            let start = random_start_state(g, d, &mut rng);
+            runner.run_with_walk(g, GdWalk::new(g, &start, nb), rng)
+        }
+    };
+    est.unwrap()
+}
+
+/// A progress tick with its width as bits, so ticks compare exactly.
+fn tick(p: &Progress) -> (usize, usize, usize, u64, u64, bool, bool) {
+    (p.steps, p.walkers, p.rounds, p.batches, p.width.to_bits(), p.converged, p.finished)
+}
 
 #[test]
-fn estimate_is_the_fixed_sequential_runner_chain() {
+fn run_with_walk_replays_the_runners_walker_zero_chain() {
     let g = classic::lollipop(6, 5);
-    for cfg in [EstimatorConfig::recommended(3), EstimatorConfig::recommended(4)] {
-        let legacy = estimate(&g, &cfg, 12_000, 42);
-        let runner = Runner::new(cfg.clone()).steps(12_000).seed(42).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "{}", cfg.name());
-        assert_eq!(legacy.valid_samples, runner.valid_samples);
-        assert_eq!(legacy.steps, runner.steps);
-        assert_eq!(legacy.accuracy, runner.accuracy);
-        assert!(runner.adaptive.is_none());
+    let seed = 42;
+    for cfg in [
+        EstimatorConfig::recommended(3),
+        EstimatorConfig::recommended(4),
+        EstimatorConfig { k: 4, d: 3, css: true, ..Default::default() },
+    ] {
+        for budget in
+            [Runner::new(cfg.clone()).steps(8_000), Runner::new(cfg.clone()).until(rule())]
+        {
+            let name = format!("{} {budget:?}", cfg.name());
+            let walk = run_walker_zero(&budget, &g, &cfg, seed);
+            let local = budget.clone().seed(seed).run_local(&g).unwrap();
+            assert_eq!(bits(&walk), bits(&local), "{name}");
+            assert_eq!(walk.steps, local.steps, "{name}");
+            assert_eq!(walk.valid_samples, local.valid_samples, "{name}");
+            assert_eq!(walk.accuracy, local.accuracy, "{name}");
+            assert_eq!(walk.adaptive, local.adaptive, "{name}");
+            // With a progress callback: the same output and, tick for
+            // tick, the same progress as the handle reports.
+            let ticks: Rc<RefCell<Vec<_>>> = Rc::new(RefCell::new(Vec::new()));
+            let sink = ticks.clone();
+            let observed = budget.clone().on_progress(move |p| sink.borrow_mut().push(tick(p)));
+            let walk_observed = run_walker_zero(&observed, &g, &cfg, seed);
+            let walk_ticks = std::mem::take(&mut *ticks.borrow_mut());
+            let local_observed = observed.seed(seed).run_local(&g).unwrap();
+            assert_eq!(bits(&walk_observed), bits(&walk), "{name}");
+            assert_eq!(walk_observed.accuracy, walk.accuracy, "{name}");
+            assert_eq!(bits(&local_observed), bits(&local), "{name}");
+            assert_eq!(walk_ticks, *ticks.borrow(), "{name}");
+            match walk.adaptive() {
+                Some(report) => assert_eq!(walk_ticks.len(), report.rounds, "{name}"),
+                None => assert_eq!(walk_ticks.len(), 16, "{name}"),
+            }
+        }
     }
-}
-
-#[test]
-fn estimate_parallel_is_the_fixed_parallel_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(4);
-    for walkers in [1usize, 3, 8] {
-        let legacy = estimate_parallel(&g, &cfg, 12_000, 42, walkers);
-        let runner =
-            Runner::new(cfg.clone()).steps(12_000).seed(42).walkers(walkers).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "walkers={walkers}");
-        assert_eq!(legacy.valid_samples, runner.valid_samples);
-        assert_eq!(legacy.accuracy, runner.accuracy, "walkers={walkers}");
-    }
-}
-
-#[test]
-fn estimate_until_is_the_adaptive_sequential_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(3);
-    let legacy = estimate_until(&g, &cfg, 7, &rule());
-    let runner = Runner::new(cfg).until(rule()).seed(7).run(&g).unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.steps, runner.steps);
-    assert_eq!(legacy.accuracy, runner.accuracy);
-    assert_eq!(legacy.adaptive, runner.adaptive, "identical AdaptiveReport");
-}
-
-#[test]
-fn estimate_until_parallel_is_the_adaptive_parallel_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(3);
-    for walkers in [1usize, 2, 5] {
-        let par = ParallelConfig::with_walkers(walkers);
-        let legacy = estimate_until_parallel(&g, &cfg, 7, &rule(), &par);
-        let runner = Runner::new(cfg.clone()).until(rule()).seed(7).parallel(par).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "walkers={walkers}");
-        assert_eq!(legacy.steps, runner.steps);
-        assert_eq!(legacy.accuracy, runner.accuracy, "walkers={walkers}");
-        assert_eq!(legacy.adaptive, runner.adaptive, "walkers={walkers}");
-    }
-}
-
-#[test]
-fn with_walk_shorthands_are_the_runner_walk_chains() {
-    let g = classic::petersen();
-    // d = 1: a caller-supplied SRW.
-    let cfg = EstimatorConfig { k: 3, d: 1, css: true, ..Default::default() };
-    let legacy = estimate_with_walk(&g, &cfg, SrwWalk::new(&g, 0, false), 8_000, rng_from_seed(5));
-    let runner = Runner::new(cfg.clone())
-        .steps(8_000)
-        .run_with_walk(&g, SrwWalk::new(&g, 0, false), rng_from_seed(5))
-        .unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.accuracy, runner.accuracy);
-    // d = 2, adaptive: a caller-supplied edge walk under a stopping rule.
-    let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-    let mut rng = rng_from_seed(9);
-    let (u, v) = random_start_edge(&g, &mut rng);
-    let legacy =
-        estimate_until_with_walk(&g, &cfg, G2Walk::new(&g, u, v, false), &rule(), rng.clone());
-    let mut rng2 = rng_from_seed(9);
-    let (u2, v2) = random_start_edge(&g, &mut rng2);
-    let runner = Runner::new(cfg)
-        .until(rule())
-        .run_with_walk(&g, G2Walk::new(&g, u2, v2, false), rng2)
-        .unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.adaptive, runner.adaptive, "identical AdaptiveReport");
 }
 
 // --- run vs run_local: thread count never moves a bit ----------------------
@@ -220,8 +207,6 @@ fn fanout_budget_and_walk_errors_are_typed() {
         Runner::new(cfg.clone()).steps(100).walkers(0).run(&g).unwrap_err(),
         GxError::NoWalkers
     );
-    assert_eq!(ParallelConfig::try_with_walkers(0).unwrap_err(), GxError::NoWalkers);
-    assert_eq!(ParallelConfig::try_with_walkers(3).unwrap().walkers, 3);
     // Missing budget.
     assert_eq!(Runner::new(cfg.clone()).run(&g).unwrap_err(), GxError::NoBudget);
     assert_eq!(Runner::new(cfg.clone()).start(&g).unwrap_err(), GxError::NoBudget);
@@ -355,7 +340,8 @@ fn progress_callback_fires_and_never_changes_output() {
         .on_progress(move |p| sink.borrow_mut().push(p.steps))
         .run(&g)
         .unwrap();
-    let unobserved = estimate(&g, &EstimatorConfig::recommended(3), 8_000, 13);
+    let unobserved =
+        Runner::new(EstimatorConfig::recommended(3)).steps(8_000).seed(13).run(&g).unwrap();
     assert_eq!(bits(&fixed), bits(&unobserved));
     assert_eq!(fixed.accuracy, unobserved.accuracy, "chunked advance keeps the same stats");
     assert!(ticks.borrow().len() >= 8, "fixed runs with a callback tick in increments");
@@ -436,7 +422,7 @@ fn incremental_pool_is_bit_identical_to_a_from_scratch_replay() {
         assert_eq!(&replay, pooled, "walkers={walkers}");
         // With one walker the pool IS the walker's own accumulator.
         if walkers == 1 {
-            let seq = estimate_until(&g, &cfg, 31, &rule());
+            let seq = Runner::new(cfg.clone()).until(rule()).seed(31).run_local(&g).unwrap();
             assert_eq!(seq.accuracy.as_ref(), Some(pooled));
         }
     }

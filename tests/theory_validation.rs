@@ -2,7 +2,7 @@
 //! explicitly materialized chains.
 
 use graphlet_rw::core::theory::{mixing_time_bound, slem, weighted_concentration};
-use graphlet_rw::core::{alpha_table, estimate, EstimatorConfig};
+use graphlet_rw::core::{alpha_table, EstimatorConfig, Runner};
 use graphlet_rw::datasets::dataset;
 use graphlet_rw::exact::exact_counts;
 use graphlet_rw::graph::generators::classic;
@@ -59,7 +59,12 @@ fn estimator_error_shrinks_with_sample_size() {
         let runs = 24;
         let mut sq = 0.0;
         for seed in 0..runs {
-            let c = estimate(&g, &cfg, steps, 500 + seed).concentrations()[1];
+            let c = Runner::new(cfg.clone())
+                .steps(steps)
+                .seed(500 + seed)
+                .run(&g)
+                .unwrap()
+                .concentrations()[1];
             sq += (c - truth) * (c - truth);
         }
         (sq / runs as f64).sqrt()
