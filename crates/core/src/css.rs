@@ -37,8 +37,9 @@
 //! streaming pass over the mask's `interiors` slice accumulating the sum
 //! of products. Subset degrees come from the [`NodeWindow`]'s cached slot
 //! degrees (d ≤ 2) or the window's own recorded state degrees (d ≥ 3,
-//! falling back to scratch-reusing neighbor enumeration only for subsets
-//! the walk did not visit) — the graph is not touched at all for d ≤ 2.
+//! falling back to [`gd_state_degree_with`] only for subsets the walk did
+//! not visit: `d` adjacency-list fetches and one sort per subset, no
+//! adjacency probes) — the graph is not touched at all for d ≤ 2.
 //! Nothing is heap-allocated and nothing is recomputed that the walk
 //! already paid for, which is exactly the paper's Lemma-5 pitch: CSS
 //! reuses observed degree information, it does not buy new information.
@@ -789,6 +790,69 @@ mod tests {
                 walk.step(&mut rng);
             }
             assert!(scored > 50, "walk must score enough windows to exercise reuse ({scored})");
+        }
+    }
+
+    /// The d ≥ 3 path — `GdWalk` steps, the window and the CSS degree
+    /// fallback — reads adjacency only through the scoped accessors, so
+    /// a backend whose `neighbors()` would have to materialize a
+    /// long-lived slice (the compressed snapshot) never has to. Scalar
+    /// and lock-step batched engines, and the same bits as the plain
+    /// graph.
+    #[test]
+    fn d3_css_never_borrows_a_neighbor_slice() {
+        use crate::config::EstimatorConfig;
+        use crate::runner::Runner;
+        use gx_graph::generators::holme_kim;
+        use gx_walks::rng_from_seed;
+
+        /// Forwards everything except `neighbors()`, which panics.
+        struct ScopedOnly<'g>(&'g Graph);
+        impl GraphAccess for ScopedOnly<'_> {
+            fn num_nodes(&self) -> usize {
+                self.0.num_nodes()
+            }
+            fn degree(&self, v: NodeId) -> usize {
+                GraphAccess::degree(self.0, v)
+            }
+            fn neighbors(&self, v: NodeId) -> &[NodeId] {
+                panic!("neighbors({v}) called on the d >= 3 path")
+            }
+            fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+                GraphAccess::has_edge(self.0, u, v)
+            }
+            fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
+                GraphAccess::neighbor_at(self.0, v, i)
+            }
+            fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
+                self.0.visit_neighbors(v, f)
+            }
+            fn extend_neighbors(&self, v: NodeId, out: &mut Vec<NodeId>) {
+                self.0.extend_neighbors(v, out)
+            }
+            fn prefetch_degree(&self, v: NodeId) {
+                self.0.prefetch_degree(v)
+            }
+            fn prefetch_neighbors(&self, v: NodeId) {
+                self.0.prefetch_neighbors(v)
+            }
+        }
+
+        let g = holme_kim(80, 4, 0.5, &mut rng_from_seed(3));
+        let scoped = ScopedOnly(&g);
+        let cfg = EstimatorConfig { k: 5, d: 3, css: true, ..Default::default() };
+        for runner in [
+            Runner::new(cfg.clone()).steps(6_000).seed(21),
+            Runner::new(cfg.clone()).steps(6_000).seed(21).walkers(4).batch_width(4),
+        ] {
+            let got = runner.run_local(&scoped).unwrap();
+            let want = runner.run_local(&g).unwrap();
+            assert!(got.valid_samples > 5_000, "{} scored windows", got.valid_samples);
+            assert_eq!(got.valid_samples, want.valid_samples);
+            let bits = |e: &crate::Estimate| -> Vec<u64> {
+                e.raw_scores.iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
         }
     }
 }

@@ -1031,6 +1031,69 @@ mod tests {
                 0
             ]
         );
+
+        // d = 3 on a skewed graph: Petersen is 3-regular and triangle-free,
+        // so hubs and dense states (large, overlapping G(3) neighborhoods)
+        // only show up here. Plain and non-backtracking walks.
+        let g = holme_kim(60, 4, 0.5, &mut rng_from_seed(9));
+        let cfg = EstimatorConfig { k: 5, d: 3, css: true, ..Default::default() };
+        let est = Runner::new(cfg.clone()).steps(5_000).seed(13).run(&g).unwrap();
+        assert_eq!(est.valid_samples, 4801);
+        assert_eq!(
+            bits(&est),
+            vec![
+                0x4096740000000000,
+                0x40a9e4415a984219,
+                0x408fc4817f422cf6,
+                0x408effd208360a57,
+                0x4082c7804a600756,
+                0x409206f06552d257,
+                0x4031b24a96e810ff,
+                0x4072f5af05d99a76,
+                0x40822c9e812d5de9,
+                0x40582ca45ae5fdf9,
+                0x406f78530ecf6d43,
+                0x4009bbcb5bf34e0d,
+                0x4059b3621e1d3454,
+                0x404b49f3d9cd5281,
+                0x404e7b03cf58d9a7,
+                0x405bb9738e533043,
+                0x402b8bf80c39a77b,
+                0x4049d96abcac5878,
+                0x400fb3e3866065ec,
+                0x402066659a7ccbef,
+                0x3fdd69d3acefb136,
+            ]
+        );
+        let cfg = EstimatorConfig { non_backtracking: true, ..cfg };
+        let est = Runner::new(cfg.clone()).steps(5_000).seed(13).run(&g).unwrap();
+        assert_eq!(est.valid_samples, 4903);
+        assert_eq!(
+            bits(&est),
+            vec![
+                0x40957e0000000000,
+                0x40a724fc1ae0d425,
+                0x40917254403774f5,
+                0x4092580c2fac4dd1,
+                0x40835607e4bc6dfa,
+                0x4091b8101be51468,
+                0x4044db1a8e9174b0,
+                0x407037a8572f0b56,
+                0x40839faf22186b30,
+                0x405c33f54a469ac3,
+                0x406a06b8ca61ff8c,
+                0x4011bbdec35e20cc,
+                0x405a742177221b51,
+                0x4048965bb4551f6a,
+                0x4054a8d9503c823f,
+                0x405c90256167e3e3,
+                0x4029eebc6d5353e0,
+                0x4047102ff54da9df,
+                0x4017310492c556a7,
+                0x401748db195e2715,
+                0x3fdffb66c3d0490f,
+            ]
+        );
     }
 
     #[test]

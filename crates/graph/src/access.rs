@@ -67,10 +67,9 @@ pub trait GraphAccess {
 
     /// Appends the sorted adjacency list of `v` to `out` — the copy-out
     /// form of [`GraphAccess::visit_neighbors`], for callers that were
-    /// going to `extend_from_slice` anyway (e.g. the G(d) walk's
-    /// candidate enumeration). Same default, same motivation: decoding
-    /// backends fill `out` straight from their block cache without
-    /// pinning a slice.
+    /// going to `extend_from_slice` anyway. Same default, same
+    /// motivation: decoding backends fill `out` straight from their block
+    /// cache without pinning a slice.
     #[inline]
     fn extend_neighbors(&self, v: NodeId, out: &mut Vec<NodeId>) {
         out.extend_from_slice(self.neighbors(v));

@@ -143,14 +143,14 @@ pub(crate) struct HubIndex {
 ///
 /// The floor of 32 (rather than 64) roughly doubles hub coverage on
 /// small and mid-size graphs for the remaining `has_edge` consumers —
-/// the d ≥ 3 subset-connectivity checks of `GdWalk`/`gd_state_degree`
-/// (O(d²) probes per state, degree-biased toward hubs), the baseline
-/// samplers, and induced-mask classification. (The sliding window's
-/// per-step probes no longer route through `has_edge`: they
-/// binary-search the entering node's own list, see
-/// `NodeWindow::acquire`.) The memory bound is unchanged in the regime
-/// where it matters: for large graphs `n / 64` dominates the floor,
-/// keeping total row storage O(|E|).
+/// the baseline samplers, induced-mask classification and walk-start
+/// connectivity checks. (The hot paths no longer route through
+/// `has_edge`: the sliding window binary-searches the entering node's
+/// own list, see `NodeWindow::acquire`, and the `G(d)` enumeration of
+/// `GdWalk`/`gd_state_degree` reads each state node's list once and
+/// derives connectivity from it.) The memory bound is unchanged in the
+/// regime where it matters: for large graphs `n / 64` dominates the
+/// floor, keeping total row storage O(|E|).
 #[inline]
 pub(crate) fn hub_threshold(num_nodes: usize) -> usize {
     (num_nodes / 64).max(32)
