@@ -63,7 +63,7 @@ fn neighbors<G: GraphAccess>(g: &G, state: &[NodeId]) -> Vec<Vec<NodeId>> {
     if size < 5 {
         let mut candidates: Vec<NodeId> = Vec::new();
         for &v in state {
-            candidates.extend_from_slice(g.neighbors(v));
+            g.extend_neighbors(v, &mut candidates);
         }
         candidates.sort_unstable();
         candidates.dedup();

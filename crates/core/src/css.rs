@@ -793,20 +793,21 @@ mod tests {
         }
     }
 
-    /// The d ≥ 3 path — `GdWalk` steps, the window and the CSS degree
-    /// fallback — reads adjacency only through the scoped accessors, so
-    /// a backend whose `neighbors()` would have to materialize a
-    /// long-lived slice (the compressed snapshot) never has to. Scalar
-    /// and lock-step batched engines, and the same bits as the plain
-    /// graph.
+    /// Every CSS engine path — walk steps, the window and the CSS degree
+    /// lookups, for d = 1, 2 and 3 — reads adjacency only through
+    /// `visit_neighbors` and the trait defaults derived from it, so a
+    /// backend whose `neighbors()` would have to pin a decoded block for
+    /// its lifetime (the compressed snapshot) never has to. Scalar and
+    /// lock-step batched engines, and the same bits as the plain graph.
     #[test]
-    fn d3_css_never_borrows_a_neighbor_slice() {
+    fn css_engines_never_borrow_a_neighbor_slice() {
         use crate::config::EstimatorConfig;
         use crate::runner::Runner;
         use gx_graph::generators::holme_kim;
         use gx_walks::rng_from_seed;
 
-        /// Forwards everything except `neighbors()`, which panics.
+        /// Implements only the required methods, the scoped read and the
+        /// prefetch hints; `neighbors()` panics.
         struct ScopedOnly<'g>(&'g Graph);
         impl GraphAccess for ScopedOnly<'_> {
             fn num_nodes(&self) -> usize {
@@ -816,19 +817,10 @@ mod tests {
                 GraphAccess::degree(self.0, v)
             }
             fn neighbors(&self, v: NodeId) -> &[NodeId] {
-                panic!("neighbors({v}) called on the d >= 3 path")
-            }
-            fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-                GraphAccess::has_edge(self.0, u, v)
-            }
-            fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
-                GraphAccess::neighbor_at(self.0, v, i)
+                panic!("neighbors({v}) called on an engine path")
             }
             fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
                 self.0.visit_neighbors(v, f)
-            }
-            fn extend_neighbors(&self, v: NodeId, out: &mut Vec<NodeId>) {
-                self.0.extend_neighbors(v, out)
             }
             fn prefetch_degree(&self, v: NodeId) {
                 self.0.prefetch_degree(v)
@@ -840,19 +832,21 @@ mod tests {
 
         let g = holme_kim(80, 4, 0.5, &mut rng_from_seed(3));
         let scoped = ScopedOnly(&g);
-        let cfg = EstimatorConfig { k: 5, d: 3, css: true, ..Default::default() };
-        for runner in [
-            Runner::new(cfg.clone()).steps(6_000).seed(21),
-            Runner::new(cfg.clone()).steps(6_000).seed(21).walkers(4).batch_width(4),
-        ] {
-            let got = runner.run_local(&scoped).unwrap();
-            let want = runner.run_local(&g).unwrap();
-            assert!(got.valid_samples > 5_000, "{} scored windows", got.valid_samples);
-            assert_eq!(got.valid_samples, want.valid_samples);
-            let bits = |e: &crate::Estimate| -> Vec<u64> {
-                e.raw_scores.iter().map(|x| x.to_bits()).collect()
-            };
-            assert_eq!(bits(&got), bits(&want));
+        for (k, d) in [(3, 1), (4, 2), (5, 3)] {
+            let cfg = EstimatorConfig { k, d, css: true, ..Default::default() };
+            for runner in [
+                Runner::new(cfg.clone()).steps(6_000).seed(21),
+                Runner::new(cfg.clone()).steps(6_000).seed(21).walkers(4).batch_width(4),
+            ] {
+                let got = runner.run_local(&scoped).unwrap();
+                let want = runner.run_local(&g).unwrap();
+                assert!(got.valid_samples > 5_000, "k={k} d={d}: {} windows", got.valid_samples);
+                assert_eq!(got.valid_samples, want.valid_samples, "k={k} d={d}");
+                let bits = |e: &crate::Estimate| -> Vec<u64> {
+                    e.raw_scores.iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "k={k} d={d}");
+            }
         }
     }
 }

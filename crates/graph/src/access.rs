@@ -29,20 +29,26 @@ pub trait GraphAccess {
     fn neighbors(&self, v: NodeId) -> &[NodeId];
 
     /// Whether edge `(u, v)` exists. Derived: a crawler answers this by
-    /// scanning a friend list it has already fetched.
+    /// binary-searching the smaller endpoint's friend list, read through
+    /// [`GraphAccess::visit_neighbors`].
     #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return false;
         }
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors(a).binary_search(&b).is_ok()
+        let mut found = false;
+        self.visit_neighbors(a, &mut |nbrs| found = nbrs.binary_search(&b).is_ok());
+        found
     }
 
-    /// The `i`-th neighbor of `v` (`i < degree(v)`).
+    /// The `i`-th neighbor of `v` (`i < degree(v)`), read through
+    /// [`GraphAccess::visit_neighbors`].
     #[inline]
     fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
-        self.neighbors(v)[i]
+        let mut w = 0;
+        self.visit_neighbors(v, &mut |nbrs| w = nbrs[i]);
+        w
     }
 
     /// Visits the sorted adjacency list of `v` through a scoped borrow.
@@ -50,10 +56,12 @@ pub trait GraphAccess {
     /// Semantically identical to calling `f` on
     /// [`GraphAccess::neighbors`] — and that is the default — but the
     /// slice is only guaranteed to live for the duration of the call.
+    /// This is the one adjacency read the other derived accessors
+    /// (`has_edge`, `neighbor_at`, `extend_neighbors`) go through.
     /// Backends that *decode* adjacency on demand (the compressed
     /// on-disk variant, `gx_graph::disk::CompressedGraph`) implement
-    /// this without materializing a long-lived slice, which is what
-    /// keeps their decode cache bounded. Hot paths that probe a list
+    /// this without pinning a long-lived slice, which is what keeps
+    /// their decode cache bounded. Hot paths that probe a list
     /// transiently (the scoring window's per-step binary searches)
     /// should prefer this over `neighbors`.
     ///
@@ -67,12 +75,11 @@ pub trait GraphAccess {
 
     /// Appends the sorted adjacency list of `v` to `out` — the copy-out
     /// form of [`GraphAccess::visit_neighbors`], for callers that were
-    /// going to `extend_from_slice` anyway. Same default, same
-    /// motivation: decoding backends fill `out` straight from their block
-    /// cache without pinning a slice.
+    /// going to `extend_from_slice` anyway. Decoding backends fill `out`
+    /// straight from their block cache without pinning a slice.
     #[inline]
     fn extend_neighbors(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(self.neighbors(v));
+        self.visit_neighbors(v, &mut |nbrs| out.extend_from_slice(nbrs));
     }
 
     /// Hints that `degree(v)` will be asked soon. Purely a cache-warming
@@ -123,6 +130,11 @@ impl GraphAccess for Graph {
 }
 
 impl<T: GraphAccess + ?Sized> GraphAccess for &T {
+    // Every accessor forwards explicitly: the `visit_neighbors` default
+    // would route through `neighbors` on the *reference*, bypassing a
+    // backend's bounded-cache read, and the derived defaults would
+    // bypass its own overrides (one-load `neighbor_at`, metered
+    // `has_edge`).
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()
     }
@@ -138,9 +150,6 @@ impl<T: GraphAccess + ?Sized> GraphAccess for &T {
     fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
         (**self).neighbor_at(v, i)
     }
-    // The scoped/copy-out accessors must forward explicitly: the trait
-    // defaults would route through `self.neighbors` on the *reference*,
-    // bypassing a backend's own bounded-cache implementation.
     fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
         (**self).visit_neighbors(v, f);
     }
@@ -182,7 +191,7 @@ pub fn graph_fingerprint<G: GraphAccess + ?Sized>(g: &G) -> u64 {
         let v = v as NodeId;
         eat(&mut h, g.degree(v) as u64);
         // Scoped visit instead of `neighbors`: fingerprinting a
-        // decode-on-demand backend must not materialize every list.
+        // decode-on-demand backend must not pin every block.
         g.visit_neighbors(v, &mut |nbrs| {
             for &w in nbrs {
                 eat(&mut h, u64::from(w));
@@ -361,5 +370,62 @@ mod tests {
     #[test]
     fn coverage_of_empty_graph_is_zero() {
         assert_eq!(ApiStats::default().coverage(0), 0.0);
+    }
+
+    /// A backend with only the required methods plus `visit_neighbors`:
+    /// every derived accessor must be served without `neighbors()`.
+    struct VisitOnly<'g>(&'g Graph);
+
+    impl GraphAccess for VisitOnly<'_> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn degree(&self, v: NodeId) -> usize {
+            self.0.degree(v)
+        }
+        fn neighbors(&self, v: NodeId) -> &[NodeId] {
+            panic!("neighbors({v}) called through a derived accessor")
+        }
+        fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
+            f(self.0.neighbors(v));
+        }
+    }
+
+    #[test]
+    fn derived_accessors_read_through_visit_neighbors() {
+        use crate::generators::classic;
+        for g in [classic::paper_figure1(), classic::lollipop(5, 4)] {
+            let scoped = VisitOnly(&g);
+            let n = g.num_nodes() as NodeId;
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(scoped.has_edge(u, v), g.has_edge(u, v), "has_edge({u},{v})");
+                }
+                for i in 0..g.degree(u) {
+                    assert_eq!(
+                        scoped.neighbor_at(u, i),
+                        g.neighbor_at(u, i),
+                        "neighbor_at({u},{i})"
+                    );
+                }
+                let mut out = vec![NodeId::MAX];
+                scoped.extend_neighbors(u, &mut out);
+                assert_eq!(out[0], NodeId::MAX, "extend_neighbors appends");
+                assert_eq!(&out[1..], g.neighbors(u), "extend_neighbors({u})");
+            }
+            assert_eq!(graph_fingerprint(&scoped), graph_fingerprint(&g));
+        }
+    }
+
+    #[test]
+    fn api_graph_derived_reads_charge_one_request_each() {
+        let g = small();
+        let api = ApiGraph::new(&g);
+        assert_eq!(api.neighbor_at(0, 2), 3);
+        assert_eq!(api.stats().total_requests, 1);
+        let mut out = Vec::new();
+        api.extend_neighbors(2, &mut out);
+        assert_eq!(out, g.neighbors(2));
+        assert_eq!(api.stats(), ApiStats { distinct_nodes_fetched: 2, total_requests: 2 });
     }
 }

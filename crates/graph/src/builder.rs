@@ -101,8 +101,7 @@ impl GraphBuilder {
         for v in 0..n {
             adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        let hubs = crate::csr::HubIndex::build(&offsets, &adjacency);
-        Graph { offsets, adjacency, hubs }
+        Graph { offsets, adjacency }
     }
 }
 

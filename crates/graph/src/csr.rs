@@ -117,117 +117,6 @@ pub(crate) fn madvise_raw(ptr: *const u8, bytes: usize, advice: usize) {
 pub struct Graph {
     pub(crate) offsets: Vec<usize>,
     pub(crate) adjacency: Vec<NodeId>,
-    pub(crate) hubs: HubIndex,
-}
-
-/// Dense bitset adjacency for *hub* nodes (degree ≥ `hub_threshold`),
-/// making `has_edge` O(1) when either endpoint is a hub — the common
-/// case on power-law graphs, where walks spend most steps around hubs
-/// and the binary-search probe is deepest exactly there.
-///
-/// Memory is bounded: a node qualifies only when its degree is at least
-/// `n / 64`, so a hub's bitset row (n bits) costs at most 64 bits per
-/// adjacency entry it replaces, and all rows together cost O(|E|).
-#[derive(Clone, PartialEq, Eq, Default)]
-pub(crate) struct HubIndex {
-    /// `row_of[v]` = bitset row of hub `v`, or `u32::MAX` for non-hubs.
-    /// Empty when the graph has no hubs.
-    row_of: Vec<u32>,
-    /// Words per row: `ceil(n / 64)`.
-    words: usize,
-    /// Concatenated rows.
-    bits: Vec<u64>,
-}
-
-/// Degree at or above which a node gets a dense adjacency bitset.
-///
-/// The floor of 32 (rather than 64) roughly doubles hub coverage on
-/// small and mid-size graphs for the remaining `has_edge` consumers —
-/// the baseline samplers, induced-mask classification and walk-start
-/// connectivity checks. (The hot paths no longer route through
-/// `has_edge`: the sliding window binary-searches the entering node's
-/// own list, see `NodeWindow::acquire`, and the `G(d)` enumeration of
-/// `GdWalk`/`gd_state_degree` reads each state node's list once and
-/// derives connectivity from it.) The memory bound is unchanged in the
-/// regime where it matters: for large graphs `n / 64` dominates the
-/// floor, keeping total row storage O(|E|).
-#[inline]
-pub(crate) fn hub_threshold(num_nodes: usize) -> usize {
-    (num_nodes / 64).max(32)
-}
-
-impl HubIndex {
-    /// Scans the CSR arrays and builds rows for every hub.
-    pub(crate) fn build(offsets: &[usize], adjacency: &[NodeId]) -> Self {
-        let n = offsets.len() - 1;
-        let threshold = hub_threshold(n);
-        let hubs: Vec<usize> =
-            (0..n).filter(|&v| offsets[v + 1] - offsets[v] >= threshold).collect();
-        if hubs.is_empty() {
-            return Self::default();
-        }
-        let words = n.div_ceil(64);
-        let mut row_of = vec![u32::MAX; n];
-        let mut bits = vec![0u64; hubs.len() * words];
-        for (row, &v) in hubs.iter().enumerate() {
-            row_of[v] = row as u32;
-            let base = row * words;
-            for &w in &adjacency[offsets[v]..offsets[v + 1]] {
-                bits[base + w as usize / 64] |= 1 << (w % 64);
-            }
-        }
-        Self { row_of, words, bits }
-    }
-
-    /// [`HubIndex::build`] over any [`crate::GraphAccess`] backend —
-    /// the generalization that gives the mapped on-disk CSR
-    /// (`gx_graph::disk::MmapGraph`) the same O(1) hub `has_edge`
-    /// asymptotics as the in-RAM [`Graph`]. One O(|E|) scan; rows are
-    /// bit-identical to the slice-based builder for the same adjacency
-    /// structure.
-    pub(crate) fn build_from_access<G: crate::GraphAccess + ?Sized>(g: &G) -> Self {
-        let n = g.num_nodes();
-        let threshold = hub_threshold(n);
-        let hubs: Vec<usize> = (0..n).filter(|&v| g.degree(v as NodeId) >= threshold).collect();
-        if hubs.is_empty() {
-            return Self::default();
-        }
-        let words = n.div_ceil(64);
-        let mut row_of = vec![u32::MAX; n];
-        let mut bits = vec![0u64; hubs.len() * words];
-        for (row, &v) in hubs.iter().enumerate() {
-            row_of[v] = row as u32;
-            let base = row * words;
-            let row_bits = &mut bits[base..base + words];
-            g.visit_neighbors(v as NodeId, &mut |nbrs| {
-                for &w in nbrs {
-                    row_bits[w as usize / 64] |= 1 << (w % 64);
-                }
-            });
-        }
-        Self { row_of, words, bits }
-    }
-
-    /// True when the graph has no hubs (fast-path bypass).
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Bitset row of `v`, if `v` is a hub.
-    #[inline]
-    pub(crate) fn row(&self, v: NodeId) -> Option<usize> {
-        match self.row_of[v as usize] {
-            u32::MAX => None,
-            r => Some(r as usize),
-        }
-    }
-
-    /// Whether hub row `row` contains `v`.
-    #[inline]
-    pub(crate) fn test(&self, row: usize, v: NodeId) -> bool {
-        self.bits[row * self.words + v as usize / 64] & (1 << (v % 64)) != 0
-    }
 }
 
 impl Graph {
@@ -263,8 +152,8 @@ impl Graph {
         b.build()
     }
 
-    /// Assembles a graph directly from already-built CSR arrays, building
-    /// only the hub index. The caller must guarantee the [`Graph`]
+    /// Assembles a graph directly from already-built CSR arrays, with no
+    /// further pass over them. The caller must guarantee the [`Graph`]
     /// invariants (sorted, deduplicated, symmetric, self-loop-free
     /// adjacency; `offsets.len() == num_nodes + 1` with `offsets[0] == 0`
     /// and `offsets[n] == adjacency.len()`). Used by the streaming
@@ -273,8 +162,7 @@ impl Graph {
     pub(crate) fn from_csr_parts(offsets: Vec<usize>, adjacency: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap_or(&0), adjacency.len());
-        let hubs = HubIndex::build(&offsets, &adjacency);
-        Self { offsets, adjacency, hubs }
+        Self { offsets, adjacency }
     }
 
     /// Number of nodes (including isolated ones).
@@ -303,21 +191,12 @@ impl Graph {
         &self.adjacency[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Whether the undirected edge `(u, v)` exists. O(1) bitset probe
-    /// when either endpoint is a hub (degree ≥ `hub_threshold`), binary
-    /// search on the smaller adjacency list otherwise.
+    /// Whether the undirected edge `(u, v)` exists: a binary search of
+    /// the smaller endpoint's adjacency list.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return false;
-        }
-        if !self.hubs.is_empty() {
-            if let Some(row) = self.hubs.row(u) {
-                return self.hubs.test(row, v);
-            }
-            if let Some(row) = self.hubs.row(v) {
-                return self.hubs.test(row, u);
-            }
         }
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
         self.neighbors(a).binary_search(&b).is_ok()
@@ -413,7 +292,8 @@ impl Graph {
             for &w in self.neighbors(old) {
                 let new_w = remap[w as usize];
                 if new_w != NodeId::MAX && new_u < new_w {
-                    b.add_edge(new_u, new_w).expect("remapped ids in range");
+                    // Remapped ids are `< keep.len()` by construction.
+                    b.add_edge_unchecked(new_u, new_w);
                 }
             }
         }
@@ -499,33 +379,17 @@ mod tests {
 
     #[test]
     fn hub_fast_path_agrees_with_binary_search() {
-        // Star with 200 leaves: the hub's degree (200) crosses the
-        // threshold max(64, 201/64) = 64, the leaves stay below it.
+        // Star with 200 leaves: whichever argument order, the probe
+        // searches the leaf's one-entry list, never the hub's.
         let hub = 0u32;
         let edges: Vec<(NodeId, NodeId)> = (1..=200).map(|v| (hub, v)).collect();
         let g = Graph::from_edges(201, edges.iter().copied()).unwrap();
-        assert!(!g.hubs.is_empty(), "star center must be indexed as a hub");
-        assert!(g.hubs.row(hub).is_some());
-        assert!(g.hubs.row(1).is_none());
         for v in 1..=200u32 {
             assert!(g.has_edge(hub, v));
             assert!(g.has_edge(v, hub));
         }
         assert!(!g.has_edge(1, 2));
         assert!(!g.has_edge(hub, hub));
-    }
-
-    #[test]
-    fn small_graphs_have_no_hub_index() {
-        let g = figure1_graph();
-        assert!(g.hubs.is_empty(), "degrees below 64 never qualify");
-    }
-
-    #[test]
-    fn hub_threshold_scales_with_graph_size() {
-        assert_eq!(super::hub_threshold(10), 32);
-        assert_eq!(super::hub_threshold(32 * 64), 32);
-        assert_eq!(super::hub_threshold(6400 * 64), 6400);
     }
 
     #[test]

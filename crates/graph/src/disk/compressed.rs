@@ -7,15 +7,16 @@
 //! budget. Degrees live in an explicit mapped `u32` array, so
 //! `degree(v)` never touches a block.
 //!
-//! The hot accessors are the scoped/copy-out pair
-//! [`GraphAccess::visit_neighbors`] / [`GraphAccess::extend_neighbors`]:
-//! they pin the decoded block on the caller's stack via `Arc`, serve the
-//! slice, and let eviction proceed elsewhere — which is what makes the
-//! bounded cache *sound* under concurrent walkers. The long-lived
-//! `neighbors()` slice contract is honored too, through an append-only
-//! per-node materialization arena; it is the cold-path escape hatch, and
-//! code that holds slices across calls (exact counters) pays for exactly
-//! the nodes it touches.
+//! The one hot accessor is [`GraphAccess::visit_neighbors`]: it holds
+//! the decoded block on the caller's stack via `Arc`, serves the slice,
+//! and lets eviction proceed elsewhere — which is what makes the bounded
+//! cache *sound* under concurrent walkers. `has_edge`, `neighbor_at` and
+//! `extend_neighbors` are the trait's defaults over it. The long-lived
+//! `neighbors()` slice contract is honored too, and in safe code: the
+//! first call into a block pins the LRU's `Arc` in that block's cell for
+//! the reader's lifetime. It is the cold-path escape hatch the walk
+//! engines never take, and a caller that does take it pays for exactly
+//! the blocks it touches.
 
 use super::{
     as_u32s, as_u64s, ck_add, ck_mul, page_align, to_usize, varint_decode, Backing, SnapshotError,
@@ -26,7 +27,7 @@ use crate::csr::MADV_WILLNEED;
 use crate::NodeId;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Decoded blocks kept hot. With the default 64-node blocks this bounds
 /// the decode cache to a few MiB on power-law graphs while one walker's
@@ -53,6 +54,15 @@ struct DecodedBlock {
     starts: Vec<usize>,
     /// Concatenated sorted neighbor lists.
     neighbors: Vec<NodeId>,
+}
+
+impl DecodedBlock {
+    /// The sorted neighbor list of `v`, a node of this block.
+    #[inline]
+    fn list(&self, v: NodeId) -> &[NodeId] {
+        let i = (v - self.first) as usize;
+        &self.neighbors[self.starts[i]..self.starts[i + 1]]
+    }
 }
 
 struct BlockCache {
@@ -85,12 +95,11 @@ pub struct CompressedGraph {
     /// Byte (start, len) of the optional original-id section.
     ids: Option<(usize, usize)>,
     cache: Mutex<BlockCache>,
-    /// Append-only arena backing the long-lived `neighbors()` contract.
-    /// Entries are never removed or replaced while `self` lives, so a
-    /// returned slice stays valid for `&self`'s lifetime even though the
-    /// map itself may rehash (rehashing moves the `Box` fat pointer, not
-    /// the heap buffer it owns).
-    materialized: Mutex<HashMap<NodeId, Box<[NodeId]>>>,
+    /// Blocks pinned by the long-lived `neighbors()` contract, one cell
+    /// per block, allocated on the first `neighbors()` call. A filled
+    /// cell is never cleared while `self` lives, so the slices it hands
+    /// out borrow from `&self` directly.
+    pinned: OnceLock<Box<[OnceLock<Arc<DecodedBlock>>]>>,
 }
 
 impl CompressedGraph {
@@ -162,7 +171,7 @@ impl CompressedGraph {
             data,
             ids,
             cache: Mutex::new(BlockCache { map: HashMap::new(), tick: 0 }),
-            materialized: Mutex::new(HashMap::new()),
+            pinned: OnceLock::new(),
         };
         g.validate_stream(nb)?;
         g.backing.advise(0, total, MADV_WILLNEED);
@@ -307,15 +316,10 @@ impl CompressedGraph {
         decoded
     }
 
-    /// Arc-pinned slice coordinates of `v`'s list: the block, plus the
-    /// start/end extents within `block.neighbors`.
+    /// Index of the block holding `v`.
     #[inline]
-    fn pinned(&self, v: NodeId) -> (Arc<DecodedBlock>, usize, usize) {
-        let b = (v as usize / self.block) as u32;
-        let block = self.cached_block(b);
-        let i = v as usize - block.first as usize;
-        let (s, e) = (block.starts[i], block.starts[i + 1]);
-        (block, s, e)
+    fn block_of(&self, v: NodeId) -> u32 {
+        (v as usize / self.block) as u32
     }
 
     /// Number of nodes (including isolated ones).
@@ -360,8 +364,8 @@ impl CompressedGraph {
     }
 
     #[cfg(test)]
-    fn materialized_len(&self) -> usize {
-        locked(&self.materialized).len()
+    fn pinned_len(&self) -> usize {
+        self.pinned.get().map_or(0, |cells| cells.iter().filter(|c| c.get().is_some()).count())
     }
 }
 
@@ -388,60 +392,23 @@ impl GraphAccess for CompressedGraph {
         self.degrees()[v as usize] as usize
     }
 
-    /// Cold-path escape hatch: materializes `v`'s list once into the
-    /// append-only arena and serves the same allocation forever after.
-    /// Walk-engine hot paths use [`GraphAccess::visit_neighbors`] /
-    /// [`GraphAccess::extend_neighbors`] instead and never land here.
+    /// Cold-path escape hatch: pins `v`'s decoded block for the
+    /// reader's lifetime (once per block) and serves the slice from it.
+    /// Walk-engine hot paths read through
+    /// [`GraphAccess::visit_neighbors`] instead and never land here.
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        {
-            let mat = locked(&self.materialized);
-            if let Some(list) = mat.get(&v) {
-                let (ptr, len) = (list.as_ptr(), list.len());
-                drop(mat);
-                // SAFETY: `list` is a `Box<[NodeId]>` whose heap buffer
-                // is stable; the arena never removes or replaces
-                // entries, so the buffer lives as long as `self`.
-                // Rehashing moves only the fat pointer.
-                return unsafe { std::slice::from_raw_parts(ptr, len) };
-            }
-        }
-        // Decode before re-taking the arena lock (no nested locks).
-        let (block, s, e) = self.pinned(v);
-        let boxed: Box<[NodeId]> = block.neighbors[s..e].to_vec().into_boxed_slice();
-        drop(block);
-        let mut mat = locked(&self.materialized);
-        let list = mat.entry(v).or_insert(boxed);
-        let (ptr, len) = (list.as_ptr(), list.len());
-        drop(mat);
-        // SAFETY: as above — entry just inserted (or raced in by a
-        // peer), never removed or replaced for `self`'s lifetime.
-        unsafe { std::slice::from_raw_parts(ptr, len) }
+        let b = self.block_of(v);
+        let cells = self.pinned.get_or_init(|| {
+            (0..self.num_nodes.div_ceil(self.block)).map(|_| OnceLock::new()).collect()
+        });
+        let block = cells[b as usize].get_or_init(|| self.cached_block(b));
+        block.list(v)
     }
 
     fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
-        let (block, s, e) = self.pinned(v);
-        f(&block.neighbors[s..e]);
+        f(self.cached_block(self.block_of(v)).list(v));
     }
 
-    fn extend_neighbors(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        let (block, s, e) = self.pinned(v);
-        out.extend_from_slice(&block.neighbors[s..e]);
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        let (block, s, e) = self.pinned(a);
-        block.neighbors[s..e].binary_search(&b).is_ok()
-    }
-
-    fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
-        let (block, s, e) = self.pinned(v);
-        debug_assert!(i < e - s);
-        block.neighbors[s + i]
-    }
     // `prefetch_degree` / `prefetch_neighbors` stay the no-op defaults
     // deliberately: decoding from a prefetch hook would mutate the cache,
     // violating the "no observable state change" contract — and the
@@ -506,29 +473,52 @@ mod tests {
         // Block size 1: 600 blocks, far above the cache cap.
         write_gxsc_with_block(&g, None, &path, 1).expect("write");
         let c = CompressedGraph::open(&path).expect("open");
+        // Every accessor but `neighbors()` reads through the bounded
+        // cache and pins nothing.
         for v in 0..600u32 {
             c.visit_neighbors(v, &mut |nbrs| assert_eq!(nbrs.len(), 2));
+            assert_eq!(GraphAccess::degree(&c, v), 2);
+            let next = (v + 1) % 600;
+            assert!(c.has_edge(v, next) && !c.has_edge(v, (v + 300) % 600));
+            assert_eq!(c.neighbor_at(v, 1), g.neighbors(v)[1]);
+            let mut out = Vec::new();
+            c.extend_neighbors(v, &mut out);
+            assert_eq!(out, g.neighbors(v));
+            assert!(c.decode_cache_len() <= CACHE_BLOCKS, "cache grew past its bound");
         }
+        assert_eq!(graph_fingerprint(&c), graph_fingerprint(&g));
         assert!(c.decode_cache_len() <= CACHE_BLOCKS, "cache grew past its bound");
-        // visit_neighbors never touches the materialization arena.
-        assert_eq!(c.materialized_len(), 0);
+        assert_eq!(c.pinned_len(), 0);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn materialized_neighbors_slice_is_stable() {
-        let g = sample();
+        // Block size 1 over 150 nodes: more blocks than the LRU holds.
+        let g = classic::star(150);
         let path = tmp("stable.gxsc");
-        write_gxsc(&g, None, &path).expect("write");
+        write_gxsc_with_block(&g, None, &path, 1).expect("write");
         let c = CompressedGraph::open(&path).expect("open");
         let first = c.neighbors(0);
         let first_ptr = first.as_ptr();
-        // Materialize many other nodes to force arena rehashing.
+        assert_eq!(c.pinned_len(), 1);
+        assert_eq!(c.neighbors(0).as_ptr(), first_ptr);
+        assert_eq!(c.pinned_len(), 1, "a second read reuses the pinned cell");
+        // Churn the LRU past its bound so block 0 is evicted from it.
+        for _ in 0..2 {
+            for v in 1..c.num_nodes() as NodeId {
+                c.visit_neighbors(v, &mut |_| {});
+            }
+        }
+        assert_eq!(c.decode_cache_len(), CACHE_BLOCKS);
+        assert!(!locked(&c.cache).map.contains_key(&0), "block 0 left the LRU");
+        // Pin every block: exactly one cell per block touched.
         for v in 1..c.num_nodes() as NodeId {
-            let _ = c.neighbors(v);
+            assert_eq!(c.neighbors(v), g.neighbors(v));
+            assert_eq!(c.pinned_len(), v as usize + 1);
         }
         let again = c.neighbors(0);
-        assert_eq!(first_ptr, again.as_ptr(), "arena entry moved");
+        assert_eq!(first_ptr, again.as_ptr(), "pinned block moved");
         assert_eq!(first, g.neighbors(0));
         let _ = std::fs::remove_file(&path);
     }

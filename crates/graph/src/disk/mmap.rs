@@ -14,7 +14,7 @@ use super::{
     SnapshotKind, HEADER_LEN, PAGE,
 };
 use crate::access::{graph_fingerprint, GraphAccess};
-use crate::csr::{prefetch_read, HubIndex, MADV_HUGEPAGE, MADV_WILLNEED};
+use crate::csr::{prefetch_read, MADV_HUGEPAGE, MADV_WILLNEED};
 use crate::NodeId;
 use std::path::Path;
 
@@ -30,11 +30,8 @@ use std::path::Path;
 /// paranoid consumer can call [`MmapGraph::validate_deep`] for the full
 /// O(edges) scan.
 ///
-/// `has_edge` defaults to a binary search of the smaller endpoint's
-/// list — O(log d), measured and documented in the bench. Call
-/// [`MmapGraph::build_hub_index`] after opening to spend one O(edges)
-/// scan on the same hub-bitset acceleration the in-RAM graph gets from
-/// its builder, making hub probes O(1).
+/// `has_edge` is the trait's derived binary search of the smaller
+/// endpoint's list — O(log d), the same probe the in-RAM graph runs.
 pub struct MmapGraph {
     backing: Backing,
     num_nodes: usize,
@@ -46,7 +43,6 @@ pub struct MmapGraph {
     adj: (usize, usize),
     /// Byte (start, len) of the optional original-id section: `n × u64`.
     ids: Option<(usize, usize)>,
-    hubs: HubIndex,
 }
 
 impl MmapGraph {
@@ -112,7 +108,6 @@ impl MmapGraph {
             off,
             adj,
             ids,
-            hubs: HubIndex::default(),
         };
         // Offsets must be a valid CSR index: start at 0, never decrease,
         // and end exactly at the adjacency entry count. With that, every
@@ -196,22 +191,6 @@ impl MmapGraph {
         &self.adjacency()[o[v] as usize..o[v + 1] as usize]
     }
 
-    /// Builds the same hub-bitset `has_edge` acceleration the in-RAM
-    /// [`crate::Graph`] gets from its builder: one O(edges) scan, O(1)
-    /// probes against hub endpoints afterwards. Opt-in because opening
-    /// stays O(nodes) without it and many workloads (pure SRW) never
-    /// call `has_edge` against hubs hot enough to matter.
-    pub fn build_hub_index(&mut self) {
-        let hubs = HubIndex::build_from_access(&*self);
-        self.hubs = hubs;
-    }
-
-    /// Whether [`MmapGraph::build_hub_index`] has produced a non-empty
-    /// index.
-    pub fn has_hub_index(&self) -> bool {
-        !self.hubs.is_empty()
-    }
-
     /// Full O(edges) integrity scan: every neighbor id in range, every
     /// list strictly ascending (sorted, deduplicated, self-loop-free is
     /// implied together with symmetry of the writer), and the
@@ -250,7 +229,6 @@ impl std::fmt::Debug for MmapGraph {
             .field("num_edges", &self.num_edges)
             .field("fingerprint", &self.fingerprint)
             .field("mapped", &self.is_mapped())
-            .field("hub_index", &self.has_hub_index())
             .finish()
     }
 }
@@ -269,23 +247,6 @@ impl GraphAccess for MmapGraph {
     #[inline]
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
         MmapGraph::neighbors(self, v)
-    }
-
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
-        }
-        if !self.hubs.is_empty() {
-            if let Some(row) = self.hubs.row(u) {
-                return self.hubs.test(row, v);
-            }
-            if let Some(row) = self.hubs.row(v) {
-                return self.hubs.test(row, u);
-            }
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     #[inline]
@@ -338,7 +299,7 @@ mod tests {
     }
 
     fn sample() -> Graph {
-        // Star-heavy graph so a hub exists (center degree ≥ 32).
+        // Star-heavy graph: degrees span 1..=39.
         let mut edges: Vec<(NodeId, NodeId)> = (1..40).map(|v| (0, v)).collect();
         edges.extend([(1, 2), (2, 3), (3, 4), (5, 6)]);
         Graph::from_edges_auto(&edges)
@@ -389,20 +350,17 @@ mod tests {
     }
 
     #[test]
-    fn hub_index_matches_binary_search_fallback() {
+    fn has_edge_matches_ram_graph_for_every_pair() {
         let g = sample();
-        let path = tmp("hubs.gxsn");
+        let path = tmp("has_edge.gxsn");
         write_gxsn(&g, None, &path).expect("write");
-        let plain = MmapGraph::open(&path).expect("open");
-        let mut accel = MmapGraph::open(&path).expect("open");
-        assert!(!plain.has_hub_index());
-        accel.build_hub_index();
-        assert!(accel.has_hub_index(), "sample graph has a degree-39 hub");
-        for u in 0..g.num_nodes() as NodeId {
-            for v in 0..g.num_nodes() as NodeId {
-                let want = g.has_edge(u, v);
-                assert_eq!(plain.has_edge(u, v), want, "fallback ({u},{v})");
-                assert_eq!(accel.has_edge(u, v), want, "hub path ({u},{v})");
+        for m in
+            [MmapGraph::open(&path).expect("open"), MmapGraph::open_in_ram(&path).expect("ram")]
+        {
+            for u in 0..g.num_nodes() as NodeId {
+                for v in 0..g.num_nodes() as NodeId {
+                    assert_eq!(m.has_edge(u, v), g.has_edge(u, v), "has_edge({u},{v})");
+                }
             }
         }
         let _ = std::fs::remove_file(&path);

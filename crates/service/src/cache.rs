@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 /// needs one concrete type that is both; every accessor is a direct
 /// `match` dispatch onto the backend's own implementation (including
 /// the scoped/copy-out accessors and the prefetch hints — delegating
-/// keeps a backend's cache discipline and hub index in play, where the
-/// trait defaults would bypass them).
+/// keeps a backend's own overrides, such as the one-load `neighbor_at`,
+/// in play, where the trait defaults would bypass them).
 #[derive(Debug, Clone)]
 pub enum SharedGraph {
     /// The classic in-RAM CSR.
