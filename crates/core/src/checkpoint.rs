@@ -39,7 +39,7 @@ pub const MAGIC: [u8; 4] = *b"GXCP";
 
 /// Current checkpoint format version. Version 2 added the handle's
 /// `batch_width` field; version-1 snapshots are still read (the field
-/// defaults to 1, the scalar engine). Writers always emit the current
+/// defaults to width 1). Writers always emit the current
 /// version.
 pub const VERSION: u32 = 2;
 

@@ -240,8 +240,8 @@ pub enum GxError {
     /// [`crate::runner::Runner::run`] was called before a budget was
     /// chosen with `.steps(n)` or `.until(rule)`.
     NoBudget,
-    /// A batch width of zero walkers was requested — the lock-step
-    /// engine needs at least one lane (width 1 is the scalar engine).
+    /// A batch width of zero walkers was requested — every engine
+    /// group needs at least one lane.
     ZeroBatchWidth,
     /// A caller-supplied walk's dimension does not match the
     /// configuration's `d`.
@@ -298,7 +298,7 @@ impl fmt::Display for GxError {
                 write!(f, "runner has no budget: call .steps(n) or .until(rule) before running")
             }
             Self::ZeroBatchWidth => {
-                write!(f, "batch width must be at least 1 (1 selects the scalar engine)")
+                write!(f, "batch width must be at least 1 (1 runs each walker as its own group)")
             }
             Self::WalkDimensionMismatch { walk_d, cfg_d } => write!(
                 f,

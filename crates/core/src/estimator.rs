@@ -13,8 +13,8 @@ use gx_graphlets::{
     alpha::alpha_table, classify_mask, classify_table, num_graphlets, NOT_A_GRAPHLET,
 };
 use gx_walks::{
-    effective_degree, export_rng_state, import_rng_state, random_start_edge, random_start_node,
-    random_start_state, rng_from_seed, BatchWalk, G2Walk, GdWalk, SrwWalk, StateWalk, WalkRng,
+    export_rng_state, import_rng_state, random_start_edge, random_start_node, random_start_state,
+    rng_from_seed, G2Walk, GdWalk, SrwWalk, StateWalk, WalkRng,
 };
 
 /// Builds every process-wide table the configuration will touch (α,
@@ -132,66 +132,33 @@ impl Scorer {
             return;
         }
         let (mask, _nodes) = window.sample();
+        // A window covering k distinct nodes induces a connected
+        // subgraph, so both lookups always find a type; the `None` arm
+        // is unreachable and would score the window as invalid.
         let idx = match self.dense_classify {
             Some(table) => {
-                let id = table[mask as usize];
-                assert_ne!(
-                    id, NOT_A_GRAPHLET,
-                    "a window covering k distinct nodes induces a connected subgraph"
-                );
-                id as usize
+                Some(table[mask as usize]).filter(|&id| id != NOT_A_GRAPHLET).map(usize::from)
             }
-            None => {
-                classify_mask(self.k, mask)
-                    .expect("a window covering k distinct nodes induces a connected subgraph")
-                    .index as usize
-            }
+            None => classify_mask(self.k, mask).map(|class| class.index as usize),
+        };
+        let Some(idx) = idx else {
+            debug_assert!(false, "a window covering k distinct nodes induces a connected subgraph");
+            self.acc.tick(&self.raw);
+            return;
         };
         self.valid += 1;
-        let weight = if self.l == 1 {
-            // π̃_e = d_X (Theorem 2, l = 1); CSS coincides.
-            let deg = window.states().next().expect("l = 1").degree as usize;
-            let deg = effective_degree(deg, self.non_backtracking) as f64;
-            1.0 / (self.alphas[idx] as f64 * deg)
-        } else if let Some(css) = self.css.as_mut() {
-            1.0 / css.sampling_probability_windowed(g, mask, window, self.non_backtracking)
-        } else {
-            debug_assert!(self.alphas[idx] > 0, "sampled a type with α = 0");
-            1.0 / (self.alphas[idx] as f64 * pie_tilde(window, self.non_backtracking))
+        let weight = match self.css.as_mut() {
+            // At l = 1 CSS coincides with π̃_e = d_X (Theorem 2).
+            Some(css) if self.l > 1 => {
+                1.0 / css.sampling_probability_windowed(g, mask, window, self.non_backtracking)
+            }
+            _ => {
+                debug_assert!(self.alphas[idx] > 0, "sampled a type with α = 0");
+                1.0 / (self.alphas[idx] as f64 * pie_tilde(window, self.non_backtracking))
+            }
         };
         self.raw[idx] += weight;
         self.acc.tick(&self.raw);
-    }
-}
-
-/// One fused iteration of Algorithm 1's main loop: advance the walk,
-/// score the current window, then slide the window over the new state
-/// (lines 4–10). The advance is skipped after the last scored window,
-/// where stepping would waste an API call.
-///
-/// The walk steps *before* the window is scored — legal because scoring
-/// consumes no randomness and never touches the walk, so the reordering
-/// is observationally identical to score-then-step — which puts the
-/// whole scoring computation between choosing the next node and probing
-/// its adjacency in `push`, giving the out-of-order core independent
-/// work to overlap that (cold, data-dependent) adjacency fetch with.
-// gx-lint: no_alloc
-#[inline(always)]
-fn step_and_accumulate<G: GraphAccess, W: StateWalk>(
-    g: &G,
-    walk: &mut W,
-    rng: &mut WalkRng,
-    window: &mut NodeWindow,
-    scorer: &mut Scorer,
-    advance: bool,
-) {
-    if advance {
-        walk.step(rng);
-    }
-    scorer.score(g, window);
-    if advance {
-        let deg = walk.state_degree();
-        window.push(g, walk.state(), deg);
     }
 }
 
@@ -220,15 +187,15 @@ fn prime_window<G: GraphAccess, W: StateWalk>(
 
 /// A walker's persistent chain state: walk + RNG + window + scorer,
 /// resumable in increments. This is the unit every runner path is built
-/// on — a chain scores `n` more windows per [`WalkSession::run`] call
+/// on — a chain scores `n` more windows per [`run_walk_batch`] call
 /// with *no* re-burn-in between rounds, so the round-based coordinator
 /// ([`crate::runner::RunHandle`]) pays priming once per walker, not once
 /// per round.
 ///
 /// The walk only advances *between* scored windows (lazily, before the
 /// next score), so a session is never stepped past its last scored
-/// window — splitting a budget across `run` calls cannot change a
-/// single sampled window.
+/// window — splitting a budget across calls cannot change a single
+/// sampled window.
 pub(crate) struct WalkSession<'g, G: GraphAccess, W: StateWalk> {
     g: &'g G,
     walk: W,
@@ -291,43 +258,6 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
         Ok(Self { g, walk, rng, window, scorer, scored })
     }
 
-    /// Scores `n` more windows, advancing the walk between them — the
-    /// peeled [`step_and_accumulate`] loop of Algorithm 1, resumable:
-    /// the body carries no `last step?` branch, and the session is left
-    /// un-advanced past its last scored window, so a finished run wastes
-    /// no API call and a resumed one advances lazily (the one unfused
-    /// boundary per `run` call) before re-entering the fused loop.
-    pub(crate) fn run(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        if self.scored > 0 {
-            // Resume: slide over the state the previous call stopped at.
-            self.walk.step(&mut self.rng);
-            let deg = self.walk.state_degree();
-            self.window.push(self.g, self.walk.state(), deg);
-        }
-        for _ in 1..n {
-            step_and_accumulate(
-                self.g,
-                &mut self.walk,
-                &mut self.rng,
-                &mut self.window,
-                &mut self.scorer,
-                true,
-            );
-        }
-        step_and_accumulate(
-            self.g,
-            &mut self.walk,
-            &mut self.rng,
-            &mut self.window,
-            &mut self.scorer,
-            false,
-        );
-        self.scored += n;
-    }
-
     pub(crate) fn stats(&self) -> &BatchStats {
         self.scorer.acc.stats()
     }
@@ -340,9 +270,9 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
 
 /// Per-walker bookkeeping for [`run_walk_batch`]'s lock-step loop: the
 /// remaining tick budget, whether the first tick's score is skipped
-/// (resume semantics — the scalar path's resume block pushes without
-/// scoring), and the staged-but-uncommitted choice whose target the
-/// previous tick prefetched.
+/// (resume semantics — a resumed lane slides without scoring first),
+/// and the staged-but-uncommitted choice whose target the previous tick
+/// prefetched.
 struct BatchLane<C> {
     steps_left: usize,
     skip_score: bool,
@@ -354,29 +284,30 @@ struct BatchLane<C> {
     push_slot: usize,
 }
 
-/// Advances a group of sessions in lock step, one walk step per lane per
-/// iteration, with software prefetches staged one step ahead.
+/// Algorithm 1's main loop — the one code path that advances a chain:
+/// scores `n` more windows on each lane's session, stepping the walk
+/// between them.
 ///
-/// Produces *bit-identical* per-walker streams to calling
-/// [`WalkSession::run`] on each lane in isolation: per lane the RNG draw
-/// order, score/push interleaving, and resume semantics are exactly the
-/// scalar schedule's —
+/// Per lane, the schedule is fixed whatever the group:
 ///
 /// * fresh lane (`scored == 0`, budget n): `n − 1` commits, each scoring
 ///   the pre-push window, plus the trailing lone score;
-/// * resumed lane (`scored > 0`): `n` commits with the *first* tick's
-///   score skipped (the scalar resume block slides without scoring);
+/// * resumed lane (`scored > 0`): `n` commits with the *first* score
+///   skipped (it slides over the state the previous call stopped at);
 ///
-/// and the only reordering vs the scalar loop — drawing tick *j+1*'s
-/// choice before tick *j*'s window push — is observationally invisible
-/// because `choose` touches only walk + RNG while `push`/`score` touch
-/// only window + scorer. What the lock-step form buys is memory-level
-/// parallelism: while lane *i* runs its window/classify/CSS work, the
-/// other lanes' next CSR offset and adjacency lines are already in
-/// flight from their `prefetch_next`/`prefetch_entering` hints.
-pub(crate) fn run_walk_batch<'g, G: GraphAccess, W: BatchWalk>(
+/// so a session is never stepped past its last scored window, and a
+/// lane's stream is the same bits whatever group it runs in or however
+/// its budget is split across calls. The engine picks the schedule from
+/// the group size: one lane runs [`run_one_lane`]'s fused loop, two or
+/// more run [`batched_ticks`]' phased lock step with software prefetches
+/// staged one step ahead.
+pub(crate) fn run_walk_batch<'g, G: GraphAccess, W: StateWalk>(
     lanes: &mut [(&mut WalkSession<'g, G, W>, usize)],
 ) {
+    if let [(s, n)] = lanes {
+        run_one_lane(s, *n);
+        return;
+    }
     let mut states: Vec<BatchLane<W::Choice>> = Vec::with_capacity(lanes.len());
     for (s, n) in lanes.iter_mut() {
         let n = *n;
@@ -407,11 +338,46 @@ pub(crate) fn run_walk_batch<'g, G: GraphAccess, W: BatchWalk>(
     batched_ticks(lanes, &mut states);
     for (s, n) in lanes.iter_mut() {
         if *n > 0 {
-            // Trailing lone score (the scalar loop's advance-less tail).
+            // Trailing lone score: the last window is scored unstepped.
             s.scorer.score(s.g, &s.window);
             s.scored += *n;
         }
     }
+}
+
+/// The one-lane schedule of [`run_walk_batch`]: `choose` → `commit` →
+/// score → push, fused per step with no staging and no prefetch hints —
+/// with one walker in flight there is no other lane's work to overlap a
+/// hinted miss with.
+///
+/// The walk steps *before* the window is scored — legal because scoring
+/// consumes no randomness and never touches the walk — which puts the
+/// whole scoring computation between choosing the next state and probing
+/// its adjacency in `push`, giving the out-of-order core independent
+/// work to overlap that (cold, data-dependent) fetch with.
+// gx-lint: no_alloc
+#[inline(always)]
+fn run_one_lane<G: GraphAccess, W: StateWalk>(s: &mut WalkSession<'_, G, W>, n: usize) {
+    if n == 0 {
+        return;
+    }
+    if s.scored > 0 {
+        // Resumed lane: slide over the state the previous call stopped
+        // at, unscored.
+        let c = s.walk.choose(&mut s.rng);
+        s.walk.commit(c);
+        let deg = s.walk.state_degree();
+        s.window.push(s.g, s.walk.state(), deg);
+    }
+    for _ in 1..n {
+        let c = s.walk.choose(&mut s.rng);
+        s.walk.commit(c);
+        s.scorer.score(s.g, &s.window);
+        let deg = s.walk.state_degree();
+        s.window.push(s.g, s.walk.state(), deg);
+    }
+    s.scorer.score(s.g, &s.window);
+    s.scored += n;
 }
 
 /// The hot tick loop of [`run_walk_batch`]. One tick advances every live
@@ -434,7 +400,7 @@ pub(crate) fn run_walk_batch<'g, G: GraphAccess, W: BatchWalk>(
 ///    acquire, remaining acquires), all against lines phases 1 and 2
 ///    already requested.
 ///
-/// Per lane the phases preserve the scalar op order on every piece of
+/// Per lane the phases preserve the one-lane op order on every piece of
 /// shared state: `choose` touches only walk + RNG, `score`/`push` only
 /// window + scorer, so hoisting a lane's next draw above its score is
 /// unobservable (bit-identity is pinned by the `batched_identity`
@@ -442,7 +408,7 @@ pub(crate) fn run_walk_batch<'g, G: GraphAccess, W: BatchWalk>(
 /// as they finish.
 // gx-lint: no_alloc
 #[inline(always)]
-fn batched_ticks<'g, G: GraphAccess, W: BatchWalk>(
+fn batched_ticks<'g, G: GraphAccess, W: StateWalk>(
     lanes: &mut [(&mut WalkSession<'g, G, W>, usize)],
     states: &mut [BatchLane<W::Choice>],
 ) {
@@ -682,55 +648,43 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
         }
     }
 
-    pub(crate) fn run(&mut self, n: usize) {
-        match self {
-            Self::D1(s) => s.run(n),
-            Self::D2(s) => s.run(n),
-            Self::Dn(s) => s.run(n),
+    /// Runs a group of sessions through [`run_walk_batch`], dispatching
+    /// once on the leading session's walk flavor (a runner's sessions
+    /// all share `cfg.d`, so a group is always homogeneous). Any session
+    /// of a different flavor — never produced in-tree — runs as its own
+    /// one-lane group.
+    pub(crate) fn run_batch(group: &mut [(&mut Self, usize)]) {
+        match group.first() {
+            None => {}
+            Some((Self::D1(_), _)) => Self::run_flavor(group, |s| match s {
+                Self::D1(inner) => Ok(inner),
+                other => Err(other),
+            }),
+            Some((Self::D2(_), _)) => Self::run_flavor(group, |s| match s {
+                Self::D2(inner) => Ok(inner),
+                other => Err(other),
+            }),
+            Some((Self::Dn(_), _)) => Self::run_flavor(group, |s| match s {
+                Self::Dn(inner) => Ok(inner),
+                other => Err(other),
+            }),
         }
     }
 
-    /// Runs a group of sessions in lock step via [`run_walk_batch`],
-    /// dispatching once on the leading session's walk flavor (a runner's
-    /// sessions all share `cfg.d`, so a group is always homogeneous).
-    /// Any session of a different flavor — never produced in-tree — is
-    /// defensively run on the scalar path instead.
-    pub(crate) fn run_batch(group: &mut [(&mut Self, usize)]) {
-        let Some((first, _)) = group.first() else {
-            return;
-        };
-        match first {
-            Self::D1(_) => {
-                let mut lanes = Vec::with_capacity(group.len());
-                for (s, n) in group.iter_mut() {
-                    match &mut **s {
-                        Self::D1(inner) => lanes.push((inner, *n)),
-                        other => other.run(*n),
-                    }
-                }
-                run_walk_batch(&mut lanes);
-            }
-            Self::D2(_) => {
-                let mut lanes = Vec::with_capacity(group.len());
-                for (s, n) in group.iter_mut() {
-                    match &mut **s {
-                        Self::D2(inner) => lanes.push((inner, *n)),
-                        other => other.run(*n),
-                    }
-                }
-                run_walk_batch(&mut lanes);
-            }
-            Self::Dn(_) => {
-                let mut lanes = Vec::with_capacity(group.len());
-                for (s, n) in group.iter_mut() {
-                    match &mut **s {
-                        Self::Dn(inner) => lanes.push((inner, *n)),
-                        other => other.run(*n),
-                    }
-                }
-                run_walk_batch(&mut lanes);
+    /// [`AnySession::run_batch`] for one flavor: `pick` unwraps the
+    /// sessions of that flavor into lanes and hands back the rest.
+    fn run_flavor<'a, W: StateWalk + 'a>(
+        group: &'a mut [(&mut Self, usize)],
+        pick: impl Fn(&'a mut Self) -> Result<&'a mut WalkSession<'g, G, W>, &'a mut Self>,
+    ) {
+        let mut lanes = Vec::with_capacity(group.len());
+        for (s, n) in group.iter_mut() {
+            match pick(s) {
+                Ok(inner) => lanes.push((inner, *n)),
+                Err(other) => Self::run_batch(&mut [(other, *n)]),
             }
         }
+        run_walk_batch(&mut lanes);
     }
 
     pub(crate) fn stats(&self) -> &BatchStats {
@@ -860,7 +814,7 @@ pub fn measure_burn_in<G: GraphAccess>(
     let mut means = Vec::with_capacity(batches);
     let mut prev = 0.0;
     for _ in 0..batches {
-        session.run(batch_len);
+        AnySession::run_batch(&mut [(&mut session, batch_len)]);
         let sum: f64 = session.raw().iter().sum();
         means.push((sum - prev) / batch_len as f64);
         prev = sum;

@@ -52,7 +52,7 @@ pub use error::{CheckpointError, ConfigError, GxError, RuleError, ServiceError};
 pub use estimator::measure_burn_in;
 pub use parallel::available_cores;
 pub use result::Estimate;
-pub use runner::{Corruption, FailingWriter, FaultPlan, Progress, RunHandle, Runner};
+pub use runner::{FaultPlan, Progress, RunHandle, Runner};
 pub use window::NodeWindow;
 
 // The α coefficients (Algorithm 2) live next to the atlas so the

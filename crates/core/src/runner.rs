@@ -16,10 +16,9 @@
 //! * **resilience** — [`RunHandle::checkpoint`] snapshots a live run
 //!   into any writer (atomically onto disk via
 //!   [`RunHandle::checkpoint_to_file`]), [`Runner::resume`] rebuilds it
-//!   in a fresh process with golden-bit fidelity, and [`FaultPlan`] /
-//!   [`FailingWriter`] / [`Corruption`] inject deterministic faults for
-//!   robustness testing (see the [`crate::checkpoint`] module docs for
-//!   the corruption model).
+//!   in a fresh process with golden-bit fidelity, and [`FaultPlan`]
+//!   injects deterministic faults for robustness testing (see the
+//!   [`crate::checkpoint`] module docs for the corruption model).
 //!
 //! Every runner path is **panic-free on bad input**: an invalid
 //! configuration, rule, fan-out or walk comes back as a [`GxError`].
@@ -59,7 +58,7 @@ use crate::checkpoint::{
 };
 use crate::config::EstimatorConfig;
 use crate::error::{CheckpointError, GxError};
-use crate::estimator::{prewarm, AnySession, WalkSession};
+use crate::estimator::{prewarm, run_walk_batch, AnySession, WalkSession};
 use crate::parallel::{available_cores, walker_seed, walker_steps};
 use crate::result::Estimate;
 use gx_graph::GraphAccess;
@@ -112,14 +111,11 @@ type ProgressFn = Rc<dyn Fn(&Progress)>;
 /// *never* serialized into a checkpoint (a resumed run starts fault-free
 /// unless the test re-attaches a plan).
 ///
-/// Three fault families cover the crash-resilience surface:
+/// Two fault families are injected from inside the run:
 ///
 /// * **checkpoint-write failures** — [`FaultPlan::fail_write_after`]
 ///   makes [`RunHandle::checkpoint`] return a typed I/O error after a
-///   budgeted number of successful snapshots (byte-granular write
-///   failures are [`FailingWriter`]'s job);
-/// * **restore corruption** — [`Corruption`] damages a serialized
-///   snapshot before it is offered to [`Runner::resume`];
+///   budgeted number of successful snapshots;
 /// * **walker-chain poisoning** — [`FaultPlan::poison`] kills a walker's
 ///   chain at a chosen round, exercising the quarantine path: the
 ///   poisoned walker is frozen, its completed batches stay pooled, and
@@ -161,88 +157,6 @@ impl FaultPlan {
         let walker = (next() % walkers as u64) as usize;
         let round = 1 + (next() % max_round as u64) as usize;
         Self { fail_write_after: None, poison: vec![(walker, round)] }
-    }
-}
-
-/// One deterministic way to damage a serialized snapshot before handing
-/// it to [`Runner::resume`] — the restore half of [`FaultPlan`]'s fault
-/// model. Every corrupted image must surface as a typed
-/// [`CheckpointError`], never a panic or a silently-wrong resume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
-    /// Keep only the first `len` bytes of the image.
-    Truncate {
-        /// Bytes retained (clamped to the image length).
-        len: usize,
-    },
-    /// Flip the single bit at global bit index `bit` (byte `bit / 8`,
-    /// mask `1 << (bit % 8)`).
-    FlipBit {
-        /// Global bit index; must be inside the image.
-        bit: usize,
-    },
-}
-
-impl Corruption {
-    /// Applies the corruption to a snapshot image, returning the damaged
-    /// copy (the original is untouched).
-    pub fn apply(self, snapshot: &[u8]) -> Vec<u8> {
-        match self {
-            Self::Truncate { len } => snapshot[..len.min(snapshot.len())].to_vec(),
-            Self::FlipBit { bit } => {
-                assert!(bit / 8 < snapshot.len(), "bit index outside the snapshot");
-                let mut out = snapshot.to_vec();
-                out[bit / 8] ^= 1 << (bit % 8);
-                out
-            }
-        }
-    }
-}
-
-/// An [`std::io::Write`] adapter that forwards up to `byte_budget` bytes
-/// and then fails every further write with
-/// [`std::io::ErrorKind::WriteZero`] — the byte-granular
-/// checkpoint-write fault of the robustness test suite. A failed
-/// [`RunHandle::checkpoint`] through this writer must leave the handle
-/// able to finish bit-identically.
-#[derive(Debug)]
-pub struct FailingWriter<W> {
-    inner: W,
-    remaining: usize,
-}
-
-impl<W> FailingWriter<W> {
-    /// Wraps `inner`, allowing `byte_budget` bytes through before
-    /// injecting failures.
-    pub fn new(inner: W, byte_budget: usize) -> Self {
-        Self { inner, remaining: byte_budget }
-    }
-
-    /// Unwraps the adapter, returning whatever was successfully written.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FailingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        if self.remaining == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "injected checkpoint write fault",
-            ));
-        }
-        let n = buf.len().min(self.remaining);
-        let written = self.inner.write(&buf[..n])?;
-        self.remaining -= written;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -323,14 +237,14 @@ impl Runner {
         self
     }
 
-    /// Advances walkers through the lock-step batched engine, `b` lanes
-    /// per group (clamped to the walker count at start). Width 1 — the
-    /// default — is the scalar engine; wider groups interleave one walk
-    /// step per lane per iteration, with each lane's next CSR lines
-    /// software-prefetched while the other lanes compute, which is pure
-    /// memory-level parallelism: every walker's sample stream is
-    /// **bit-identical** to the scalar engine's for every width. `0` is
-    /// reported as [`GxError::ZeroBatchWidth`] at run time.
+    /// Advances walkers in groups of `b` lanes (clamped to the walker
+    /// count at start). Width 1 — the default — runs each walker as its
+    /// own one-lane group, stepping and scoring back to back; wider
+    /// groups interleave one walk step per lane per iteration, with each
+    /// lane's next CSR lines software-prefetched while the other lanes
+    /// compute, which is pure memory-level parallelism: every walker's
+    /// sample stream is **bit-identical** to width 1's for every width.
+    /// `0` is reported as [`GxError::ZeroBatchWidth`] at run time.
     pub fn batch_width(mut self, b: usize) -> Self {
         self.batch_width = b;
         self
@@ -578,7 +492,7 @@ impl Runner {
         let (mut done, mut rounds, mut met) = (0usize, 0usize, false);
         while done < max_steps && !met {
             let n = round.min(max_steps - done);
-            session.run(n);
+            run_walk_batch(&mut [(&mut session, n)]);
             done += n;
             rounds += 1;
             if let Some(rule) = rule {
@@ -622,10 +536,10 @@ fn ci_width(stats: &BatchStats, rule: Option<&StoppingRule>) -> (u64, f64) {
 
 /// Advances each walker slot by its share, creating a slot's chain with
 /// `open(walker)` on its first advance (`base` is the walker index of
-/// `slots[0]`). Width 1 runs the walkers one after another on the scalar
-/// engine; wider groups run `width` lanes in lock step. Grouping is pure
-/// scheduling — each lane's stream is bit-identical to its scalar run —
-/// so the group boundaries need no relation to thread chunks or
+/// `slots[0]`). Walkers run in groups of `width` (≥ 1) lanes, one group
+/// after another; width 1 runs each walker as its own one-lane group. Grouping
+/// is pure scheduling — each lane's stream is the same bits in any
+/// group — so the group boundaries need no relation to thread chunks or
 /// checkpoint cadence.
 fn advance_slots<'g, G: GraphAccess>(
     slots: &mut [Option<AnySession<'g, G>>],
@@ -634,14 +548,6 @@ fn advance_slots<'g, G: GraphAccess>(
     width: usize,
     open: &impl Fn(usize) -> AnySession<'g, G>,
 ) {
-    if width <= 1 {
-        for (off, (slot, &share)) in slots.iter_mut().zip(shares).enumerate() {
-            if share > 0 {
-                slot.get_or_insert_with(|| open(base + off)).run(share);
-            }
-        }
-        return;
-    }
     for (c, (sub, sub_shares)) in slots.chunks_mut(width).zip(shares.chunks(width)).enumerate() {
         let mut group = Vec::with_capacity(sub.len());
         for (off, (slot, &share)) in sub.iter_mut().zip(sub_shares).enumerate() {
@@ -655,7 +561,9 @@ fn advance_slots<'g, G: GraphAccess>(
 
 /// A live, resumable estimation run: the persistent per-walker chains
 /// ([`crate::estimator`]'s `WalkSession`/`AnySession`), advanced in
-/// increments with [`RunHandle::advance`], observable between increments
+/// increments with [`RunHandle::advance`] — each increment runs the
+/// walkers through the one engine, `run_walk_batch`, in groups of
+/// [`RunHandle::batch_width`] lanes — observable between increments
 /// ([`RunHandle::estimate`] / [`RunHandle::progress`]), and finished
 /// with [`RunHandle::finish`].
 ///
@@ -689,10 +597,10 @@ pub struct RunHandle<'g, G: GraphAccess> {
     /// The adaptive rule's bounded-memory cap (0 = unbounded), threaded
     /// into every walker accumulator.
     max_series_batches: usize,
-    /// Lock-step engine group width (1 = scalar engine), clamped to the
+    /// Engine group width (1 = one walker per group), clamped to the
     /// walker count. Travels in checkpoints (format v2) so a resumed run
-    /// keeps its engine mode — though either engine resumes the other's
-    /// snapshots bit-identically.
+    /// keeps its grouping — though every width resumes every other
+    /// width's snapshots bit-identically.
     batch_width: usize,
     seed: u64,
     /// Per-walker step budget (near-equal split of the total).
@@ -898,16 +806,16 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         self.plan = plan;
     }
 
-    /// The engine's lock-step group width (1 = scalar engine).
+    /// The engine's group width (1 = one walker per group).
     pub fn batch_width(&self) -> usize {
         self.batch_width
     }
 
-    /// Switches the engine mode for subsequent advances, clamped to
+    /// Switches the group width for subsequent advances, clamped to
     /// `1..=walkers`. Safe at any point — including on a handle resumed
-    /// from a snapshot taken under the other engine — because every
-    /// width's sample streams are bit-identical; checkpoints taken after
-    /// the switch carry the new width.
+    /// from a snapshot taken at another width — because every width's
+    /// sample streams are bit-identical; checkpoints taken after the
+    /// switch carry the new width.
     pub fn set_batch_width(&mut self, b: usize) {
         self.batch_width = b.clamp(1, self.caps.len());
     }
@@ -1188,8 +1096,8 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
             // check() never lets this combination start a run.
             return Err(CheckpointError::Malformed { what: "rule.max_series_batches" }.into());
         }
-        // Format v2 added the engine's group width; v1 snapshots are the
-        // scalar engine (width 1). `start()` clamps the width to the
+        // Format v2 added the engine's group width; v1 snapshots predate
+        // it and run at width 1. `start()` clamps the width to the
         // walker count, so anything wider — or zero — is corruption.
         let batch_width = if version >= 2 {
             let bw = r.usize("handle.batch_width")?;

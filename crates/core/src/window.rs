@@ -25,8 +25,8 @@
 //! `push` are against the *graph*: the entering node's CSR offset pair
 //! (for the `acquire` degree fill) and its neighbor slice (for the
 //! k − 1 adjacency probes, each a binary search of that one list).
-//! Those are precisely the lines [`gx_walks::BatchWalk::prefetch_next`]
-//! and [`gx_walks::BatchWalk::prefetch_entering`] hint one lane-batch
+//! Those are precisely the lines [`gx_walks::StateWalk::prefetch_next`]
+//! and [`gx_walks::StateWalk::prefetch_entering`] hint one lane-batch
 //! tick ahead of this `push`, which is why the batched engine overlaps
 //! the probe misses of up to B walkers instead of serializing them.
 
@@ -306,10 +306,10 @@ impl NodeWindow {
     /// `G(d)` at this time.
     ///
     /// Composed from three crate-internal pieces (`push_admit`,
-    /// `push_acquire_first`, `push_acquire_rest`) so the batched walker engine can
-    /// run each piece as its own lock-step pass over the lanes (see
-    /// `estimator::batched_ticks`): both engines execute literally the
-    /// same sequence of window operations per push — the split exists so
+    /// `push_acquire_first`, `push_acquire_rest`) so the engine's
+    /// multi-lane schedule can run each piece as its own lock-step pass
+    /// over the lanes (see `estimator::batched_ticks`): both schedules
+    /// execute literally the same sequence of window operations per push — the split exists so
     /// the acquire probes of *different* lanes, each a serial
     /// dependent-load chain into a cold adjacency list, sit close enough
     /// together to overlap in one out-of-order window.

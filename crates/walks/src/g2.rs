@@ -11,14 +11,14 @@
 //! neighborhoods (the paper's core argument for small d).
 
 use crate::rng::WalkRng;
-use crate::traits::{BatchWalk, StateWalk};
+use crate::traits::StateWalk;
 use gx_graph::{GraphAccess, NodeId};
 use rand::Rng;
 
 /// An uncommitted [`G2Walk`] step: the next edge, the endpoint degrees
 /// known so far, and which endpoint's degree `commit` still has to
 /// fetch. Keeping that one data-dependent degree load out of `choose`
-/// is what gives the batched engine a window to prefetch it.
+/// is what gives a lock-step group a window to prefetch it.
 #[derive(Debug, Clone, Copy)]
 pub struct G2Choice {
     /// Next edge, sorted ascending.
@@ -92,8 +92,8 @@ impl<'g, G: GraphAccess> G2Walk<'g, G> {
 
     /// Samples one uniformly random neighboring edge of the current edge
     /// as an uncommitted [`G2Choice`]: the kept endpoint's degree is
-    /// already cached, the new endpoint's is left for `commit` (so the
-    /// batched engine can prefetch its offset line first).
+    /// already cached, the new endpoint's is left for `commit` (so a
+    /// lock-step group can prefetch its offset line first).
     // gx-lint: no_alloc
     #[inline]
     fn sample_neighbor_choice(&self, rng: &mut WalkRng) -> G2Choice {
@@ -118,6 +118,8 @@ impl<'g, G: GraphAccess> G2Walk<'g, G> {
 }
 
 impl<G: GraphAccess> StateWalk for G2Walk<'_, G> {
+    type Choice = G2Choice;
+
     fn d(&self) -> usize {
         2
     }
@@ -132,20 +134,9 @@ impl<G: GraphAccess> StateWalk for G2Walk<'_, G> {
         self.edge_degree()
     }
 
-    // gx-lint: no_alloc
-    #[inline]
-    fn step(&mut self, rng: &mut WalkRng) {
-        let c = self.choose(rng);
-        self.commit(c);
-    }
-
     fn is_non_backtracking(&self) -> bool {
         self.nb
     }
-}
-
-impl<G: GraphAccess> BatchWalk for G2Walk<'_, G> {
-    type Choice = G2Choice;
 
     // gx-lint: no_alloc
     #[inline]

@@ -22,7 +22,7 @@
 //! costs `d` list fetches plus one sort and no adjacency probes.
 
 use crate::rng::WalkRng;
-use crate::traits::{BatchWalk, StateWalk};
+use crate::traits::StateWalk;
 use gx_graph::{GraphAccess, NodeId};
 use rand::Rng;
 
@@ -297,6 +297,10 @@ pub fn gd_state_degree_with<G: GraphAccess>(
 }
 
 impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
+    /// `(drop_position, incoming_node)` — one entry of the materialized
+    /// neighbor list.
+    type Choice = (u8, NodeId);
+
     fn d(&self) -> usize {
         self.d
     }
@@ -310,21 +314,9 @@ impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
         self.neighbors.len()
     }
 
-    // gx-lint: no_alloc
-    fn step(&mut self, rng: &mut WalkRng) {
-        let c = self.choose(rng);
-        self.commit(c);
-    }
-
     fn is_non_backtracking(&self) -> bool {
         self.nb
     }
-}
-
-impl<G: GraphAccess> BatchWalk for GdWalk<'_, G> {
-    /// `(drop_position, incoming_node)` — one entry of the materialized
-    /// neighbor list.
-    type Choice = (u8, NodeId);
 
     // gx-lint: no_alloc
     fn choose(&mut self, rng: &mut WalkRng) -> (u8, NodeId) {

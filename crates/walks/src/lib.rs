@@ -34,4 +34,4 @@ pub use mh::MhWalk;
 pub use rng::{derive_seed, export_rng_state, import_rng_state, rng_from_seed, WalkRng};
 pub use srw::SrwWalk;
 pub use start::{random_start_edge, random_start_node, random_start_state};
-pub use traits::{effective_degree, effective_degree_recip, BatchWalk, StateWalk};
+pub use traits::{effective_degree, effective_degree_recip, StateWalk};

@@ -1,7 +1,7 @@
 //! Simple (and non-backtracking) random walk on `G` itself (d = 1).
 
 use crate::rng::WalkRng;
-use crate::traits::{BatchWalk, StateWalk};
+use crate::traits::StateWalk;
 use gx_graph::{GraphAccess, NodeId};
 use rand::Rng;
 
@@ -52,6 +52,11 @@ impl<'g, G: GraphAccess> SrwWalk<'g, G> {
 }
 
 impl<G: GraphAccess> StateWalk for SrwWalk<'_, G> {
+    /// The next node. Its degree is deliberately *not* fetched here:
+    /// deferring that data-dependent offset load to `commit` is what
+    /// lets a lock-step group prefetch it in between.
+    type Choice = NodeId;
+
     #[inline]
     fn d(&self) -> usize {
         1
@@ -67,23 +72,9 @@ impl<G: GraphAccess> StateWalk for SrwWalk<'_, G> {
         self.deg
     }
 
-    // gx-lint: no_alloc
-    #[inline]
-    fn step(&mut self, rng: &mut WalkRng) {
-        let next = self.choose(rng);
-        self.commit(next);
-    }
-
     fn is_non_backtracking(&self) -> bool {
         self.nb
     }
-}
-
-impl<G: GraphAccess> BatchWalk for SrwWalk<'_, G> {
-    /// The next node. Its degree is deliberately *not* fetched here:
-    /// deferring that data-dependent offset load to `commit` is what
-    /// lets the batched engine prefetch it in between.
-    type Choice = NodeId;
 
     // gx-lint: no_alloc
     #[inline]

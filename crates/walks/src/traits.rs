@@ -6,12 +6,30 @@ use gx_graph::NodeId;
 /// A random walk over the states of `G(d)` for some fixed `d`.
 ///
 /// A state is a connected induced d-node subgraph of the underlying graph,
-/// exposed as its (sorted) node set. The estimator needs exactly three
-/// things per step: the new state's nodes, the state's degree in `G(d)`
-/// (for the stationary re-weighting of Theorem 2), and whether the walk is
+/// exposed as its (sorted) node set. The estimator needs three things per
+/// step: the new state's nodes, the state's degree in `G(d)` (for the
+/// stationary re-weighting of Theorem 2), and whether the walk is
 /// non-backtracking (which substitutes nominal degrees `d' = max(d − 1, 1)`
 /// in the re-weighting, paper §4.2).
+///
+/// A step splits into a *choose* half (draw the next state, consuming
+/// RNG) and a *commit* half (apply it), so the next state's memory
+/// addresses are known before they are touched. The estimator engine
+/// advances every chain through this pair: a group of B walkers runs in
+/// lock step, and walker *i*'s `choose` result is prefetched
+/// ([`StateWalk::prefetch_next`]) while walkers *i+1..B* — and walker
+/// *i*'s own window/classify/CSS scoring — execute, hiding the
+/// data-dependent CSR misses a single in-flight walker cannot. A
+/// one-walker group runs `choose` → `commit` back to back without hints.
+///
+/// [`StateWalk::step`] is `commit(choose(rng))` by definition. The
+/// prefetch methods are pure cache hints: they must not change
+/// observable state, and the default no-ops are always legal.
 pub trait StateWalk {
+    /// An uncommitted step decision — everything `commit` needs to apply
+    /// the transition without drawing more randomness.
+    type Choice: Copy;
+
     /// Subgraph size d of the relationship graph being walked.
     fn d(&self) -> usize;
 
@@ -20,60 +38,41 @@ pub trait StateWalk {
 
     /// Degree of the current state in `G(d)`. Takes `&mut self` so walks
     /// that must enumerate the neighbor set (d ≥ 3) can cache it for the
-    /// following [`StateWalk::step`].
+    /// following [`StateWalk::choose`].
     fn state_degree(&mut self) -> usize;
-
-    /// Advances one step.
-    ///
-    /// Takes the concrete workspace RNG rather than `&mut dyn RngCore`:
-    /// `step` is the hottest call in the estimator loop, and the concrete
-    /// type lets every walk's sampling inline without virtual dispatch.
-    fn step(&mut self, rng: &mut WalkRng);
 
     /// Whether steps avoid returning to the previous state.
     fn is_non_backtracking(&self) -> bool;
-}
 
-/// A [`StateWalk`] whose step splits into a *choose* half (draw the next
-/// state, consuming RNG) and a *commit* half (apply it), so the next
-/// state's memory addresses are known one iteration before they are
-/// touched.
-///
-/// This is the contract the batched lock-step engine is built on: with B
-/// walkers advanced one step per iteration, walker *i*'s `choose` result
-/// is prefetched (`prefetch_next`) while walkers *i+1..B* — and walker
-/// *i*'s own window/classify/CSS scoring — execute, hiding the
-/// data-dependent CSR misses a single in-flight walker cannot.
-///
-/// **Equivalence contract:** `choose(rng)` followed by `commit(choice)`
-/// must be *bit-identical* to [`StateWalk::step`] — same RNG draws in
-/// the same order, same resulting state, same cached degrees. Every
-/// in-tree walk implements `step` as exactly that composition so the
-/// two paths cannot drift. The prefetch methods are pure cache hints:
-/// they must not change observable state, and a correct implementation
-/// with both as no-ops is always legal.
-pub trait BatchWalk: StateWalk {
-    /// An uncommitted step decision — everything `commit` needs to apply
-    /// the transition without drawing more randomness.
-    type Choice: Copy;
-
-    /// Draws the next state, consuming exactly the RNG `step` would,
-    /// without applying it. The walk's observable state is unchanged.
+    /// Draws the next state without applying it. The walk's observable
+    /// state is unchanged.
+    ///
+    /// Takes the concrete workspace RNG rather than `&mut dyn RngCore`:
+    /// this is the hottest call in the estimator loop, and the concrete
+    /// type lets every walk's sampling inline without virtual dispatch.
     fn choose(&mut self, rng: &mut WalkRng) -> Self::Choice;
 
-    /// Applies a decision from [`BatchWalk::choose`]. `choose` + `commit`
-    /// ≡ [`StateWalk::step`], bit for bit.
+    /// Applies a decision from [`StateWalk::choose`].
     fn commit(&mut self, choice: Self::Choice);
+
+    /// Advances one step: `commit(choose(rng))`.
+    #[inline]
+    fn step(&mut self, rng: &mut WalkRng) {
+        let c = self.choose(rng);
+        self.commit(c);
+    }
 
     /// Hints the graph to prefetch what `commit(choice)` will load (the
     /// incoming state's CSR offset entries). Call between `choose` and
     /// `commit`, ideally with unrelated work in between.
-    fn prefetch_next(&self, choice: &Self::Choice);
+    #[inline]
+    fn prefetch_next(&self, _choice: &Self::Choice) {}
 
     /// Hints the graph to prefetch the adjacency lines the *post-commit*
     /// window push will binary-search (the entering nodes' neighbor
     /// slices). Call right after `commit(choice)`, with the same choice.
-    fn prefetch_entering(&self, choice: &Self::Choice);
+    #[inline]
+    fn prefetch_entering(&self, _choice: &Self::Choice) {}
 }
 
 /// The effective degree used in stationary-distribution formulas: the true
@@ -110,27 +109,31 @@ mod tests {
         assert_eq!(effective_degree(0, false), 0);
     }
 
-    /// `choose` + `commit` (with prefetch hints interleaved) must be
-    /// bit-identical to `step`: same states, same cached degrees, same
-    /// RNG stream position after every transition. This is the contract
-    /// the batched lock-step engine's golden-bit guarantee rests on.
+    /// The prefetch hints are unobservable: a walk driven with both
+    /// hints interleaved around every `choose`/`commit` — the lock-step
+    /// engine's schedule — visits the same states, reports the same
+    /// cached degrees, and leaves the RNG at the same position as one
+    /// driven by bare `step`s. The engine's golden-bit guarantee across
+    /// group widths rests on this.
     #[test]
-    fn choose_commit_composition_is_bit_identical_to_step() {
+    fn prefetch_hints_are_unobservable() {
         use crate::rng::{export_rng_state, rng_from_seed};
         use crate::{G2Walk, GdWalk, SrwWalk};
         use gx_graph::generators::classic;
 
-        fn check<W: crate::BatchWalk>(mut a: W, mut b: W, seed: u64, steps: usize) {
+        fn check<W: StateWalk>(mut bare: W, mut hinted: W, seed: u64, steps: usize) {
             let mut ra = rng_from_seed(seed);
             let mut rb = rng_from_seed(seed);
             for _ in 0..steps {
-                a.step(&mut ra);
-                let c = b.choose(&mut rb);
-                b.prefetch_next(&c);
-                b.commit(c);
-                b.prefetch_entering(&c);
-                assert_eq!(a.state(), b.state());
-                assert_eq!(a.state_degree(), b.state_degree());
+                bare.step(&mut ra);
+                let c = hinted.choose(&mut rb);
+                hinted.prefetch_next(&c);
+                hinted.prefetch_entering(&c);
+                hinted.commit(c);
+                hinted.prefetch_next(&c);
+                hinted.prefetch_entering(&c);
+                assert_eq!(bare.state(), hinted.state());
+                assert_eq!(bare.state_degree(), hinted.state_degree());
                 assert_eq!(export_rng_state(&ra), export_rng_state(&rb));
             }
         }

@@ -1,18 +1,21 @@
-//! Conformance suite for the lock-step batched walker engine.
+//! Conformance suite for the engine's group widths.
 //!
-//! The hard contract: for every batch width B, every walker fan-out, and
-//! both budget kinds, each walker's sample sequence — and therefore the
-//! merged raw scores, `BatchStats`, and `AdaptiveReport` — is
-//! **bit-identical** to the scalar engine's. Batching is memory-level
-//! parallelism only; it must never move a sample.
+//! Every chain advances through one engine, which runs walkers in groups
+//! of `batch_width` lanes: a one-lane group steps and scores back to
+//! back, a wider group runs its lanes in lock step. The hard contract:
+//! for every batch width B, every walker fan-out, and both budget kinds,
+//! each walker's sample sequence — and therefore the merged raw scores,
+//! `BatchStats`, and `AdaptiveReport` — is **bit-identical** to width
+//! 1's. Batching is memory-level parallelism only; it must never move a
+//! sample.
 //!
 //! * matrix — B ∈ {1, 2, 8, 32} × walkers ∈ {1, 2, 8} × fixed/adaptive,
-//!   each cell compared bitwise against the scalar golden run;
+//!   each cell compared bitwise against the width-1 golden run;
 //! * every walk flavor — d = 1 (SRW), d = 2 (edge walk), d = 3
 //!   (enumerating walk), CSS and plain, NB and plain;
-//! * engine cross-resume — a checkpoint taken under the scalar engine
-//!   finishes bit-identically under the batched engine, and vice versa,
-//!   in-memory and through the versioned on-disk envelope;
+//! * cross-width resume — a checkpoint taken at width 1 finishes
+//!   bit-identically at a wider width, and vice versa, in-memory and
+//!   through the versioned on-disk envelope;
 //! * `batch_width(0)` is the typed [`GxError::ZeroBatchWidth`], not a
 //!   panic.
 

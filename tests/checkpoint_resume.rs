@@ -20,9 +20,77 @@
 use graphlet_rw::graph::generators::classic;
 use graphlet_rw::walks::{rng_from_seed, SrwWalk};
 use graphlet_rw::{
-    CheckpointError, Corruption, EstimatorConfig, FailingWriter, FaultPlan, GxError, Progress,
-    Runner, StoppingRule, WalkerStatus,
+    CheckpointError, EstimatorConfig, FaultPlan, GxError, Progress, Runner, StoppingRule,
+    WalkerStatus,
 };
+use std::io::Write;
+
+/// One deterministic way to damage a serialized snapshot before handing
+/// it to `Runner::resume`. Every corrupted image must surface as a typed
+/// `CheckpointError`, never a panic or a silently-wrong resume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Corruption {
+    /// Keep only the first `len` bytes of the image.
+    Truncate { len: usize },
+    /// Flip the single bit at global bit index `bit` (byte `bit / 8`,
+    /// mask `1 << (bit % 8)`).
+    FlipBit { bit: usize },
+}
+
+impl Corruption {
+    /// Applies the corruption to a snapshot image, returning the damaged
+    /// copy (the original is untouched).
+    fn apply(self, snapshot: &[u8]) -> Vec<u8> {
+        match self {
+            Self::Truncate { len } => snapshot[..len.min(snapshot.len())].to_vec(),
+            Self::FlipBit { bit } => {
+                assert!(bit / 8 < snapshot.len(), "bit index outside the snapshot");
+                let mut out = snapshot.to_vec();
+                out[bit / 8] ^= 1 << (bit % 8);
+                out
+            }
+        }
+    }
+}
+
+/// A `Write` adapter that forwards up to `byte_budget` bytes and then
+/// fails every further write with `ErrorKind::WriteZero` — the
+/// byte-granular checkpoint-write fault. A failed `RunHandle::checkpoint`
+/// through this writer must leave the handle able to finish
+/// bit-identically.
+#[derive(Debug)]
+struct FailingWriter<W> {
+    inner: W,
+    remaining: usize,
+}
+
+impl<W> FailingWriter<W> {
+    fn new(inner: W, byte_budget: usize) -> Self {
+        Self { inner, remaining: byte_budget }
+    }
+}
+
+impl<W: Write> Write for FailingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        if self.remaining == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::WriteZero,
+                "injected checkpoint write fault",
+            ));
+        }
+        let n = buf.len().min(self.remaining);
+        let written = self.inner.write(&buf[..n])?;
+        self.remaining -= written;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
 
 fn rule() -> StoppingRule {
     StoppingRule {

@@ -242,41 +242,60 @@ fn handle_resume_is_bit_identical_to_one_shot_for_every_fanout() {
     let g = classic::lollipop(6, 5);
     let cfg = EstimatorConfig::recommended(4);
     for walkers in [1usize, 2, 8] {
-        // Fixed budget, advanced in ragged increments.
-        let runner = Runner::new(cfg.clone()).steps(10_000).seed(11).walkers(walkers);
-        let one_shot = runner.run(&g).unwrap();
-        let mut handle = runner.start(&g).unwrap();
-        for windows in [1usize, 137, 1_000, 64, usize::MAX] {
-            handle.advance(windows);
+        // Fixed budgets advanced in ragged increments, at width 1 (every
+        // walker its own one-lane group) and width 4 (lock-step groups).
+        // 10_003 leaves walker shares unequal, so the last increment
+        // runs groups whose lanes have different budgets; the second 1
+        // is a resumed lane scoring a single window.
+        for steps in [10_000usize, 10_003] {
+            let one_shot =
+                Runner::new(cfg.clone()).steps(steps).seed(11).walkers(walkers).run(&g).unwrap();
+            for width in [1usize, 4] {
+                let runner = Runner::new(cfg.clone())
+                    .steps(steps)
+                    .seed(11)
+                    .walkers(walkers)
+                    .batch_width(width);
+                let mut handle = runner.start(&g).unwrap();
+                for windows in [1usize, 137, 1, 1_000, 64, usize::MAX] {
+                    handle.advance(windows);
+                }
+                assert!(handle.is_finished());
+                let resumed = handle.finish();
+                let cell = format!("fixed {steps}, walkers={walkers}, width={width}");
+                assert_eq!(bits(&one_shot), bits(&resumed), "{cell}");
+                assert_eq!(one_shot.valid_samples, resumed.valid_samples, "{cell}");
+                assert_eq!(one_shot.accuracy, resumed.accuracy, "{cell}");
+            }
         }
-        assert!(handle.is_finished());
-        let resumed = handle.finish();
-        assert_eq!(bits(&one_shot), bits(&resumed), "fixed, walkers={walkers}");
-        assert_eq!(one_shot.valid_samples, resumed.valid_samples);
-        assert_eq!(one_shot.accuracy, resumed.accuracy, "fixed, walkers={walkers}");
         // Adaptive budget on the rule's natural schedule (the check
         // cadence decides where the run stops).
-        let runner = Runner::new(cfg.clone()).until(rule()).seed(11).walkers(walkers);
-        let one_shot = runner.run(&g).unwrap();
-        let mut handle = runner.start(&g).unwrap();
-        let mut increments = 0;
-        while !handle.is_finished() {
-            let p = handle.advance(rule().check_every);
-            increments += 1;
-            assert_eq!(p.steps, handle.steps());
-            assert!(increments <= 1 + rule().max_steps / rule().check_every, "must terminate");
+        let one_shot =
+            Runner::new(cfg.clone()).until(rule()).seed(11).walkers(walkers).run(&g).unwrap();
+        for width in [1usize, 4] {
+            let runner =
+                Runner::new(cfg.clone()).until(rule()).seed(11).walkers(walkers).batch_width(width);
+            let mut handle = runner.start(&g).unwrap();
+            let mut increments = 0;
+            while !handle.is_finished() {
+                let p = handle.advance(rule().check_every);
+                increments += 1;
+                assert_eq!(p.steps, handle.steps());
+                assert!(increments <= 1 + rule().max_steps / rule().check_every, "must terminate");
+            }
+            let resumed = handle.finish();
+            let cell = format!("adaptive, walkers={walkers}, width={width}");
+            assert_eq!(bits(&one_shot), bits(&resumed), "{cell}");
+            assert_eq!(one_shot.steps, resumed.steps, "{cell}");
+            assert_eq!(one_shot.accuracy, resumed.accuracy, "{cell}");
+            assert_eq!(one_shot.adaptive, resumed.adaptive, "{cell}");
+            // Threaded increments land on the same bits as sequential ones.
+            let mut handle = runner.start(&g).unwrap();
+            while !handle.is_finished() {
+                handle.advance_par(rule().check_every);
+            }
+            assert_eq!(bits(&handle.finish()), bits(&resumed), "advance_par, {cell}");
         }
-        let resumed = handle.finish();
-        assert_eq!(bits(&one_shot), bits(&resumed), "adaptive, walkers={walkers}");
-        assert_eq!(one_shot.steps, resumed.steps);
-        assert_eq!(one_shot.accuracy, resumed.accuracy);
-        assert_eq!(one_shot.adaptive, resumed.adaptive, "adaptive, walkers={walkers}");
-        // Threaded increments land on the same bits as sequential ones.
-        let mut handle = runner.start(&g).unwrap();
-        while !handle.is_finished() {
-            handle.advance_par(rule().check_every);
-        }
-        assert_eq!(bits(&handle.finish()), bits(&resumed), "advance_par, walkers={walkers}");
     }
 }
 
