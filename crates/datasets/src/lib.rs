@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 pub mod load;
 
-pub use load::{LoadedDataset, MappedDataset, MMAP_ENV};
+pub use load::{LoadedDataset, MappedDataset};
 
 /// A named synthetic dataset with lazily built graph and ground truth.
 pub struct Dataset {

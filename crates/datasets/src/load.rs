@@ -17,10 +17,6 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Environment variable naming a `.gxsn` snapshot to map instead of
-/// parsing an edge list (see [`MappedDataset::from_env`]).
-pub const MMAP_ENV: &str = "GX_DATASET_MMAP";
-
 /// A graph loaded from an external edge list, with the id remap needed
 /// to translate results back to the file's original ids.
 #[derive(Debug)]
@@ -104,14 +100,6 @@ impl MappedDataset {
             .unwrap_or_else(|| "dataset".to_string());
         let graph = Arc::new(MmapGraph::open(path)?);
         Ok(Self { name, graph })
-    }
-
-    /// Maps the snapshot named by `GX_DATASET_MMAP`, if set. Returns
-    /// `None` when the variable is absent so callers fall back to their
-    /// default dataset; a set-but-unreadable path is an error, not a
-    /// silent fallback.
-    pub fn from_env() -> Option<Result<Self, SnapshotError>> {
-        std::env::var_os(MMAP_ENV).map(Self::open)
     }
 
     /// Original file id of compact node `node` (identity when the

@@ -5,8 +5,8 @@
 //! OSNs" (§1). Concretely: given a node you may fetch its adjacency list;
 //! nothing else is visible. [`GraphAccess`] encodes exactly that surface,
 //! and every sampling algorithm in the workspace is generic over it, so the
-//! same code runs against an in-memory [`Graph`] or a metered [`ApiGraph`]
-//! that simulates a crawler.
+//! same code runs against an in-memory [`Graph`], an on-disk snapshot, or
+//! a metered [`ApiGraph`] over any of them that simulates a crawler.
 
 use crate::csr::Graph;
 use crate::NodeId;
@@ -227,22 +227,28 @@ impl ApiStats {
 
 /// A metered wrapper that simulates crawling a remote graph through an API.
 ///
-/// Every [`GraphAccess`] method that needs a node's adjacency list counts
-/// as an API request; distinct nodes are tracked separately to model a
-/// caching crawler.
-pub struct ApiGraph<'g> {
-    inner: &'g Graph,
+/// Wraps any [`GraphAccess`] backend — the in-RAM [`Graph`], a mapped
+/// GXSN or a compressed GXSC snapshot, or a reference to one
+/// (`ApiGraph::new(&g)`). Every [`GraphAccess`] method that needs a
+/// node's adjacency list counts as one API request; distinct nodes are
+/// tracked separately to model a caching crawler. Adjacency reads are
+/// forwarded to the inner backend's `visit_neighbors`, so a decoding
+/// backend is read through its bounded cache, never through a pinned
+/// `neighbors()` slice.
+pub struct ApiGraph<G: GraphAccess> {
+    inner: G,
     fetched: RefCell<Vec<bool>>,
     distinct: Cell<u64>,
     total: Cell<u64>,
 }
 
-impl<'g> ApiGraph<'g> {
-    /// Wraps an in-memory graph as a simulated remote graph.
-    pub fn new(inner: &'g Graph) -> Self {
+impl<G: GraphAccess> ApiGraph<G> {
+    /// Wraps `inner` as a simulated remote graph.
+    pub fn new(inner: G) -> Self {
+        let n = inner.num_nodes();
         Self {
             inner,
-            fetched: RefCell::new(vec![false; inner.num_nodes()]),
+            fetched: RefCell::new(vec![false; n]),
             distinct: Cell::new(0),
             total: Cell::new(0),
         }
@@ -271,12 +277,12 @@ impl<'g> ApiGraph<'g> {
     }
 
     /// The wrapped graph.
-    pub fn inner(&self) -> &'g Graph {
-        self.inner
+    pub fn inner(&self) -> &G {
+        &self.inner
     }
 }
 
-impl GraphAccess for ApiGraph<'_> {
+impl<G: GraphAccess> GraphAccess for ApiGraph<G> {
     fn num_nodes(&self) -> usize {
         self.inner.num_nodes()
     }
@@ -300,6 +306,13 @@ impl GraphAccess for ApiGraph<'_> {
         let probe = if self.inner.degree(u) <= self.inner.degree(v) { u } else { v };
         self.record(probe);
         self.inner.has_edge(u, v)
+    }
+
+    // `neighbor_at` and `extend_neighbors` keep their defaults, which
+    // read through this one request.
+    fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(&[NodeId])) {
+        self.record(v);
+        self.inner.visit_neighbors(v, f);
     }
 }
 

@@ -493,6 +493,34 @@ mod tests {
     }
 
     #[test]
+    fn api_meter_reads_through_the_decode_cache() {
+        let g = sample();
+        let path = tmp("meter.gxsc");
+        write_gxsc_with_block(&g, None, &path, 4).expect("write");
+        let c = CompressedGraph::open(&path).expect("open");
+        let api = crate::ApiGraph::new(&c);
+        // One request per accessor, each served without `neighbors()`:
+        // a metered read must not pin a decoded block.
+        let charged = |requests: u64| {
+            assert_eq!(api.stats().total_requests, requests);
+            assert_eq!(c.pinned_len(), 0, "read {requests} pinned a block");
+        };
+        assert_eq!(api.degree(0), g.degree(0));
+        charged(1);
+        assert!(api.has_edge(1, 2));
+        charged(2);
+        assert_eq!(api.neighbor_at(2, 1), g.neighbors(2)[1]);
+        charged(3);
+        api.visit_neighbors(3, &mut |nbrs| assert_eq!(nbrs, g.neighbors(3)));
+        charged(4);
+        let mut out = Vec::new();
+        api.extend_neighbors(5, &mut out);
+        assert_eq!(out, g.neighbors(5));
+        charged(5);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn materialized_neighbors_slice_is_stable() {
         // Block size 1 over 150 nodes: more blocks than the LRU holds.
         let g = classic::star(150);

@@ -145,16 +145,17 @@ pub fn read_edge_list_compact<R: Read>(reader: R) -> Result<(Graph, NodeIdMap), 
     ids.dedup();
     if ids.len() > u32::MAX as usize {
         return Err(GraphError::NodeOutOfRange {
-            node: *ids.last().expect("non-empty id set"),
+            node: ids.last().copied().unwrap_or(0),
             num_nodes: u32::MAX as usize,
         });
     }
     let map = NodeIdMap { originals: ids };
+    // Every endpoint is in the sorted id set, so its rank there is its
+    // compact id.
+    let compact = |id: u64| map.originals.partition_point(|&o| o < id) as crate::NodeId;
     let mut b = GraphBuilder::with_edge_capacity(map.len(), edges.len());
     for (u, v) in edges {
-        let cu = map.compact(u).expect("endpoint is in the id set");
-        let cv = map.compact(v).expect("endpoint is in the id set");
-        b.add_edge(cu, cv)?;
+        b.add_edge(compact(u), compact(v))?;
     }
     Ok((b.build(), map))
 }
@@ -364,32 +365,84 @@ mod tests {
         assert_eq!(map.originals(), &[5, 9]);
     }
 
-    #[test]
-    fn streaming_file_loader_matches_buffered_reader_exactly() {
-        // Sparse ids, duplicate edges (both orders), self-loops, a
-        // self-loop-only id (must become an isolated node), comments.
-        let text = "# messy KONECT-style dump\n\
-                    1000000000 7\n\
-                    7 1000000000\n\
-                    7 42\n\
-                    42 7\n\
-                    42 42\n\
-                    999 999\n\
-                    % trailing comment\n\
-                    7 13\n";
-        let (buffered, buffered_map) = read_edge_list_compact(text.as_bytes()).unwrap();
-        let dir = std::env::temp_dir().join("gx_graph_io_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("messy.txt");
-        std::fs::write(&path, text).unwrap();
-        let (streamed, streamed_map) = read_edge_list_compact_file(&path).unwrap();
-        assert_eq!(streamed, buffered);
-        assert_eq!(streamed_map, buffered_map);
-        // The self-loop-only id 999 is present but isolated.
-        let c999 = streamed_map.compact(999).unwrap();
-        assert_eq!(streamed.degree(c999), 0);
-        assert_eq!(streamed.num_edges(), 3);
-        std::fs::remove_file(&path).ok();
+    /// Ids the generated edge lists draw from: dense, sparse, and both
+    /// ends of the `u32`/`u64` ranges.
+    const POOL: [u64; 12] = [
+        0,
+        1,
+        2,
+        7,
+        42,
+        999,
+        1_000_000_000,
+        1_000_000_007,
+        u32::MAX as u64,
+        u32::MAX as u64 + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// Lines no loader may accept.
+    const MALFORMED: [&str; 5] = ["x 1", "7", "-1 3", "18446744073709551616 0", "1 2.5"];
+
+    /// Renders generated `(kind, a, b)` triples as edge-list text: mostly
+    /// edges, plus duplicates in both orders, self-loops, comments, blank
+    /// lines and (rarely) a malformed line. Also returns the sorted ids
+    /// named on edge lines, self-loop-only ones included.
+    fn edge_list_text(lines: &[(u32, usize, usize)]) -> (String, Vec<u64>) {
+        let mut text = String::new();
+        let mut ids = Vec::new();
+        for &(kind, a, b) in lines {
+            let (u, v) = (POOL[a], POOL[b]);
+            let sep = ["\t", " ", "  "][a % 3];
+            let line = match kind {
+                0 => MALFORMED[a % MALFORMED.len()].to_string(),
+                1..=3 => format!("{} comment {u}", ["#", "%"][b % 2]),
+                4..=5 => String::new(),
+                6..=9 => {
+                    ids.push(u);
+                    format!("{u}{sep}{u}")
+                }
+                10..=17 => format!("{u}{sep}{v}\n{v} {u}"),
+                18..=21 => format!("{u} {v}\n {u}{sep}{v} "),
+                _ => format!("{u}{sep}{v}"),
+            };
+            if kind >= 10 {
+                ids.extend([u, v]);
+            }
+            text.push_str(&line);
+            text.push('\n');
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        (text, ids)
+    }
+
+    proptest::proptest! {
+        /// The streaming two-pass file loader and the buffered reader
+        /// agree on every edge list: the same graph and id map, or an
+        /// error from both.
+        #[test]
+        fn streaming_file_loader_matches_buffered_reader_exactly(
+            lines in proptest::collection::vec((0u32..64, 0usize..POOL.len(), 0usize..POOL.len()), 0..40),
+        ) {
+            let (text, ids) = edge_list_text(&lines);
+            let path = std::env::temp_dir()
+                .join(format!("gx_graph_io_stream_{}.txt", std::process::id()));
+            std::fs::write(&path, &text).unwrap();
+            let streamed = read_edge_list_compact_file(&path);
+            std::fs::remove_file(&path).ok();
+            match (read_edge_list_compact(text.as_bytes()), streamed) {
+                (Ok(buffered), Ok(streamed)) => {
+                    proptest::prop_assert_eq!(buffered.1.originals(), &ids[..], "{text}");
+                    proptest::prop_assert_eq!(streamed, buffered, "{text}");
+                }
+                (Err(_), Err(_)) => {}
+                (buffered, streamed) => {
+                    panic!("loaders disagree on {text:?}: buffered {buffered:?}, streamed {streamed:?}")
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`GraphAccess`] — the *restricted access* abstraction of the paper:
 //!   algorithms written against this trait can only look at one node's
 //!   neighborhood at a time, exactly like crawling an OSN through its API.
-//!   [`ApiGraph`] wraps a graph and meters API usage;
+//!   [`ApiGraph`] wraps any `GraphAccess` backend and meters API usage;
 //! * [`generators`] — seeded synthetic graph families used as substitutes
 //!   for the paper's proprietary datasets (see `DESIGN.md` §3);
 //! * [`subrel`] — explicit construction of the d-node subgraph relationship

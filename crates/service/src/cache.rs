@@ -193,8 +193,8 @@ impl SnapshotCache {
     /// Maps `path` and interns it — or, if a snapshot with the same
     /// header fingerprint is already cached, returns the existing
     /// mapping *without mapping the file again* (the header read is 64
-    /// bytes). This is what makes repeated `GX_DATASET_MMAP` submissions
-    /// of one snapshot share a single mmap.
+    /// bytes). This is what makes repeated submissions of one snapshot
+    /// path share a single mmap.
     pub fn from_mapped(
         &self,
         path: impl AsRef<Path>,
