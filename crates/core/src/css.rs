@@ -36,10 +36,13 @@
 //! subsets computing `1/d_eff` into a fixed stack array (`recip`), and one
 //! streaming pass over the mask's `interiors` slice accumulating the sum
 //! of products. Subset degrees come from the [`NodeWindow`]'s cached slot
-//! degrees (d ≤ 2) or the window's own recorded state degrees (d ≥ 3,
-//! falling back to [`gd_state_degree_with`] only for subsets the walk did
-//! not visit: `d` adjacency-list fetches and one sort per subset, no
-//! adjacency probes) — the graph is not touched at all for d ≤ 2.
+//! degrees (d ≤ 2) or the window's own recorded state degrees (d ≥ 3)
+//! — the graph is not touched at all for d ≤ 2. A d ≥ 3 subset the walk
+//! did not visit falls back to [`gd_state_degree_with`] (`d` list
+//! fetches, one merge, candidates counted per position mask, no
+//! adjacency probes), behind a 16-entry memo of recent fallback degrees
+//! keyed by the sorted node set: consecutive windows share all but one
+//! node, so most unvisited subsets recur while they stay in the window.
 //! Nothing is heap-allocated and nothing is recomputed that the walk
 //! already paid for, which is exactly the paper's Lemma-5 pitch: CSS
 //! reuses observed degree information, it does not buy new information.
@@ -192,7 +195,23 @@ enum Table {
     /// (still direct-indexed, still hash-free; eager precomputation of
     /// all 26k+ connected 6-node masks is not worth the startup cost for
     /// a configuration the paper never runs).
-    Lazy(Vec<Option<Box<LazyEntry>>>),
+    Lazy { k: usize, d: usize, entries: Vec<Option<Box<LazyEntry>>> },
+}
+
+impl LazyEntry {
+    fn build(k: usize, d: usize, mask: u32) -> Self {
+        let small = SmallGraph::from_mask(k, mask);
+        let cover = covering_sequences(&small, d);
+        assert!(cover.subsets.len() <= MAX_SUBSETS, "subset scratch overflow");
+        let flat = cover.flat_interiors(k - d + 1);
+        LazyEntry {
+            used: interior_used_bits(&flat),
+            interiors: flat,
+            subset_pos: cover.subsets.iter().map(|&b| lowest_two_positions(b)).collect(),
+            seq_cnt: cover.sequences.len() as u32,
+            subset_bits: cover.subsets,
+        }
+    }
 }
 
 /// Borrowed view of one mask's CSS structure, uniform over both tables.
@@ -206,12 +225,12 @@ struct EntryView<'a> {
     used: u32,
 }
 
-/// The mask's entry view. A free function over the table field (not a
-/// `&self` method) so callers can keep the view alive while mutating the
-/// disjoint scratch fields of [`CssWeights`]. The entry must exist —
-/// guaranteed after [`CssWeights::ensure_entry`] for connected masks.
+/// The mask's entry view, building a k = 6 entry on its first visit. A
+/// free function over the table field (not a `&mut self` method) so
+/// callers can keep the view alive while mutating the disjoint scratch
+/// fields of [`CssWeights`].
 #[inline]
-fn view_entry(table: &Table, stride: usize, mask: u32) -> EntryView<'_> {
+fn view_entry(table: &mut Table, stride: usize, mask: u32) -> EntryView<'_> {
     match table {
         Table::Dense(t) => {
             let e = t.entries[mask as usize];
@@ -225,8 +244,10 @@ fn view_entry(table: &Table, stride: usize, mask: u32) -> EntryView<'_> {
                 used: e.used,
             }
         }
-        Table::Lazy(entries) => {
-            let e = entries[mask as usize].as_deref().expect("entry built by ensure_entry");
+        Table::Lazy { k, d, entries } => {
+            let (k, d) = (*k, *d);
+            let e = entries[mask as usize]
+                .get_or_insert_with(|| Box::new(LazyEntry::build(k, d, mask)));
             EntryView {
                 subset_bits: &e.subset_bits,
                 subset_pos: &e.subset_pos,
@@ -257,6 +278,8 @@ pub struct CssWeights {
     subset_nodes: [NodeId; 8],
     /// Scratch for d ≥ 3 `G(d)`-degree enumeration.
     deg_scratch: GdDegreeScratch,
+    /// Recent d ≥ 3 fallback degrees (windowed path only).
+    memo: DegreeMemo,
     /// Shared `1/d` lookup (see [`recip_table`]).
     recip_of: &'static [f64; RECIP_TABLE],
 }
@@ -274,7 +297,7 @@ impl CssWeights {
         let table = if k <= 5 {
             Table::Dense(dense_css(k, d))
         } else {
-            Table::Lazy((0..1usize << num_pairs(k)).map(|_| None).collect())
+            Table::Lazy { k, d, entries: (0..1usize << num_pairs(k)).map(|_| None).collect() }
         };
         Self {
             k,
@@ -285,28 +308,9 @@ impl CssWeights {
             recip: [0.0; MAX_SUBSETS],
             subset_nodes: [0; 8],
             deg_scratch: GdDegreeScratch::default(),
+            memo: DegreeMemo::default(),
             recip_of: recip_table(),
         }
-    }
-
-    /// Builds the k = 6 entry for `mask` if it is not present yet. No-op
-    /// for the precomputed k ≤ 5 tables.
-    fn ensure_entry(&mut self, mask: u32) {
-        let Table::Lazy(entries) = &mut self.table else { return };
-        if entries[mask as usize].is_some() {
-            return;
-        }
-        let small = SmallGraph::from_mask(self.k, mask);
-        let cover = covering_sequences(&small, self.d);
-        assert!(cover.subsets.len() <= MAX_SUBSETS, "subset scratch overflow");
-        let flat = cover.flat_interiors(self.l);
-        entries[mask as usize] = Some(Box::new(LazyEntry {
-            used: interior_used_bits(&flat),
-            interiors: flat,
-            subset_pos: cover.subsets.iter().map(|&b| lowest_two_positions(b)).collect(),
-            seq_cnt: cover.sequences.len() as u32,
-            subset_bits: cover.subsets,
-        }));
     }
 
     /// `p̃(X^{(l)}) = 2|R(d)| · p(X^{(l)})` for the sample with induced
@@ -323,8 +327,7 @@ impl CssWeights {
         non_backtracking: bool,
     ) -> f64 {
         assert_eq!(nodes.len(), self.k, "sample size must match the configured k");
-        self.ensure_entry(mask);
-        let view = view_entry(&self.table, self.stride, mask);
+        let view = view_entry(&mut self.table, self.stride, mask);
         match self.l {
             1 => {
                 // p̃ = the single full-subgraph state's own degree.
@@ -359,7 +362,13 @@ impl CssWeights {
     /// [`CssWeights::sampling_probability`] (bit-for-bit), but every
     /// degree comes from bookkeeping the walk already paid for — the
     /// window's cached slot degrees for d ≤ 2, the window's recorded
-    /// state degrees for the d ≥ 3 subsets the walk itself visited.
+    /// state degrees for the d ≥ 3 subsets the walk itself visited, and
+    /// a memo of recent fallback degrees for the d ≥ 3 subsets it did not.
+    ///
+    /// One instance serves one graph: the memo keys degrees by node set
+    /// alone, the same contract the window's cached slot degrees rely
+    /// on. The memo is a cache, not state — checkpoints do not carry it,
+    /// and a resumed run refills it with the same values.
     pub fn sampling_probability_windowed<G: GraphAccess>(
         &mut self,
         g: &G,
@@ -368,15 +377,15 @@ impl CssWeights {
         non_backtracking: bool,
     ) -> f64 {
         debug_assert_eq!(window.distinct_count(), self.k);
-        self.ensure_entry(mask);
-        let view = view_entry(&self.table, self.stride, mask);
+        let view = view_entry(&mut self.table, self.stride, mask);
         let slot_deg = window.slot_degrees();
         match self.l {
             1 => {
                 // The full-subgraph state is the walk's current (and
                 // only) state — its degree was recorded at push time.
                 debug_assert_eq!(view.subset_bits.len(), 1);
-                let deg = window.states().next().expect("l = 1 window").degree as usize;
+                debug_assert_eq!(window.len(), 1);
+                let deg: usize = window.states().map(|s| s.degree as usize).sum();
                 effective_degree(deg, non_backtracking) as f64
             }
             2 => l2_probability(view.seq_cnt),
@@ -399,8 +408,9 @@ impl CssWeights {
                     }
                 } else {
                     // d ≥ 3: reuse the degrees of the l states the walk
-                    // visited (matched by slot bitmask); enumerate G(d)
-                    // neighbors only for the remaining subsets.
+                    // visited (matched by slot bitmask); count G(d)
+                    // neighbors only for the remaining subsets, through
+                    // the memo (see `DegreeMemo`).
                     //
                     // Audited for the duplicate-node / revisit case: the
                     // bitmask match cannot alias. This path only runs for
@@ -440,7 +450,7 @@ impl CssWeights {
                             .map(|i| state_degs[i] as usize);
                         let deg = visited.unwrap_or_else(|| {
                             let n = gather_subset_nodes(bits, nodes, &mut self.subset_nodes);
-                            gd_state_degree_with(g, n, &mut self.deg_scratch)
+                            self.memo.degree(g, n, &mut self.deg_scratch)
                         });
                         self.recip[si] = lookup_recip(self.recip_of, deg, non_backtracking);
                     }
@@ -448,6 +458,47 @@ impl CssWeights {
                 accumulate(view.interiors, self.stride, &self.recip)
             }
         }
+    }
+}
+
+/// Entries in [`DegreeMemo`].
+const MEMO_ENTRIES: usize = 16;
+
+/// The `G(d)` degrees of the last [`MEMO_ENTRIES`] d ≥ 3 subsets the
+/// windowed path had to count, keyed by the sorted node set (zero-padded)
+/// and replaced round-robin. A fixed array scanned linearly: no hashing
+/// (the `determinism` rule) and no allocation per step. A degree depends
+/// only on the graph, so a hit returns exactly what counting would.
+#[derive(Debug, Default)]
+struct DegreeMemo {
+    keys: [[NodeId; 8]; MEMO_ENTRIES],
+    degrees: [usize; MEMO_ENTRIES],
+    len: usize,
+    next: usize,
+}
+
+impl DegreeMemo {
+    /// The degree of the state `nodes` (any order), from the memo or by
+    /// [`gd_state_degree_with`].
+    // gx-lint: no_alloc
+    fn degree<G: GraphAccess>(
+        &mut self,
+        g: &G,
+        nodes: &[NodeId],
+        scratch: &mut GdDegreeScratch,
+    ) -> usize {
+        let mut key = [0 as NodeId; 8];
+        key[..nodes.len()].copy_from_slice(nodes);
+        key[..nodes.len()].sort_unstable();
+        if let Some(i) = self.keys[..self.len].iter().position(|k| *k == key) {
+            return self.degrees[i];
+        }
+        let degree = gd_state_degree_with(g, &key[..nodes.len()], scratch);
+        self.keys[self.next] = key;
+        self.degrees[self.next] = degree;
+        self.next = (self.next + 1) % MEMO_ENTRIES;
+        self.len = (self.len + 1).min(MEMO_ENTRIES);
+        degree
     }
 }
 
@@ -790,6 +841,52 @@ mod tests {
                 walk.step(&mut rng);
             }
             assert!(scored > 50, "walk must score enough windows to exercise reuse ({scored})");
+        }
+    }
+
+    /// The d ≥ 3 windowed path — reused state degrees, the subset-degree
+    /// memo and the merge-and-count fallback under it — on adversarial
+    /// shapes, bit for bit against the graph-derived path, plain and
+    /// non-backtracking: a star, where every state has an articulation
+    /// position (the hub); a clique, where every candidate is valid for
+    /// every drop; and k = 6 with d = 3 on a skewed graph, which runs the
+    /// lazy k = 6 table, stride-2 interiors, and a memo that sees many
+    /// distinct subsets with distinct degrees.
+    #[test]
+    fn windowed_matches_general_on_adversarial_graphs() {
+        use crate::window::NodeWindow;
+        use gx_graph::generators::holme_kim;
+        use gx_walks::{random_start_state, rng_from_seed, GdWalk, StateWalk};
+        let cases = [
+            ("star", classic::star(12), 5, 3),
+            ("star", classic::star(12), 6, 3),
+            ("clique", classic::complete(9), 5, 3),
+            ("clique", classic::complete(9), 6, 4),
+            ("skewed", holme_kim(150, 3, 0.4, &mut rng_from_seed(11)), 6, 3),
+        ];
+        for (name, g, k, d) in &cases {
+            for nb in [false, true] {
+                let mut rng = rng_from_seed(41);
+                let start = random_start_state(g, *d, &mut rng);
+                let mut walk = GdWalk::new(g, &start, nb);
+                let mut w = NodeWindow::new(k - d + 1, *d);
+                let mut css = CssWeights::new(*k, *d);
+                let mut scored = 0usize;
+                for _ in 0..2_000 {
+                    let deg = walk.state_degree();
+                    w.push(g, walk.state(), deg);
+                    if w.is_valid_sample() {
+                        let (mask, nodes) = w.sample();
+                        let a = css.sampling_probability_windowed(g, mask, &w, nb);
+                        let b = css.sampling_probability(g, mask, nodes, nb);
+                        let at = format!("{name} k={k} d={d} nb={nb} mask {mask:#x}");
+                        assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                        scored += 1;
+                    }
+                    walk.step(&mut rng);
+                }
+                assert!(scored > 200, "{name} k={k} d={d} nb={nb}: {scored} windows scored");
+            }
         }
     }
 

@@ -177,13 +177,15 @@ impl NodeWindow {
     /// state, oldest first. The bitmask uses the same slot labeling as
     /// [`NodeWindow::sample`], so a CSS subset whose bits equal a state's
     /// bitmask *is* that state and can reuse its degree instead of
-    /// re-enumerating `G(d)` neighbors.
+    /// re-enumerating `G(d)` neighbors. Every state node holds a slot
+    /// (`push` acquires it, and checkpoint decoding rejects a window
+    /// where one does not); a node without one would only drop its bit,
+    /// leaving a mask that matches no d-subset, so the degree would be
+    /// counted rather than reused.
     pub fn state_slot_masks(&self) -> impl Iterator<Item = (u8, u32)> + '_ {
         self.states().map(move |s| {
-            let mut bits = 0u8;
-            for &v in s.nodes() {
-                bits |= 1 << self.slot_of(v).expect("state node is in the union");
-            }
+            let bits =
+                s.nodes().iter().fold(0u8, |bits, &v| bits | self.slot_of(v).map_or(0, |p| 1 << p));
             (bits, s.degree)
         })
     }
@@ -455,8 +457,14 @@ impl NodeWindow {
         p
     }
 
+    /// Drops one reference to `v`'s slot. Only `push_admit` releases,
+    /// and only the nodes of the state it evicts, each acquired by the
+    /// push that admitted that state.
     fn release(&mut self, v: NodeId) {
-        let p = self.slot_of(v).expect("released node must be present");
+        let Some(p) = self.slot_of(v) else {
+            debug_assert!(false, "released node {v} holds no slot");
+            return;
+        };
         self.refcount[p] -= 1;
         if self.refcount[p] > 0 {
             return;

@@ -10,16 +10,29 @@
 //!
 //! # Cost of one enumeration
 //!
-//! One shared enumerator (`for_each_gd_neighbor`) serves both the walk and
-//! [`gd_state_degree_with`] (the CSS d ≥ 3 degree fallback). It fetches
-//! each state node's adjacency list exactly once, through
-//! [`GraphAccess::visit_neighbors`], as `(node << 16) | (1 << position)`
-//! keys, and sorts the Σ deg keys once. ORing the keys of equal nodes
-//! gives every candidate the bitmask of state positions it is adjacent
-//! to, and the keys of the state's own nodes give the state's induced
-//! adjacency rows. Whether `kept ∪ {w}` is connected is then a bitmask
-//! test — `w` must touch every component of the kept nodes — so a step
-//! costs `d` list fetches plus one sort and no adjacency probes.
+//! [`GdWalk`] keeps each state position's adjacency list across steps. A
+//! step changes one state node, so `commit` drops the leaving node's
+//! list and fetches only the entering node's, through
+//! [`GraphAccess::visit_neighbors`]: once primed, a step costs one list
+//! request (a walk built by `new` or `resume` fetches all `d` lists on
+//! its first enumeration) and no adjacency probes.
+//!
+//! Every backend stores its lists strictly ascending, so the enumeration
+//! merges the `d` runs instead of sorting them, ORing the position bits
+//! of equal nodes. Each outside candidate gets the bitmask of state
+//! positions it is adjacent to, and the state's own nodes' masks are its
+//! induced adjacency rows. `kept ∪ {w}` is connected iff `w` touches
+//! every component of the kept nodes, so one small per-state table maps
+//! a candidate mask to the drop positions it keeps connected, and a
+//! candidate's validity is one lookup.
+//!
+//! Degrees never need the neighbor list: candidates are counted per
+//! position mask (at most 2^d − 1 masks) and the degree is
+//! `Σ count[mask] × |drops(mask)|`. The walk draws its `r`-th neighbor
+//! straight from the candidates, in the same `(drop, w)` order and with
+//! the same RNG calls as drawing from the materialized list.
+//! [`gd_state_degree_with`] (the CSS d ≥ 3 fallback) is the same merge
+//! and count over freshly fetched lists.
 
 use crate::rng::WalkRng;
 use crate::traits::StateWalk;
@@ -38,14 +51,22 @@ pub struct GdWalk<'g, G: GraphAccess> {
     prev: Vec<NodeId>,
     has_prev: bool,
     nb: bool,
-    /// Neighbor states of `state`, materialized as (drop_position,
-    /// incoming_node) pairs; refreshed lazily once per state.
+    /// `lists[p]` is the adjacency list of `state[p]` once `lists_valid`;
+    /// a step swaps one list, the others carry over.
+    lists: Vec<Vec<NodeId>>,
+    lists_valid: bool,
+    /// The current state's enumeration (see [`GdWalk::enumerate`]),
+    /// valid when `enumerated`: its outside candidates, the drop sets of
+    /// their masks, and how many neighbors each drop position has (the
+    /// tables boxed, so a walk stays small to move).
+    keys: Box<Keys>,
+    sets: Box<DropSets>,
+    blocks: [usize; TABLE_D],
+    degree: usize,
+    enumerated: bool,
+    /// The materialized `(drop, w)` list the oracle tests compare.
+    #[cfg(test)]
     neighbors: Vec<(u8, NodeId)>,
-    neighbors_valid: bool,
-    /// Enumeration keys, reused across steps.
-    keys: Vec<u64>,
-    /// Scratch: indices of neighbors that differ from `prev` (NB steps).
-    non_prev: Vec<usize>,
 }
 
 impl<'g, G: GraphAccess> GdWalk<'g, G> {
@@ -54,7 +75,7 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
     pub fn new(g: &'g G, start: &[NodeId], non_backtracking: bool) -> Self {
         let d = start.len();
         assert!(d >= 2, "GdWalk needs d >= 2 (use SrwWalk for d = 1)");
-        assert!(d <= 8, "GdWalk supports d <= 8");
+        assert!(d <= TABLE_D, "GdWalk supports d <= {TABLE_D}");
         let mut state = start.to_vec();
         state.sort_unstable();
         assert!(state.windows(2).all(|w| w[0] < w[1]), "start state has duplicate nodes");
@@ -69,18 +90,23 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
             prev: Vec::with_capacity(d),
             has_prev: false,
             nb: non_backtracking,
+            lists: vec![Vec::new(); d],
+            lists_valid: false,
+            keys: Box::default(),
+            sets: Box::default(),
+            blocks: [0; TABLE_D],
+            degree: 0,
+            enumerated: false,
+            #[cfg(test)]
             neighbors: Vec::new(),
-            neighbors_valid: false,
-            keys: Vec::new(),
-            non_prev: Vec::new(),
         }
     }
 
     /// Rebuilds a walk at a checkpointed position: current state plus the
-    /// previous state the non-backtracking rule remembers. The neighbor
-    /// materialization is rebuilt lazily on the next step (it is a pure
-    /// function of the state), so resuming against the same graph is
-    /// bit-identical to never having stopped.
+    /// previous state the non-backtracking rule remembers. The adjacency
+    /// lists and the enumeration are rebuilt lazily on the next step
+    /// (they are pure functions of the state), so resuming against the
+    /// same graph is bit-identical to never having stopped.
     pub fn resume(
         g: &'g G,
         current: &[NodeId],
@@ -104,36 +130,146 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
         self.has_prev.then_some(self.prev.as_slice())
     }
 
-    /// Enumerates the neighbor set of the current state (idempotent per
-    /// state).
-    fn refresh_neighbors(&mut self) {
-        if self.neighbors_valid {
+    /// Enumerates the current state (idempotent per state): merges the
+    /// state's lists into candidates, tabulates the drop sets and counts
+    /// each drop position's neighbors. The first call after `new` or
+    /// `resume` fetches all `d` lists; later states reuse the lists
+    /// `apply` keeps current.
+    // gx-lint: no_alloc
+    fn enumerate(&mut self) {
+        if self.enumerated {
             return;
         }
-        self.neighbors.clear();
-        let neighbors = &mut self.neighbors;
-        for_each_gd_neighbor(self.g, &self.state, &mut self.keys, |drop, w| {
-            neighbors.push((drop, w));
-        });
-        self.neighbors_valid = true;
+        if !self.lists_valid {
+            for (list, &v) in self.lists.iter_mut().zip(&self.state) {
+                fetch_list(self.g, v, list);
+            }
+            self.lists_valid = true;
+        }
+        let mut runs: [&[NodeId]; TABLE_D] = [&[]; TABLE_D];
+        for (run, list) in runs.iter_mut().zip(&self.lists) {
+            *run = list;
+        }
+        let d = self.d;
+        self.sets.rebuild(&self.keys.merge(&self.state, &runs[..d]), d);
+        self.blocks = [0; TABLE_D];
+        for (&count, &drops) in self.keys.count.iter().zip(&self.sets.table).take(1 << d) {
+            let mut drops = drops;
+            while drops != 0 {
+                self.blocks[drops.trailing_zeros() as usize] += count as usize;
+                drops &= drops - 1;
+            }
+        }
+        self.degree = self.blocks.iter().sum();
+        self.enumerated = true;
     }
 
-    /// The materialized neighbor list (for tests and for the CSS helper
-    /// that needs degrees of arbitrary states).
-    pub fn neighbor_count(&mut self) -> usize {
-        self.refresh_neighbors();
-        self.neighbors.len()
+    /// The `r`-th neighbor, in the order drop ascending then `w`
+    /// ascending, among those `avoid` does not skip. `r` is below their
+    /// number, so the scan always ends on its target (were it not, it
+    /// would return the block's last neighbor, still a valid move).
+    // gx-lint: no_alloc
+    fn nth_neighbor(&self, mut r: usize, avoid: &Avoid) -> (u8, NodeId) {
+        let mut drop = 0usize;
+        while drop + 1 < self.d && r >= self.blocks[drop] - avoid.count[drop] {
+            r -= self.blocks[drop] - avoid.count[drop];
+            drop += 1;
+        }
+        let skip = if (avoid.drops >> drop) & 1 == 1 { &avoid.nodes[..avoid.len] } else { &[] };
+        let mut pick = 0;
+        for &key in &self.keys.keys {
+            let w = (key >> 16) as NodeId;
+            if (self.sets.table[usize::from(key as u16)] >> drop) & 1 == 1 && !skip.contains(&w) {
+                pick = w;
+                if r == 0 {
+                    break;
+                }
+                r -= 1;
+            }
+        }
+        (drop as u8, pick)
     }
 
+    /// The neighbors the non-backtracking rule avoids: the one move back
+    /// to `prev`, i.e. `(drop, w)` with `state[drop] ∉ prev` and
+    /// `w ∈ prev`. Avoids nothing for a plain walk, before the first
+    /// step, or when going back is the only move (a forced backtrack).
+    // gx-lint: no_alloc
+    fn avoided(&self) -> Avoid {
+        let mut avoid = Avoid::default();
+        if !(self.nb && self.has_prev) {
+            return avoid;
+        }
+        for (pos, v) in self.state.iter().enumerate() {
+            if self.prev.binary_search(v).is_err() {
+                avoid.drops |= 1 << pos;
+            }
+        }
+        for &v in &self.prev {
+            if self.state.binary_search(&v).is_err() {
+                avoid.nodes[avoid.len] = v;
+                avoid.len += 1;
+                if let Ok(i) = self.keys.keys.binary_search_by_key(&v, |&key| (key >> 16) as NodeId)
+                {
+                    let mut drops =
+                        self.sets.table[usize::from(self.keys.keys[i] as u16)] & avoid.drops;
+                    while drops != 0 {
+                        avoid.count[drops.trailing_zeros() as usize] += 1;
+                        drops &= drops - 1;
+                    }
+                }
+            }
+        }
+        if avoid.count.iter().sum::<usize>() == self.degree {
+            return Avoid::default();
+        }
+        avoid
+    }
+
+    /// Materializes the `(drop, w)` list into `neighbors`, one
+    /// [`GdWalk::nth_neighbor`] per entry.
+    #[cfg(test)]
+    fn refresh_neighbors(&mut self) {
+        self.enumerate();
+        let all = Avoid::default();
+        self.neighbors = (0..self.degree).map(|r| self.nth_neighbor(r, &all)).collect();
+    }
+
+    /// Moves to the state with position `drop` replaced by `incoming`,
+    /// swapping the leaving node's list for the entering node's: the one
+    /// list request of a primed step.
+    // gx-lint: no_alloc
     fn apply(&mut self, drop: usize, incoming: NodeId) {
         self.prev.clear();
         self.prev.extend_from_slice(&self.state);
         self.has_prev = true;
         self.state.remove(drop);
-        let pos = self.state.binary_search(&incoming).unwrap_err();
+        let pos = self.state.partition_point(|&v| v < incoming);
         self.state.insert(pos, incoming);
-        self.neighbors_valid = false;
+        if self.lists_valid {
+            let mut list = self.lists.remove(drop);
+            fetch_list(self.g, incoming, &mut list);
+            self.lists.insert(pos, list);
+        }
+        self.enumerated = false;
     }
+}
+
+/// Neighbors a draw skips: `(drop, w)` with `drop` in `drops` and `w` in
+/// `nodes`, `count[drop]` of them per drop position.
+#[derive(Default)]
+struct Avoid {
+    drops: u8,
+    nodes: [NodeId; TABLE_D],
+    len: usize,
+    count: [usize; TABLE_D],
+}
+
+/// Replaces `out` with the adjacency list of `v` (one request).
+#[inline]
+fn fetch_list<G: GraphAccess>(g: &G, v: NodeId, out: &mut Vec<NodeId>) {
+    out.clear();
+    g.visit_neighbors(v, &mut |nbrs| out.extend_from_slice(nbrs));
 }
 
 /// Whether `nodes` (distinct) induce a connected subgraph. O(d²) adjacency
@@ -172,72 +308,88 @@ pub fn subset_is_connected<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> bool {
     }
 }
 
-/// Calls `emit(drop, w)` once per `G(d)` neighbor of `state` — the state
-/// with position `drop` replaced by the outside node `w` — in the order
-/// drop ascending, then `w` ascending.
-///
-/// `state` must be sorted, distinct, connected and hold 2 ≤ d ≤ 16 nodes.
-/// Each state node's list is fetched once; `keys` is reused scratch.
-// gx-lint: no_alloc
-fn for_each_gd_neighbor<G: GraphAccess>(
-    g: &G,
-    state: &[NodeId],
-    keys: &mut Vec<u64>,
-    mut emit: impl FnMut(u8, NodeId),
-) {
-    let d = state.len();
-    debug_assert!((2..=16).contains(&d), "G(d) enumeration needs 2 <= d <= 16");
-    keys.clear();
-    for (pos, &b) in state.iter().enumerate() {
-        let bit = 1u64 << pos;
-        g.visit_neighbors(b, &mut |nbrs| {
-            keys.extend(nbrs.iter().map(|&w| (u64::from(w) << 16) | bit));
-        });
-    }
-    keys.sort_unstable();
+/// Largest state whose candidate masks index a table of drop sets and
+/// mask counts (2^8 entries each): every walk state. Wider degree
+/// queries (d ≤ 16) test each candidate mask against the kept components
+/// instead.
+const TABLE_D: usize = 8;
 
-    // One pass over the sorted keys: OR each node's keys into one, keep
-    // the outside nodes (compacted in place) and read the state nodes'
-    // masks as the state's induced adjacency rows.
-    let mut adj = [0u16; 16];
-    let (mut read, mut len, mut p) = (0usize, 0usize, 0usize);
-    while read < keys.len() {
-        let node = keys[read] >> 16;
-        let mut mask = keys[read] as u16;
-        read += 1;
-        while read < keys.len() && keys[read] >> 16 == node {
-            mask |= keys[read] as u16;
-            read += 1;
-        }
-        while p < d && u64::from(state[p]) < node {
-            p += 1;
-        }
-        if p < d && u64::from(state[p]) == node {
-            adj[p] = mask;
-        } else {
-            keys[len] = (node << 16) | u64::from(mask);
-            len += 1;
+/// The outside candidates of one enumeration as `(node << 16) | mask`
+/// keys, ascending by node, where `mask` holds the state positions
+/// adjacent to `node`; for d ≤ [`TABLE_D`], also how many candidates
+/// carry each mask. Reused across enumerations.
+#[derive(Debug)]
+struct Keys {
+    keys: Vec<u64>,
+    count: [u32; 1 << TABLE_D],
+}
+
+impl Default for Keys {
+    fn default() -> Self {
+        Keys { keys: Vec::new(), count: [0; 1 << TABLE_D] }
+    }
+}
+
+impl Keys {
+    /// Merges the state's adjacency runs (`runs[p]` is the strictly
+    /// ascending list of state position `p`, `state` is sorted) into the
+    /// candidate keys and mask counts, and returns the state's induced
+    /// adjacency rows: the masks of its own nodes. The run count is fixed
+    /// at compile time so the per-node loop unrolls: exactly d for the
+    /// paper's d = 3, 4, 5, otherwise padded with empty runs.
+    // gx-lint: no_alloc
+    fn merge(&mut self, state: &[NodeId], runs: &[&[NodeId]]) -> [u16; 16] {
+        match runs.len() {
+            ..=3 => self.merge_n::<3>(state, runs),
+            4 => self.merge_n::<4>(state, runs),
+            5 => self.merge_n::<5>(state, runs),
+            6..=8 => self.merge_n::<8>(state, runs),
+            _ => self.merge_n::<16>(state, runs),
         }
     }
-    keys.truncate(len);
 
-    let full = ((1u32 << d) - 1) as u16;
-    debug_assert_eq!(closure(&adj, full, 1), full, "state must induce a connected subgraph");
-    for drop in 0..d {
-        // kept ∪ {w} is connected iff w touches every component of kept.
-        let kept = full & !(1 << drop);
-        let mut comps = [0u16; 16];
-        let (mut n_comps, mut left) = (0usize, kept);
-        while left != 0 {
-            let c = closure(&adj, kept, left & left.wrapping_neg());
-            comps[n_comps] = c;
-            n_comps += 1;
-            left &= !c;
+    /// [`Keys::merge`] over `N ≥ d` runs (the missing ones empty).
+    /// Branch-free per node: every run holding the smallest head
+    /// contributes its bit and advances.
+    // gx-lint: no_alloc
+    #[inline]
+    fn merge_n<const N: usize>(&mut self, state: &[NodeId], runs: &[&[NodeId]]) -> [u16; 16] {
+        const DONE: u64 = u64::MAX;
+        debug_assert!((2..=N).contains(&runs.len()) && state.len() == runs.len());
+        let runs: [&[NodeId]; N] = std::array::from_fn(|i| runs.get(i).copied().unwrap_or(&[]));
+        let at = |run: &[NodeId], i: usize| run.get(i).map_or(DONE, |&v| u64::from(v));
+        let mut cursor = [0usize; N];
+        let mut head: [u64; N] = std::array::from_fn(|i| at(runs[i], 0));
+        self.keys.clear();
+        self.keys.resize(runs.iter().map(|r| r.len()).sum(), 0);
+        if N <= TABLE_D {
+            self.count[..1 << N].fill(0);
         }
-        for &key in keys.iter() {
-            let mask = key as u16;
-            if comps[..n_comps].iter().all(|&c| mask & c != 0) {
-                emit(drop as u8, (key >> 16) as NodeId);
+        let (mut adj, mut out, mut p) = ([0u16; 16], 0usize, 0usize);
+        loop {
+            let node = head.iter().fold(DONE, |m, &h| m.min(h));
+            if node == DONE {
+                self.keys.truncate(out);
+                return adj;
+            }
+            let mut mask = 0u16;
+            for i in 0..N {
+                let hit = head[i] == node;
+                mask |= u16::from(hit) << i;
+                cursor[i] += usize::from(hit);
+                head[i] = at(runs[i], cursor[i]);
+            }
+            while p < state.len() && u64::from(state[p]) < node {
+                p += 1;
+            }
+            if p < state.len() && u64::from(state[p]) == node {
+                adj[p] = mask;
+            } else {
+                self.keys[out] = (node << 16) | u64::from(mask);
+                out += 1;
+                if N <= TABLE_D {
+                    self.count[usize::from(mask)] += 1;
+                }
             }
         }
     }
@@ -261,13 +413,77 @@ fn closure(adj: &[u16; 16], within: u16, seed: u16) -> u16 {
     }
 }
 
+/// For one connected state, the drop positions each candidate mask keeps
+/// connected: `state \ {drop} ∪ {w}` is connected iff `w`'s mask touches
+/// every component of `state \ {drop}`.
+#[derive(Debug)]
+struct DropSets {
+    d: usize,
+    /// The kept nodes' components, drop by drop: drop `p`'s are
+    /// `comps[ends[p − 1]..ends[p]]` (each drop leaves at most d − 1).
+    comps: [u16; 16 * 15],
+    ends: [u8; 16],
+    /// `table[mask]` = [`DropSets::scan`] of `mask`, for d ≤ [`TABLE_D`].
+    table: [u8; 1 << TABLE_D],
+}
+
+impl Default for DropSets {
+    fn default() -> Self {
+        DropSets { d: 0, comps: [0; 16 * 15], ends: [0; 16], table: [0; 1 << TABLE_D] }
+    }
+}
+
+impl DropSets {
+    /// Rebuilds the sets for the state with induced adjacency rows `adj`.
+    // gx-lint: no_alloc
+    fn rebuild(&mut self, adj: &[u16; 16], d: usize) {
+        let full = ((1u32 << d) - 1) as u16;
+        debug_assert_eq!(closure(adj, full, 1), full, "state must induce a connected subgraph");
+        self.d = d;
+        let mut n = 0usize;
+        for drop in 0..d {
+            let kept = full & !(1 << drop);
+            let mut left = kept;
+            while left != 0 {
+                let c = closure(adj, kept, left & left.wrapping_neg());
+                self.comps[n] = c;
+                n += 1;
+                left &= !c;
+            }
+            self.ends[drop] = n as u8;
+        }
+        if d <= TABLE_D {
+            for mask in 1..1usize << d {
+                self.table[mask] = self.scan(mask as u16) as u8;
+            }
+        }
+    }
+
+    /// The drops `mask` keeps connected, testing it against every
+    /// component.
+    fn scan(&self, mask: u16) -> u16 {
+        let (mut drops, mut start) = (0u16, 0usize);
+        for drop in 0..self.d {
+            let end = usize::from(self.ends[drop]);
+            if self.comps[start..end].iter().all(|&c| mask & c != 0) {
+                drops |= 1 << drop;
+            }
+            start = end;
+        }
+        drops
+    }
+}
+
 /// Reusable buffers for [`gd_state_degree_with`], so repeated degree
 /// queries (the CSS d ≥ 3 fallback issues several per sample) allocate
 /// nothing after the first call.
 #[derive(Debug, Default)]
 pub struct GdDegreeScratch {
     state: Vec<NodeId>,
-    keys: Vec<u64>,
+    /// The state nodes' lists, concatenated in state order.
+    lists: Vec<NodeId>,
+    keys: Keys,
+    sets: DropSets,
 }
 
 /// Degree of an arbitrary state in `G(d)` by neighbor enumeration — the
@@ -280,25 +496,45 @@ pub fn gd_state_degree<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> usize {
 /// [`gd_state_degree`] with caller-provided scratch. Counts the `G(d)`
 /// neighbors of `nodes` (a connected induced d-subgraph, d ≤ 16, any
 /// order) without materializing the neighbor list or constructing a
-/// walk: the same enumeration as `GdWalk::refresh_neighbors`, reduced to
-/// a counter.
+/// walk: one fetch per node and one merge, then candidates counted per
+/// position mask.
+// gx-lint: no_alloc
 pub fn gd_state_degree_with<G: GraphAccess>(
     g: &G,
     nodes: &[NodeId],
     s: &mut GdDegreeScratch,
 ) -> usize {
+    let d = nodes.len();
+    debug_assert!((2..=16).contains(&d), "G(d) enumeration needs 2 <= d <= 16");
     s.state.clear();
     s.state.extend_from_slice(nodes);
     s.state.sort_unstable();
     debug_assert!(s.state.windows(2).all(|w| w[0] < w[1]), "state has duplicate nodes");
-    let mut count = 0usize;
-    for_each_gd_neighbor(g, &s.state, &mut s.keys, |_, _| count += 1);
-    count
+    s.lists.clear();
+    let mut ends = [0usize; 16];
+    for (end, &v) in ends.iter_mut().zip(&s.state) {
+        let lists = &mut s.lists;
+        g.visit_neighbors(v, &mut |nbrs| lists.extend_from_slice(nbrs));
+        *end = s.lists.len();
+    }
+    let mut runs: [&[NodeId]; 16] = [&[]; 16];
+    let mut start = 0usize;
+    for (run, &end) in runs.iter_mut().zip(&ends[..d]) {
+        *run = &s.lists[start..end];
+        start = end;
+    }
+    s.sets.rebuild(&s.keys.merge(&s.state, &runs[..d]), d);
+    if d <= TABLE_D {
+        let per_mask = s.keys.count.iter().zip(&s.sets.table).take(1 << d);
+        per_mask.map(|(&c, &drops)| c as usize * drops.count_ones() as usize).sum()
+    } else {
+        s.keys.keys.iter().map(|&key| s.sets.scan(key as u16).count_ones() as usize).sum()
+    }
 }
 
 impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
-    /// `(drop_position, incoming_node)` — one entry of the materialized
-    /// neighbor list.
+    /// `(drop_position, incoming_node)`: the state with position `drop`
+    /// replaced by the outside node `incoming`.
     type Choice = (u8, NodeId);
 
     fn d(&self) -> usize {
@@ -310,42 +546,25 @@ impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
     }
 
     fn state_degree(&mut self) -> usize {
-        self.refresh_neighbors();
-        self.neighbors.len()
+        self.enumerate();
+        self.degree
     }
 
     fn is_non_backtracking(&self) -> bool {
         self.nb
     }
 
+    /// Uniform over the neighbors, or under non-backtracking uniform over
+    /// those other than `prev` (a forced backtrack if there are none):
+    /// the draw a materialized neighbor list would make, with the same
+    /// RNG call.
     // gx-lint: no_alloc
     fn choose(&mut self, rng: &mut WalkRng) -> (u8, NodeId) {
-        self.refresh_neighbors();
-        debug_assert!(!self.neighbors.is_empty(), "connected G(d) state must have neighbors");
-        if self.nb && self.has_prev {
-            // uniform over neighbors != prev; forced backtrack if none.
-            // `non_prev` is a reused scratch buffer — no per-step clone of
-            // the previous state, no per-step index Vec.
-            self.non_prev.clear();
-            for i in 0..self.neighbors.len() {
-                let (drop, w) = self.neighbors[i];
-                // next state equals prev iff prev = state \ {dropped} ∪ {w}
-                let dropped = self.state[drop as usize];
-                let matches_prev = self.prev.binary_search(&w).is_ok()
-                    && self.prev.binary_search(&dropped).is_err()
-                    && self.prev.len() == self.state.len();
-                if !matches_prev {
-                    self.non_prev.push(i);
-                }
-            }
-            if self.non_prev.is_empty() {
-                self.neighbors[rng.gen_range(0..self.neighbors.len())]
-            } else {
-                self.neighbors[self.non_prev[rng.gen_range(0..self.non_prev.len())]]
-            }
-        } else {
-            self.neighbors[rng.gen_range(0..self.neighbors.len())]
-        }
+        self.enumerate();
+        debug_assert!(self.degree > 0, "connected G(d) state must have neighbors");
+        let avoid = self.avoided();
+        let allowed = self.degree - avoid.count.iter().sum::<usize>();
+        self.nth_neighbor(rng.gen_range(0..allowed), &avoid)
     }
 
     // gx-lint: no_alloc
@@ -360,9 +579,8 @@ impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
 
     #[inline]
     fn prefetch_entering(&self, c: &(u8, NodeId)) {
-        // The d ≥ 3 re-enumeration after commit reads every kept node's
-        // list too, but the incoming node's is the only one not already
-        // resident from building the last neighbor set.
+        // `commit` fetches the incoming node's list, the one request of a
+        // primed step; the kept nodes' lists are already held.
         self.g.prefetch_neighbors(c.1);
     }
 }
@@ -588,9 +806,11 @@ mod tests {
         let _ = GdWalk::new(&g, &[0, 1, 1], false);
     }
 
-    /// The paper's cost unit (§6.2.1, adjacency fetches): once primed, a
-    /// `G(d)` step plus the new state's degree costs exactly `d` list
-    /// requests — one per state node — and no adjacency probes.
+    /// The paper's cost unit (§6.2.1, adjacency fetches): the first
+    /// enumeration after `new` or `resume` fetches the `d` state lists;
+    /// once primed, a `G(d)` step plus the new state's degree costs
+    /// exactly one list request — the entering node's — and no adjacency
+    /// probes.
     #[test]
     fn step_costs_d_adjacency_fetches() {
         use gx_graph::ApiGraph;
@@ -600,13 +820,21 @@ mod tests {
             let mut rng = rng_from_seed(19);
             let start = random_start_state(&g, d, &mut rng);
             let mut walk = GdWalk::new(&api, &start, nb);
+            let before = api.stats().total_requests;
             walk.state_degree();
+            assert_eq!(api.stats().total_requests - before, d as u64, "new: d = {d}, nb = {nb}");
             for _ in 0..300 {
                 let before = api.stats().total_requests;
                 walk.step(&mut rng);
                 assert!(walk.state_degree() > 0);
-                assert_eq!(api.stats().total_requests - before, d as u64, "d = {d}, nb = {nb}");
+                assert_eq!(api.stats().total_requests - before, 1, "d = {d}, nb = {nb}");
             }
+            let state = walk.state().to_vec();
+            let prev = walk.prev_state().map(<[NodeId]>::to_vec);
+            let mut resumed = GdWalk::resume(&api, &state, prev.as_deref(), nb);
+            let before = api.stats().total_requests;
+            assert_eq!(resumed.state_degree(), walk.state_degree());
+            assert_eq!(api.stats().total_requests - before, d as u64, "resume: d = {d}, nb = {nb}");
         }
     }
 
