@@ -28,9 +28,12 @@
 //!
 //! [`BatchStats`] is mergeable: independent walkers produce independent
 //! batches, so [`BatchStats::merge`] pools them with the standard
-//! parallel Welford combination — in walker order, keeping
+//! parallel Welford (Chan) combination — in walker order, keeping
 //! multi-walker [`crate::Runner`] runs deterministic per
-//! `(seed, walkers)`.
+//! `(seed, walkers)`. That merge is the only way walkers are pooled, for
+//! fixed and adaptive budgets alike: the runner rebuilds the pool from
+//! the walkers' own accumulators whenever it reads it, so a single
+//! walker's pool is its accumulator bit for bit.
 
 use crate::checkpoint::{put_f64, put_u64, put_u8, put_usize, Reader};
 use crate::error::{CheckpointError, RuleError};
@@ -64,12 +67,12 @@ pub struct BatchStats {
     /// M2 of batch total means.
     m2_total: f64,
     /// Per-type batch means in fold order (`series[i][j]` is batch `j`'s
-    /// mean of type `i`). This is what makes the statistics *resumable
-    /// and cross-checkable*: the adaptive coordinator folds only the new
-    /// suffix of each walker's series into its pooled stream per round
-    /// (no from-scratch re-pool), and the overlapping-batch-means
-    /// estimator ([`BatchStats::obm_var_of_mean`]) re-reads the series
-    /// to cross-check the Welford moments. Memory is `types × batches`
+    /// mean of type `i`; a merge concatenates its constituents' series
+    /// in merge order). This is what makes the statistics
+    /// *cross-checkable*: the overlapping-batch-means estimator
+    /// ([`BatchStats::obm_var_of_mean`]) re-reads the series to
+    /// cross-check the Welford moments, and the bounded-memory collapse
+    /// refolds it. Memory is `types × batches`
     /// floats: ~√n per type under the fixed-budget `B ≈ √n` policy, and
     /// `steps / batch_len` per type for adaptive runs (whose rule fixes
     /// the batch length) — a ROADMAP item sketches the pair-collapsing
@@ -242,29 +245,6 @@ impl BatchStats {
         }
     }
 
-    /// Folds the batches `from..` of `other`'s series into this stream,
-    /// one Welford fold per batch in batch order — the
-    /// incremental pooled-merge of the adaptive coordinator. Unlike the
-    /// moment-level Chan merge of [`BatchStats::merge`], this replays the
-    /// exact Welford fold the source accumulator performed, so a pool fed
-    /// one walker's series is *bit-identical* to that walker's own
-    /// statistics, and a pool fed round suffixes is bit-identical to a
-    /// from-scratch replay of the same chronological order.
-    pub fn fold_series_suffix(&mut self, other: &BatchStats, from: u64) {
-        assert_eq!(self.batch_len, other.batch_len, "pooled batch means need equal batch lengths");
-        assert_eq!(self.types(), other.types(), "mismatched type counts");
-        let mut delta = vec![0.0f64; self.types()];
-        for j in from as usize..other.batches as usize {
-            let mut total = 0.0;
-            for (i, d) in delta.iter_mut().enumerate() {
-                let x = other.series[i][j];
-                *d = x;
-                total += x;
-            }
-            self.fold_batch(&delta, total);
-        }
-    }
-
     /// Pools another chain's batches into this one (parallel Welford /
     /// Chan combination). Batches from independent walkers are
     /// independent draws of the same batch-mean distribution, so pooling
@@ -393,8 +373,8 @@ impl BatchStats {
 
     /// Serializes every field into a checkpoint payload. The series is
     /// written in full: resumed statistics must be *bit-identical* to
-    /// never having stopped, and both the OBM cross-check and the
-    /// adaptive coordinator's suffix folds re-read the series.
+    /// never having stopped, and the OBM cross-check and the
+    /// bounded-memory collapse re-read the series.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         put_usize(buf, self.batch_len);
         put_u64(buf, self.batches);
@@ -539,6 +519,11 @@ impl ScoreAccumulator {
         self.stats
     }
 
+    /// The bounded-memory series cap (0 = unbounded).
+    pub(crate) fn series_cap(&self) -> usize {
+        self.max_series_batches
+    }
+
     /// Serializes the accumulator (statistics, snapshot, in-batch
     /// counter, cap) into a checkpoint payload. `delta` is pure
     /// per-fold scratch — fully overwritten before every read — so it
@@ -558,6 +543,12 @@ impl ScoreAccumulator {
         let cap = r.usize("acc.max_series_batches")?;
         if cap != 0 && (cap < 4 || cap % 2 != 0) {
             return Err(CheckpointError::Malformed { what: "acc.max_series_batches" });
+        }
+        if cap != 0 && stats.batches() >= cap as u64 {
+            // A fold collapses the series the moment it reaches the cap;
+            // a stored count at or above it would make the next fold's
+            // pair collapse fail on an odd count.
+            return Err(CheckpointError::Malformed { what: "acc.stats.batches" });
         }
         let in_batch = r.usize("acc.in_batch")?;
         if in_batch >= stats.batch_len() {
@@ -1425,29 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_series_suffix_replays_the_source_fold_bitwise() {
-        // Feeding one accumulator's full series through fold_series_suffix
-        // replays the identical Welford updates: every field — moments
-        // and series — must match bit for bit. This is the property the
-        // adaptive coordinator's incremental pooled-merge rests on.
-        let stream: Vec<Vec<f64>> =
-            (0..36).map(|i| vec![(i % 7) as f64 * 0.25, (i % 5) as f64]).collect();
-        let stats = accumulate(&stream, 3);
-        let mut pooled = BatchStats::new(2, 3);
-        pooled.fold_series_suffix(&stats, 0);
-        assert_eq!(pooled, stats);
-        // Growing the stream and folding only the new suffix continues
-        // the replay bit-identically.
-        let mut incremental = BatchStats::new(2, 3);
-        incremental.fold_series_suffix(&stats, 0);
-        let more: Vec<Vec<f64>> =
-            (36..60).map(|i| vec![(i % 7) as f64 * 0.25, (i % 5) as f64]).collect();
-        let grown = accumulate(&[stream.clone(), more].concat(), 3);
-        incremental.fold_series_suffix(&grown, stats.batches());
-        assert_eq!(incremental, grown, "suffix folds continue the stream bit-identically");
-    }
-
-    #[test]
     fn obm_window_one_agrees_with_nobm_and_larger_windows_track_it() {
         // A noisy-but-stationary stream (SplitMix64-style hash, so
         // per-step scores are effectively i.i.d. — OBM and NOBM then
@@ -1748,7 +1716,9 @@ mod tests {
         assert!((stats.mean_score(0) - want).abs() < 1e-12);
         // Moments agree with a fresh fold of the collapsed series.
         let mut refold = BatchStats::new(1, stats.batch_len());
-        refold.fold_series_suffix(stats, 0);
+        for &x in stats.batch_means(0) {
+            refold.fold_batch(&[x], x);
+        }
         assert_eq!(&refold, stats, "collapsed moments are a clean refold of the series");
     }
 
@@ -1773,6 +1743,31 @@ mod tests {
                 "cap {bad}"
             );
         }
+    }
+
+    #[test]
+    fn bounded_accumulator_at_or_over_its_cap_is_malformed() {
+        // A live bounded accumulator always holds fewer batches than its
+        // cap (the fold that reaches the cap collapses the series). An
+        // unbounded one with 4 batches, relabelled cap 4, would fail its
+        // next fold's pair collapse on an odd count; decoding refuses it.
+        let mut acc = ScoreAccumulator::new(1, 2);
+        for i in 1..=8 {
+            acc.tick(&[i as f64]);
+        }
+        assert_eq!(acc.stats().batches(), 4);
+        let mut buf = Vec::new();
+        acc.encode_into(&mut buf);
+        // The cap follows the statistics: 5 header words, 3 moments and
+        // 4 series entries for the one type.
+        let at = 8 * (5 + 3 + 4);
+        assert_eq!(buf[at..at + 8], 0u64.to_le_bytes());
+        buf[at..at + 8].copy_from_slice(&4u64.to_le_bytes());
+        let mut r = crate::checkpoint::Reader::new(&buf);
+        assert_eq!(
+            ScoreAccumulator::decode_from(&mut r).unwrap_err(),
+            CheckpointError::Malformed { what: "acc.stats.batches" }
+        );
     }
 
     #[test]

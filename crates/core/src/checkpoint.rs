@@ -37,11 +37,13 @@ use std::path::Path;
 /// Magic bytes opening every checkpoint stream.
 pub const MAGIC: [u8; 4] = *b"GXCP";
 
-/// Current checkpoint format version. Version 2 added the handle's
-/// `batch_width` field; version-1 snapshots are still read (the field
-/// defaults to width 1). Writers always emit the current
-/// version.
-pub const VERSION: u32 = 2;
+/// Current checkpoint format version, the only one read or written.
+/// Version 3 carries only state that cannot be recomputed: the pooled
+/// statistics, per-walker counts, caps and batch length of versions 1
+/// and 2 are rebuilt at resume. Snapshots are a run's own crash-resume
+/// medium, so older versions are refused
+/// ([`CheckpointError::UnsupportedVersion`]), not translated.
+pub const VERSION: u32 = 3;
 
 /// Hard ceiling on the declared payload length (64 MiB). Real snapshots
 /// are kilobytes; anything above this is a corrupted header, and the
@@ -206,12 +208,11 @@ pub(crate) fn write_envelope<W: Write>(payload: &[u8], w: &mut W) -> Result<(), 
     Ok(())
 }
 
-/// Reads and verifies an envelope, returning the header's format version
-/// alongside the checksum-verified payload. Every version in
-/// `1..=`[`VERSION`] is accepted — the payload decoder uses the version
-/// to default fields the older format lacks — and no payload byte is
+/// Reads and verifies an envelope, returning the checksum-verified
+/// payload. Any version but [`VERSION`] is
+/// [`CheckpointError::UnsupportedVersion`], and no payload byte is
 /// interpreted before the digest matches.
-pub(crate) fn read_envelope<R: Read>(r: &mut R) -> Result<(u32, Vec<u8>), GxError> {
+pub(crate) fn read_envelope<R: Read>(r: &mut R) -> Result<Vec<u8>, GxError> {
     // Header fields are read as owned fixed-size words: no slicing, no
     // fallible width conversion, so a short header is always the typed
     // `Truncated` and never a panic.
@@ -223,7 +224,7 @@ pub(crate) fn read_envelope<R: Read>(r: &mut R) -> Result<(u32, Vec<u8>), GxErro
     let mut word4 = [0u8; 4];
     read_exact_or_truncated(r, &mut word4)?;
     let version = u32::from_le_bytes(word4);
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion { found: version }.into());
     }
     let mut word8 = [0u8; 8];
@@ -244,7 +245,7 @@ pub(crate) fn read_envelope<R: Read>(r: &mut R) -> Result<(u32, Vec<u8>), GxErro
     if fnv1a(&payload) != expected {
         return Err(CheckpointError::ChecksumMismatch.into());
     }
-    Ok((version, payload))
+    Ok(payload)
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), GxError> {
@@ -317,26 +318,18 @@ mod tests {
         let payload: Vec<u8> = (0..=255).collect();
         let mut out = Vec::new();
         write_envelope(&payload, &mut out).unwrap();
-        let (version, got) = read_envelope(&mut out.as_slice()).unwrap();
-        assert_eq!(version, VERSION);
-        assert_eq!(got, payload);
+        assert_eq!(read_envelope(&mut out.as_slice()).unwrap(), payload);
     }
 
     #[test]
     fn envelope_accepts_every_supported_version() {
-        // Older-format snapshots must still open: the envelope hands the
-        // version to the payload decoder instead of rejecting it.
+        // The current version is the only supported one: older formats
+        // (1 and 2), the never-issued 0 and a future version are all
+        // refused before the payload is read.
         let mut out = Vec::new();
-        write_envelope(b"legacy payload", &mut out).unwrap();
-        for v in 1..=VERSION {
-            let mut stamped = out.clone();
-            stamped[4..8].copy_from_slice(&v.to_le_bytes());
-            let (version, got) = read_envelope(&mut stamped.as_slice()).unwrap();
-            assert_eq!(version, v);
-            assert_eq!(got, b"legacy payload");
-        }
-        // Version 0 never existed; a future version is unreadable.
-        for v in [0u32, VERSION + 1] {
+        write_envelope(b"payload", &mut out).unwrap();
+        assert_eq!(read_envelope(&mut out.as_slice()).unwrap(), b"payload");
+        for v in (0..VERSION).chain([VERSION + 1]) {
             let mut stamped = out.clone();
             stamped[4..8].copy_from_slice(&v.to_le_bytes());
             assert_eq!(

@@ -695,6 +695,15 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
         }
     }
 
+    /// The accumulator's bounded-memory series cap (0 = unbounded).
+    pub(crate) fn series_cap(&self) -> usize {
+        match self {
+            Self::D1(s) => s.scorer.acc.series_cap(),
+            Self::D2(s) => s.scorer.acc.series_cap(),
+            Self::Dn(s) => s.scorer.acc.series_cap(),
+        }
+    }
+
     /// Raw-score accumulator (all tracked types).
     pub(crate) fn raw(&self) -> &[f64] {
         let (scorer, types) = match self {

@@ -13,11 +13,18 @@ use gx_walks::effective_degree;
 ///
 /// With `non_backtracking`, degrees are replaced by nominal degrees
 /// `d' = max(d − 1, 1)` (§4.2) — the NB chain's π'_e has the same shape.
+///
+/// The engine only scores primed (full, non-empty) windows; an empty
+/// window is a debug-build assertion and reads as `1.0` in release.
 pub fn pie_tilde(window: &NodeWindow, non_backtracking: bool) -> f64 {
     match window.len() {
-        0 => panic!("π_e of an empty window"),
+        0 => {
+            debug_assert!(false, "π_e of an empty window");
+            1.0
+        }
         1 => {
-            let deg = window.states().next().expect("len 1").degree as usize;
+            // The window's one state, summed so no lookup can fail.
+            let deg: usize = window.states().map(|s| s.degree as usize).sum();
             effective_degree(deg, non_backtracking) as f64
         }
         2 => 1.0,

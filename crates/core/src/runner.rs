@@ -20,6 +20,10 @@
 //!   injects deterministic faults for robustness testing (see the
 //!   [`crate::checkpoint`] module docs for the corruption model).
 //!
+//! Walkers pool one way for every budget: the walker-order merge of
+//! their own batch-means accumulators, rebuilt from the sessions when
+//! read (see [`RunHandle`]).
+//!
 //! Every runner path is **panic-free on bad input**: an invalid
 //! configuration, rule, fan-out or walk comes back as a [`GxError`].
 //! [`Runner::run_local`] serves graphs that are not `Sync` (the metered
@@ -269,7 +273,9 @@ impl Runner {
 
     /// Validates everything the run needs up front and resolves the
     /// budget: the adaptive rule (`None` for fixed budgets), the batch
-    /// length, and the total step cap.
+    /// length, and the total step cap. A resumed snapshot's fields pass
+    /// through here too (via [`Runner::start`]), so a fresh run and a
+    /// resume share one validation path.
     fn check(&self) -> Result<(Option<&StoppingRule>, usize, usize), GxError> {
         self.cfg.try_validate()?;
         if self.walkers == 0 {
@@ -356,18 +362,13 @@ impl Runner {
     /// `GraphAccess`; the handle advances walkers on the calling thread
     /// unless [`RunHandle::advance_par`] is used.
     pub fn start<'g, G: GraphAccess>(&self, g: &'g G) -> Result<RunHandle<'g, G>, GxError> {
-        let (rule, batch_len, max_steps) = self.check()?;
-        let rule = rule.cloned();
-        let max_series_batches = rule.as_ref().map_or(0, |r| r.max_series_batches);
-        let types = num_graphlets(self.cfg.k);
+        let (rule, _, max_steps) = self.check()?;
         let mut sessions = Vec::new();
         sessions.resize_with(self.walkers, || None);
         Ok(RunHandle {
             g,
             cfg: self.cfg.clone(),
-            rule,
-            batch_len,
-            max_series_batches,
+            rule: rule.cloned(),
             // Clamped here so a width wider than the fan-out (harmless —
             // a group can never exceed the walker count) normalizes to
             // the value checkpoints carry and `resume` validates.
@@ -375,11 +376,8 @@ impl Runner {
             seed: self.seed,
             caps: (0..self.walkers).map(|i| walker_steps(max_steps, self.walkers, i)).collect(),
             sessions,
-            done: vec![0; self.walkers],
             status: vec![WalkerStatus::Healthy; self.walkers],
-            pooled: BatchStats::new(types, batch_len),
-            pooled_batches: vec![0; self.walkers],
-            tracker: AdaptiveTracker::new(types),
+            tracker: AdaptiveTracker::new(num_graphlets(self.cfg.k)),
             rounds: 0,
             met: false,
             progress: self.progress.clone(),
@@ -411,9 +409,9 @@ impl Runner {
         g: &'g G,
         r: &mut R,
     ) -> Result<RunHandle<'g, G>, GxError> {
-        let (version, payload) = read_envelope(r)?;
+        let payload = read_envelope(r)?;
         let mut rd = Reader::new(&payload);
-        let handle = RunHandle::decode_from(&mut rd, g, None, version)?;
+        let handle = RunHandle::decode_from(&mut rd, g, None)?;
         rd.finish()?;
         Ok(handle)
     }
@@ -438,9 +436,9 @@ impl Runner {
             graph_fingerprint(g),
             "resume_trusted fingerprint must match the offered graph"
         );
-        let (version, payload) = read_envelope(r)?;
+        let payload = read_envelope(r)?;
         let mut rd = Reader::new(&payload);
-        let handle = RunHandle::decode_from(&mut rd, g, Some(fingerprint), version)?;
+        let handle = RunHandle::decode_from(&mut rd, g, Some(fingerprint))?;
         rd.finish()?;
         Ok(handle)
     }
@@ -575,14 +573,17 @@ fn advance_slots<'g, G: GraphAccess>(
 /// budgets; the rule's `check_every` for adaptive ones, since the check
 /// schedule decides where an adaptive run stops).
 ///
-/// Adaptive pooling is **incremental**: each advance folds only the new
-/// batch means of each walker's series into the pooled statistics
-/// (chronological, walker-order — [`BatchStats::fold_series_suffix`]),
-/// instead of re-pooling every walker from scratch each round. With one
-/// walker the pool replays the walker's own accumulator bit for bit.
+/// **One pool:** the pooled statistics are a pure function of the
+/// walkers' sessions — the walker-order Chan merge
+/// ([`BatchStats::merge`]) of their own accumulators, rebuilt when read,
+/// for fixed and adaptive budgets alike. With one walker the pool is
+/// the walker's own accumulator bit for bit (also after a bounded-memory
+/// collapse). Everything else derivable — per-walker scored counts,
+/// batch length, caps — is derived too, so neither the handle nor its
+/// checkpoint holds a second copy.
 ///
-/// **Crash resilience:** [`RunHandle::checkpoint`] serializes the whole
-/// live state between advances, and [`Runner::resume`] rebuilds it with
+/// **Crash resilience:** [`RunHandle::checkpoint`] serializes the live
+/// state between advances, and [`Runner::resume`] rebuilds it with
 /// golden-bit fidelity. **Degradation:** a poisoned walker (see
 /// [`FaultPlan`]) is quarantined — frozen in place, its completed
 /// batches kept pooled — and the run finishes on the remaining walkers,
@@ -593,28 +594,19 @@ pub struct RunHandle<'g, G: GraphAccess> {
     cfg: EstimatorConfig,
     /// `None` for fixed budgets.
     rule: Option<StoppingRule>,
-    batch_len: usize,
-    /// The adaptive rule's bounded-memory cap (0 = unbounded), threaded
-    /// into every walker accumulator.
-    max_series_batches: usize,
     /// Engine group width (1 = one walker per group), clamped to the
-    /// walker count. Travels in checkpoints (format v2) so a resumed run
-    /// keeps its grouping — though every width resumes every other
-    /// width's snapshots bit-identically.
+    /// walker count. Travels in checkpoints so a resumed run keeps its
+    /// grouping — though every width resumes every other width's
+    /// snapshots bit-identically.
     batch_width: usize,
     seed: u64,
-    /// Per-walker step budget (near-equal split of the total).
+    /// Per-walker step budget: the budget's near-equal split
+    /// ([`walker_steps`]), computed at start and at resume.
     caps: Vec<usize>,
     /// Lazily-created persistent chains, index = walker.
     sessions: Vec<Option<AnySession<'g, G>>>,
-    /// Per-walker scored windows so far.
-    done: Vec<usize>,
     /// Per-walker health: quarantined walkers are out of the rotation.
     status: Vec<WalkerStatus>,
-    /// Pooled batch-means statistics (chronological incremental fold).
-    pooled: BatchStats,
-    /// Per-walker batches already folded into `pooled`.
-    pooled_batches: Vec<u64>,
     tracker: AdaptiveTracker,
     rounds: usize,
     met: bool,
@@ -644,6 +636,27 @@ impl<G: GraphAccess> std::fmt::Debug for RunHandle<'_, G> {
 }
 
 impl<'g, G: GraphAccess> RunHandle<'g, G> {
+    /// Steps per error-bar batch: the rule's, or the `B ≈ √n` default
+    /// of the fixed budget (the sum of the walkers' shares).
+    fn batch_len(&self) -> usize {
+        match &self.rule {
+            Some(rule) => rule.batch_len,
+            None => default_batch_len(self.caps.iter().sum()),
+        }
+    }
+
+    /// The rule's bounded-memory cap (0 = unbounded), threaded into
+    /// every walker accumulator.
+    fn series_cap(&self) -> usize {
+        self.rule.as_ref().map_or(0, |r| r.max_series_batches)
+    }
+
+    /// Per-walker scored windows so far: each session's own count, 0
+    /// before a walker's first advance.
+    fn done(&self) -> impl Iterator<Item = usize> + '_ {
+        self.sessions.iter().map(|s| s.as_ref().map_or(0, AnySession::scored))
+    }
+
     /// Per-walker share of an advance by `windows` scored windows:
     /// remaining budget capped, zero for quarantined walkers, zero for
     /// everyone once the run has converged. Precomputed before any chain
@@ -655,9 +668,9 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         }
         self.caps
             .iter()
-            .zip(&self.done)
+            .zip(self.done())
             .zip(&self.status)
-            .map(|((&c, &d), s)| match s {
+            .map(|((&c, d), s)| match s {
                 WalkerStatus::Healthy => windows.min(c - d),
                 WalkerStatus::Quarantined { .. } => 0,
             })
@@ -680,8 +693,8 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
 
     /// Advances every still-budgeted walker by up to `windows` more
     /// scored windows on the calling thread (walker order), then pools
-    /// the new batches, evaluates the stopping rule (adaptive budgets),
-    /// and fires the progress callback.
+    /// the walkers, evaluates the stopping rule (adaptive budgets), and
+    /// fires the progress callback.
     ///
     /// `advance(0)` is a **documented no-op**: no chain moves, no round
     /// is counted, no callback fires — it just returns the current
@@ -690,13 +703,13 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     /// any `windows`.
     pub fn advance(&mut self, windows: usize) -> Progress {
         let Some(shares) = self.begin_round(windows) else {
-            return self.snapshot();
+            return self.progress();
         };
         let (g, cfg, seed, batch_len, cap) =
-            (self.g, &self.cfg, self.seed, self.batch_len, self.max_series_batches);
+            (self.g, &self.cfg, self.seed, self.batch_len(), self.series_cap());
         let open = |i| AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap);
         advance_slots(&mut self.sessions, &shares, 0, self.batch_width, &open);
-        self.after_round(&shares)
+        self.after_round()
     }
 
     /// Opens a round of up to `windows` more scored windows per walker:
@@ -712,55 +725,42 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         shares.iter().any(|&s| s > 0).then_some(shares)
     }
 
-    /// Bookkeeping shared by the sequential and threaded advances.
-    fn after_round(&mut self, shares: &[usize]) -> Progress {
-        for (d, &s) in self.done.iter_mut().zip(shares) {
-            *d += s;
-        }
+    /// Bookkeeping shared by the sequential and threaded advances: one
+    /// pool per round feeds both the stopping rule and the progress.
+    fn after_round(&mut self) -> Progress {
         self.rounds += 1;
-        // Incremental pooled-merge, adaptive budgets only: fold each
-        // walker's new batches (walker order) into the chronological
-        // pooled stream. Fixed budgets never consult the pool — their
-        // final (and progress) statistics are the walker-order
-        // Chan merge of the sessions' own streams, so maintaining a
-        // second copy here would be pure waste.
+        let pool = self.pooled_stats();
         if let Some(rule) = &self.rule {
-            if rule.max_series_batches != 0 {
-                // Bounded memory (single walker by construction): the
-                // R-batching collapse rewrites the walker's series in
-                // place, so suffix counters cannot describe it — the
-                // pool mirrors the walker's own (possibly collapsed)
-                // statistics wholesale. Below the cap this clone equals
-                // the suffix fold bit for bit (one walker's fold is a
-                // replay), so bit-identity with the unbounded rule holds
-                // until the first collapse.
-                if let Some(session) = self.sessions[0].as_ref() {
-                    self.pooled = session.stats().clone();
-                    self.pooled_batches[0] = self.pooled.batches();
-                }
-            } else {
-                for (session, folded) in self.sessions.iter().zip(&mut self.pooled_batches) {
-                    if let Some(session) = session.as_ref() {
-                        let stats = session.stats();
-                        if stats.batches() > *folded {
-                            self.pooled.fold_series_suffix(stats, *folded);
-                            *folded = stats.batches();
-                        }
-                    }
-                }
-            }
-            self.met = self.tracker.observe(rule, &self.pooled, self.steps());
+            self.met = self.tracker.observe(rule, &pool, self.steps());
         }
-        let p = self.snapshot();
+        let p = self.progress_of(&pool);
         if let Some(cb) = &self.progress {
             cb(&p);
         }
         p
     }
 
+    /// The pooled batch-means statistics: the walker-order Chan merge of
+    /// the live sessions' accumulators, seeded with a clone of the first
+    /// — so one walker's pool is its own accumulator bit for bit. The
+    /// one pool behind [`Progress`], the stopping rule,
+    /// [`RunHandle::estimate`] and [`RunHandle::finish`], for every
+    /// budget.
+    fn pooled_stats(&self) -> BatchStats {
+        let mut live = self.sessions.iter().flatten().map(AnySession::stats);
+        let Some(first) = live.next() else {
+            return BatchStats::new(num_graphlets(self.cfg.k), self.batch_len());
+        };
+        let mut pool = first.clone();
+        for stats in live {
+            pool.merge(stats);
+        }
+        pool
+    }
+
     /// Scored windows so far, pooled over walkers.
     pub fn steps(&self) -> usize {
-        self.done.iter().sum()
+        self.done().sum()
     }
 
     /// Whether the run is over: adaptive target met, or every walker
@@ -770,11 +770,10 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     pub fn is_finished(&self) -> bool {
         self.met
             || self
-                .done
-                .iter()
+                .done()
                 .zip(&self.caps)
                 .zip(&self.status)
-                .all(|((d, c), s)| d >= c || !matches!(s, WalkerStatus::Healthy))
+                .all(|((d, &c), s)| d >= c || !matches!(s, WalkerStatus::Healthy))
     }
 
     /// Per-walker health, index = walker. All [`WalkerStatus::Healthy`]
@@ -840,26 +839,12 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     /// The current progress snapshot (also what [`RunHandle::advance`]
     /// returns).
     pub fn progress(&self) -> Progress {
-        self.snapshot()
+        self.progress_of(&self.pooled_stats())
     }
 
-    /// The fixed-budget statistics: the walker-order Chan merge
-    /// of the sessions' own streams (one walker: that chain's stream,
-    /// untouched) — the same fold [`RunHandle::finish`] packs, so
-    /// progress widths and the final estimate's widths agree bitwise.
-    fn fixed_stats(&self) -> BatchStats {
-        let mut stats = BatchStats::new(num_graphlets(self.cfg.k), self.batch_len);
-        for session in self.sessions.iter().flatten() {
-            stats.merge(session.stats());
-        }
-        stats
-    }
-
-    fn snapshot(&self) -> Progress {
-        let (batches, width) = match &self.rule {
-            Some(rule) => ci_width(&self.pooled, Some(rule)),
-            None => ci_width(&self.fixed_stats(), None),
-        };
+    /// The [`Progress`] of the handle around its pool `pool`.
+    fn progress_of(&self, pool: &BatchStats) -> Progress {
+        let (batches, width) = ci_width(pool, self.rule.as_ref());
         Progress {
             steps: self.steps(),
             walkers: self.caps.len(),
@@ -875,34 +860,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     /// bars, and (for adaptive budgets) the convergence report, exactly
     /// as [`RunHandle::finish`] would pack them at this point.
     pub fn estimate(&self) -> Estimate {
-        let accuracy = match &self.rule {
-            Some(_) => self.pooled.clone(),
-            None => self.fixed_stats(),
-        };
-        self.assemble(accuracy)
-    }
-
-    /// Consumes the handle, returning the final [`Estimate`]. See the
-    /// type docs for the bit-identity contract with one-shot runs.
-    pub fn finish(mut self) -> Estimate {
-        // Same packing as `estimate`, but the pooled statistics (which
-        // carry the full batch-mean series) are moved, not cloned.
-        let accuracy = match &self.rule {
-            Some(_) => std::mem::replace(&mut self.pooled, BatchStats::new(0, 1)),
-            None => self.fixed_stats(),
-        };
-        self.assemble(accuracy)
-    }
-
-    /// Packs the handle's current state around the chosen accuracy
-    /// statistics (the pool for adaptive budgets, the walker-order Chan
-    /// merge for fixed ones).
-    fn assemble(&self, accuracy: BatchStats) -> Estimate {
-        debug_assert_eq!(
-            self.steps(),
-            self.sessions.iter().flatten().map(|s| s.scored()).sum::<usize>(),
-            "round bookkeeping must match the sessions' scored windows"
-        );
+        let accuracy = self.pooled_stats();
         let types = num_graphlets(self.cfg.k);
         let mut raw = vec![0.0f64; types];
         let mut valid = 0usize;
@@ -933,11 +891,20 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         }
     }
 
-    /// Serializes the run's complete live state into `w` as a versioned,
-    /// checksummed snapshot: configuration, budget, per-walker RNG raw
-    /// state, walk positions, scoring windows, raw scores, batch-means
-    /// accumulators, pooled statistics, and the adaptive tracker's
-    /// latches. Call it between advances, at any cadence — resuming via
+    /// Consumes the handle, returning the final [`Estimate`] — the
+    /// [`RunHandle::estimate`] of the finished run. See the type docs
+    /// for the bit-identity contract with one-shot runs.
+    pub fn finish(self) -> Estimate {
+        self.estimate()
+    }
+
+    /// Serializes the run's live state into `w` as a versioned,
+    /// checksummed snapshot: configuration, budget, walker health, the
+    /// adaptive tracker's latches, and each walker's session (RNG raw
+    /// state, walk position, scoring window, raw scores, batch-means
+    /// accumulator). Nothing derivable is written — the pool, per-walker
+    /// counts, caps and batch length are rebuilt at resume. Call it
+    /// between advances, at any cadence — resuming via
     /// [`Runner::resume`] and driving to completion reproduces the
     /// uninterrupted run bit for bit.
     ///
@@ -988,7 +955,10 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         put_u8(&mut buf, self.cfg.non_backtracking as u8);
         put_usize(&mut buf, self.cfg.burn_in);
         match &self.rule {
-            None => put_u8(&mut buf, 0),
+            None => {
+                put_u8(&mut buf, 0);
+                put_usize(&mut buf, self.caps.iter().sum());
+            }
             Some(rule) => {
                 put_u8(&mut buf, 1);
                 put_f64(&mut buf, rule.target_rel_ci);
@@ -1002,26 +972,15 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
                 put_usize(&mut buf, rule.max_series_batches);
             }
         }
-        put_usize(&mut buf, self.batch_len);
         put_u64(&mut buf, self.seed);
         put_usize(&mut buf, self.caps.len());
         put_usize(&mut buf, self.batch_width);
-        for &c in &self.caps {
-            put_usize(&mut buf, c);
-        }
-        for &d in &self.done {
-            put_usize(&mut buf, d);
-        }
         for s in &self.status {
             s.encode_into(&mut buf);
         }
         put_usize(&mut buf, self.rounds);
         put_u8(&mut buf, self.met as u8);
         self.tracker.encode_into(&mut buf);
-        self.pooled.encode_into(&mut buf);
-        for &b in &self.pooled_batches {
-            put_u64(&mut buf, b);
-        }
         for s in &self.sessions {
             match s {
                 None => put_u8(&mut buf, 0),
@@ -1034,16 +993,13 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         buf
     }
 
-    /// Inverse of [`RunHandle::encode_payload`], validating every field
-    /// against its domain, the graph, and the other fields — a
-    /// checksum-valid but internally inconsistent payload is a typed
-    /// [`CheckpointError`], never a panic.
-    fn decode_from(
-        r: &mut Reader<'_>,
-        g: &'g G,
-        trusted: Option<u64>,
-        version: u32,
-    ) -> Result<Self, GxError> {
+    /// Inverse of [`RunHandle::encode_payload`]. The budget, batch
+    /// length and caps resolve through the same [`Runner::check`] and
+    /// [`Runner::start`] a fresh run takes; every session is then
+    /// checked against the handle — a checksum-valid but internally
+    /// inconsistent payload is a typed [`CheckpointError`], never a
+    /// panic.
+    fn decode_from(r: &mut Reader<'_>, g: &'g G, trusted: Option<u64>) -> Result<Self, GxError> {
         let expected = r.u64("handle.fingerprint")?;
         // A trusted fingerprint (see `Runner::resume_trusted`) replaces
         // the O(edges) rescan with the caller's cached value.
@@ -1058,134 +1014,89 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
             non_backtracking: decode_bool(r, "cfg.non_backtracking")?,
             burn_in: r.usize("cfg.burn_in")?,
         };
-        if cfg.try_validate().is_err() {
-            return Err(CheckpointError::Malformed { what: "cfg" }.into());
-        }
-        let rule = match r.u8("rule.tag")? {
-            0 => None,
-            1 => {
-                let rule = StoppingRule {
-                    target_rel_ci: r.f64("rule.target_rel_ci")?,
-                    check_every: r.usize("rule.check_every")?,
-                    max_steps: r.usize("rule.max_steps")?,
-                    z: r.f64("rule.z")?,
-                    batch_len: r.usize("rule.batch_len")?,
-                    min_batches: r.u64("rule.min_batches")?,
-                    min_concentration: r.f64("rule.min_concentration")?,
-                    per_type: decode_bool(r, "rule.per_type")?,
-                    max_series_batches: r.usize("rule.max_series_batches")?,
-                };
-                if rule.try_validate().is_err() {
-                    return Err(CheckpointError::Malformed { what: "rule" }.into());
-                }
-                Some(rule)
-            }
-            _ => return Err(CheckpointError::Malformed { what: "rule.tag" }.into()),
+        let budget = match r.u8("budget.tag")? {
+            0 => Budget::Fixed(r.usize("budget.steps")?),
+            1 => Budget::Until(StoppingRule {
+                target_rel_ci: r.f64("rule.target_rel_ci")?,
+                check_every: r.usize("rule.check_every")?,
+                max_steps: r.usize("rule.max_steps")?,
+                z: r.f64("rule.z")?,
+                batch_len: r.usize("rule.batch_len")?,
+                min_batches: r.u64("rule.min_batches")?,
+                min_concentration: r.f64("rule.min_concentration")?,
+                per_type: decode_bool(r, "rule.per_type")?,
+                max_series_batches: r.usize("rule.max_series_batches")?,
+            }),
+            _ => return Err(CheckpointError::Malformed { what: "budget.tag" }.into()),
         };
-        let batch_len = r.usize("handle.batch_len")?;
-        if batch_len == 0 || rule.as_ref().is_some_and(|r| r.batch_len != batch_len) {
-            return Err(CheckpointError::Malformed { what: "handle.batch_len" }.into());
-        }
         let seed = r.u64("handle.seed")?;
         let walkers = r.count(1 << 16, "handle.walkers")?;
-        if walkers == 0 {
-            return Err(CheckpointError::Malformed { what: "handle.walkers" }.into());
+        let batch_width = r.usize("handle.batch_width")?;
+        if batch_width > walkers {
+            // `start()` clamps the width to the walker count, so a wider
+            // one is corruption (zero is refused by `check`).
+            return Err(CheckpointError::Malformed { what: "handle.batch_width" }.into());
         }
-        let max_series_batches = rule.as_ref().map_or(0, |r| r.max_series_batches);
-        if max_series_batches != 0 && walkers > 1 {
-            // check() never lets this combination start a run.
-            return Err(CheckpointError::Malformed { what: "rule.max_series_batches" }.into());
-        }
-        // Format v2 added the engine's group width; v1 snapshots predate
-        // it and run at width 1. `start()` clamps the width to the
-        // walker count, so anything wider — or zero — is corruption.
-        let batch_width = if version >= 2 {
-            let bw = r.usize("handle.batch_width")?;
-            if bw == 0 || bw > walkers {
-                return Err(CheckpointError::Malformed { what: "handle.batch_width" }.into());
-            }
-            bw
-        } else {
-            1
+        let runner = Runner {
+            cfg,
+            budget,
+            walkers,
+            batch_width,
+            seed,
+            progress: None,
+            plan: FaultPlan::none(),
         };
-        let mut caps = Vec::with_capacity(walkers);
-        for _ in 0..walkers {
-            caps.push(r.usize("handle.caps")?);
+        let mut handle = runner.start(g).map_err(|e| CheckpointError::Malformed {
+            what: match e {
+                GxError::Config(_) => "cfg",
+                GxError::NoWalkers => "handle.walkers",
+                GxError::ZeroBatchWidth => "handle.batch_width",
+                GxError::BoundedMemoryParallel { .. } => "rule.max_series_batches",
+                _ => "rule",
+            },
+        })?;
+        handle.fingerprint = Some(expected);
+        for s in handle.status.iter_mut() {
+            *s = WalkerStatus::decode_from(r)?;
         }
-        let mut done = Vec::with_capacity(walkers);
-        for &cap in &caps {
-            let d = r.usize("handle.done")?;
-            if d > cap {
-                return Err(CheckpointError::Malformed { what: "handle.done" }.into());
-            }
-            done.push(d);
-        }
-        let mut status = Vec::with_capacity(walkers);
-        for _ in 0..walkers {
-            status.push(WalkerStatus::decode_from(r)?);
-        }
-        let rounds = r.usize("handle.rounds")?;
-        let met = decode_bool(r, "handle.met")?;
-        let tracker = AdaptiveTracker::decode_from(r)?;
-        let types = num_graphlets(cfg.k);
-        if tracker.types() != types {
+        handle.rounds = r.usize("handle.rounds")?;
+        handle.met = decode_bool(r, "handle.met")?;
+        handle.tracker = AdaptiveTracker::decode_from(r)?;
+        if handle.tracker.types() != num_graphlets(handle.cfg.k) {
             return Err(CheckpointError::Malformed { what: "handle.tracker" }.into());
         }
-        let pooled = BatchStats::decode_from(r)?;
-        let pool_ok = pooled.types() == types
-            && match (&rule, max_series_batches) {
-                // Fixed budgets never fold the pool.
-                (None, _) => pooled.batches() == 0 && pooled.batch_len() == batch_len,
-                (Some(_), 0) => pooled.batch_len() == batch_len,
-                // R-batching collapses double the pooled batch length.
-                (Some(_), _) => pooled.batch_len() % batch_len == 0,
-            };
-        if !pool_ok {
-            return Err(CheckpointError::Malformed { what: "handle.pooled" }.into());
-        }
-        let mut pooled_batches = Vec::with_capacity(walkers);
-        for _ in 0..walkers {
-            pooled_batches.push(r.u64("handle.pooled_batches")?);
-        }
-        let mut sessions = Vec::with_capacity(walkers);
-        for &scored in &done {
+        let (batch_len, series_cap) = (handle.batch_len(), handle.series_cap());
+        for (slot, &cap) in handle.sessions.iter_mut().zip(&handle.caps) {
             match r.u8("handle.session.tag")? {
-                0 if scored == 0 => sessions.push(None),
-                0 => return Err(CheckpointError::Malformed { what: "handle.session" }.into()),
+                0 => {}
                 1 => {
-                    let session = AnySession::decode_from(r, g, &cfg)?;
-                    if session.scored() != scored {
-                        return Err(
-                            CheckpointError::Malformed { what: "handle.session.scored" }.into()
-                        );
+                    let session = AnySession::decode_from(r, g, &handle.cfg)?;
+                    // Pooling merges the walkers' accumulators, so their
+                    // batch lengths must agree with the handle's — bar
+                    // the doublings of a (single-walker) bounded-memory
+                    // collapse.
+                    let len = session.stats().batch_len();
+                    let collapsed = series_cap != 0
+                        && len % batch_len == 0
+                        && (len / batch_len).is_power_of_two();
+                    let mismatch = if len != batch_len && !collapsed {
+                        Some("session.batch_len")
+                    } else if session.series_cap() != series_cap {
+                        Some("session.series_cap")
+                    } else if session.scored() > cap {
+                        Some("handle.session.scored")
+                    } else {
+                        None
+                    };
+                    if let Some(what) = mismatch {
+                        return Err(CheckpointError::Malformed { what }.into());
                     }
-                    sessions.push(Some(session));
+                    *slot = Some(session);
                 }
                 _ => return Err(CheckpointError::Malformed { what: "handle.session.tag" }.into()),
             }
         }
-        Ok(Self {
-            g,
-            cfg,
-            rule,
-            batch_len,
-            max_series_batches,
-            batch_width,
-            seed,
-            caps,
-            sessions,
-            done,
-            status,
-            pooled,
-            pooled_batches,
-            tracker,
-            rounds,
-            met,
-            progress: None,
-            plan: FaultPlan::none(),
-            fingerprint: Some(expected),
-            checkpoints: 0,
-        })
+        Ok(handle)
     }
 }
 
@@ -1212,12 +1123,12 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
     /// current [`Progress`] is returned.
     pub fn advance_par(&mut self, windows: usize) -> Progress {
         let Some(shares) = self.begin_round(windows) else {
-            return self.snapshot();
+            return self.progress();
         };
         let threads = available_cores().min(self.sessions.len());
         let chunk = self.sessions.len().div_ceil(threads);
         let (g, cfg, seed, batch_len, cap) =
-            (self.g, &self.cfg, self.seed, self.batch_len, self.max_series_batches);
+            (self.g, &self.cfg, self.seed, self.batch_len(), self.series_cap());
         let open = |i| AnySession::new(g, cfg, walker_seed(seed, i), batch_len, cap);
         let width = self.batch_width;
         std::thread::scope(|scope| {
@@ -1228,6 +1139,6 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
                 scope.spawn(move || advance_slots(slots, part, c * chunk, width, open));
             }
         });
-        self.after_round(&shares)
+        self.after_round()
     }
 }

@@ -14,7 +14,10 @@
 //!   partial step count.
 //! * `... --example resumable_run -- resume <file>` — resumes from
 //!   `<file>`, finishes the run, and prints the final estimate's raw
-//!   score bits — byte-comparable across process boundaries.
+//!   score bits and accuracy bits (batch count, then each type's mean
+//!   score and standard error) — byte-comparable across process
+//!   boundaries. The pooled statistics are rebuilt from the walkers at
+//!   resume, so the accuracy line catches any drift there.
 //! * `... --example resumable_run -- reference` — the uninterrupted run,
 //!   printing the same bit lines: what a kill → resume pair must match.
 
@@ -43,6 +46,12 @@ fn print_bits(est: &graphlet_rw::Estimate) {
     print!("raw_bits:");
     for x in &est.raw_scores {
         print!(" {:016x}", x.to_bits());
+    }
+    println!();
+    let acc = est.accuracy().expect("every run carries error bars");
+    print!("accuracy_bits: {}", acc.batches());
+    for i in 0..acc.types() {
+        print!(" {:016x}/{:016x}", acc.mean_score(i).to_bits(), acc.std_error(i).to_bits());
     }
     println!();
     println!("steps: {}  valid: {}", est.steps, est.valid_samples);
@@ -117,7 +126,8 @@ fn demo(g: &graphlet_rw::Graph, runner: &Runner) {
         .zip(&resumed.raw_scores)
         .all(|(a, b)| a.to_bits() == b.to_bits())
         && reference.steps == resumed.steps
-        && reference.valid_samples == resumed.valid_samples;
+        && reference.valid_samples == resumed.valid_samples
+        && reference.accuracy == resumed.accuracy;
     println!("\ngolden-bit identical: {identical}");
     assert!(identical, "checkpoint/resume must be bit-exact");
 }

@@ -354,11 +354,11 @@ fn resume_refuses_a_different_graph() {
     assert!(Runner::resume(&twin, &mut snap.as_slice()).is_ok());
 }
 
-// --- Format v2: the batch_width field and v1 compatibility ------------------
+// --- Format v3: the batch_width field, older versions refused -------------
 
 /// Re-wraps a payload in a fresh envelope (recomputed length + checksum)
 /// stamped with `version` — the tool for crafting checksum-valid
-/// snapshots of other format versions.
+/// snapshots, of this or another format version.
 fn seal(payload: &[u8], version: u32) -> Vec<u8> {
     use graphlet_rw::core::checkpoint::{fnv1a, MAGIC};
     let mut out = Vec::new();
@@ -401,26 +401,25 @@ fn engine_mode_snapshot_pair(g: &graphlet_rw::Graph) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn version1_snapshot_resumes_with_the_scalar_engine() {
+fn pre_v3_snapshots_are_refused_with_a_typed_error() {
+    // Versions 1 and 2 carried derivable state (the pooled statistics,
+    // per-walker counts, caps, batch length) that version 3 rebuilds; a
+    // checksum-valid image stamped with an older version is refused
+    // before its payload is read, never misparsed.
     let g = classic::lollipop(6, 5);
-    let runner = Runner::new(EstimatorConfig::recommended(4)).steps(8_000).seed(13).walkers(2);
-    let golden = run_uninterrupted(&g, &runner, 1_000);
-
-    let (v2, v2_wide) = engine_mode_snapshot_pair(&g);
-    // Splice the 8-byte batch_width field out of the v2 payload and
-    // re-seal as version 1 — a faithful image of what a v1 writer
-    // produced for this run.
-    let off = batch_width_offset(&v2, &v2_wide);
-    let mut payload = v2[24..].to_vec();
-    payload.drain(off..off + 8);
-    let v1 = seal(&payload, 1);
-
-    let mut resumed = Runner::resume(&g, &mut v1.as_slice()).unwrap();
-    assert_eq!(resumed.batch_width(), 1, "v1 snapshots default to the scalar engine");
-    while !resumed.is_finished() {
-        resumed.advance(1_000);
+    let (snap, _) = engine_mode_snapshot_pair(&g);
+    for old in [1u32, 2] {
+        let crafted = seal(&snap[24..], old);
+        match Runner::resume(&g, &mut crafted.as_slice()) {
+            Err(GxError::Checkpoint(CheckpointError::UnsupportedVersion { found })) => {
+                assert_eq!(found, old);
+            }
+            other => panic!("version {old}: expected UnsupportedVersion, got {other:?}"),
+        }
     }
-    assert_estimates_bit_identical(&golden, &resumed.finish());
+    // The same payload sealed as the current version resumes.
+    let current = seal(&snap[24..], graphlet_rw::core::checkpoint::VERSION);
+    assert!(Runner::resume(&g, &mut current.as_slice()).is_ok());
 }
 
 #[test]
@@ -433,7 +432,7 @@ fn batch_width_out_of_domain_is_malformed() {
     for bad in [0u64, 3, u64::MAX] {
         let mut payload = v2[24..].to_vec();
         payload[off..off + 8].copy_from_slice(&bad.to_le_bytes());
-        let crafted = seal(&payload, 2);
+        let crafted = seal(&payload, graphlet_rw::core::checkpoint::VERSION);
         match Runner::resume(&g, &mut crafted.as_slice()) {
             Err(GxError::Checkpoint(CheckpointError::Malformed { what })) => {
                 assert_eq!(what, "handle.batch_width");
@@ -441,6 +440,59 @@ fn batch_width_out_of_domain_is_malformed() {
             other => panic!("batch_width={bad}: expected Malformed, got {other:?}"),
         }
     }
+}
+
+/// `snap` with the last occurrence of the little-endian `u64` `from` in
+/// its payload rewritten to `to`, resealed with a fresh checksum.
+fn rewrite_last_u64(snap: &[u8], from: u64, to: u64) -> Vec<u8> {
+    let mut payload = snap[24..].to_vec();
+    let at = payload
+        .windows(8)
+        .rposition(|w| w == from.to_le_bytes())
+        .expect("the value occurs in the payload");
+    payload[at..at + 8].copy_from_slice(&to.to_le_bytes());
+    seal(&payload, graphlet_rw::core::checkpoint::VERSION)
+}
+
+/// Resumes `crafted` and advances it, expecting a typed `Malformed`
+/// refusal at resume — never a handle that panics later.
+fn assert_malformed_at_resume(g: &graphlet_rw::Graph, crafted: &[u8]) {
+    match Runner::resume(g, &mut &crafted[..]) {
+        Err(GxError::Checkpoint(CheckpointError::Malformed { .. })) => {}
+        Err(e) => panic!("expected Malformed, got {e:?}"),
+        Ok(mut handle) => {
+            handle.advance(1_000);
+            handle.progress();
+            panic!("an inconsistent snapshot resumed");
+        }
+    }
+}
+
+#[test]
+fn adaptive_session_batch_len_mismatch_is_malformed() {
+    // The walker accumulator's batch length (the last 37 in the payload)
+    // disagrees with the rule's: pooling would merge unequal batches.
+    let g = classic::lollipop(6, 5);
+    let rule = StoppingRule { batch_len: 37, ..rule() };
+    let mut handle =
+        Runner::new(EstimatorConfig::recommended(4)).until(rule).seed(3).start(&g).unwrap();
+    handle.advance(1_000);
+    let mut snap = Vec::new();
+    handle.checkpoint(&mut snap).unwrap();
+    assert_malformed_at_resume(&g, &rewrite_last_u64(&snap, 37, 38));
+}
+
+#[test]
+fn fixed_session_batch_len_mismatch_is_malformed() {
+    // Fixed twin: 20,000 steps give batches of 141; walker 1's
+    // accumulator claims 142.
+    let g = classic::lollipop(6, 5);
+    let runner = Runner::new(EstimatorConfig::recommended(4)).steps(20_000).seed(3).walkers(2);
+    let mut handle = runner.start(&g).unwrap();
+    handle.advance(5_000);
+    let mut snap = Vec::new();
+    handle.checkpoint(&mut snap).unwrap();
+    assert_malformed_at_resume(&g, &rewrite_last_u64(&snap, 141, 142));
 }
 
 #[test]

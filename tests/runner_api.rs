@@ -423,26 +423,61 @@ fn zero_budgets_finish_immediately_without_walking() {
     assert_eq!(handle.finish().steps, 0);
 }
 
-// --- The incremental pooled-merge ------------------------------------------
+// --- One pool: the walker-order merge of the walkers' own statistics ------
 
 #[test]
-fn incremental_pool_is_bit_identical_to_a_from_scratch_replay() {
-    // The coordinator folds only each round's new batch means into the
-    // pooled statistics. Replaying *all* pooled batch means from scratch
-    // in the same chronological order (off the recorded series) must
-    // land on the same bits — any dropped/duplicated suffix would show.
+fn pool_is_the_walker_order_merge_of_one_walker_replays() {
+    // The pool is a pure function of the walkers: rebuilding each walker
+    // alone (its seed, the run's batch length, its scored count) and
+    // merging the replays in walker order must land on the same bits,
+    // for fixed and adaptive budgets alike.
+    use graphlet_rw::core::parallel::{walker_seed, walker_steps};
     let g = classic::lollipop(6, 5);
     let cfg = EstimatorConfig::recommended(3);
-    for walkers in [1usize, 2, 5] {
-        let est = Runner::new(cfg.clone()).until(rule()).seed(31).walkers(walkers).run(&g).unwrap();
-        let pooled = est.accuracy().expect("adaptive runs pool statistics");
-        let mut replay = graphlet_rw::BatchStats::new(pooled.types(), pooled.batch_len());
-        replay.fold_series_suffix(pooled, 0);
-        assert_eq!(&replay, pooled, "walkers={walkers}");
-        // With one walker the pool IS the walker's own accumulator.
-        if walkers == 1 {
-            let seq = Runner::new(cfg.clone()).until(rule()).seed(31).run_local(&g).unwrap();
-            assert_eq!(seq.accuracy.as_ref(), Some(pooled));
+    let seed = 31;
+    for adaptive in [false, true] {
+        for walkers in [1usize, 2, 5] {
+            let runner = Runner::new(cfg.clone()).seed(seed).walkers(walkers);
+            let runner = if adaptive { runner.until(rule()) } else { runner.steps(30_000) };
+            let est = runner.run(&g).unwrap();
+            let pooled = est.accuracy().expect("every run pools statistics");
+            let mut merged: Option<graphlet_rw::BatchStats> = None;
+            for i in 0..walkers {
+                // Fixed shares are the near-equal split; adaptive walkers
+                // advance check_every per round up to their share.
+                let scored = match est.adaptive() {
+                    Some(report) => {
+                        let share = walker_steps(rule().max_steps, walkers, i);
+                        (report.rounds * rule().check_every).min(share)
+                    }
+                    None => walker_steps(30_000, walkers, i),
+                };
+                // A never-met target over exactly that share replays the
+                // walker's chain with the run's batch length.
+                let replay_rule = StoppingRule {
+                    target_rel_ci: 1e-9,
+                    max_steps: scored,
+                    batch_len: pooled.batch_len(),
+                    ..rule()
+                };
+                let replay = Runner::new(cfg.clone())
+                    .until(replay_rule)
+                    .seed(walker_seed(seed, i))
+                    .run_local(&g)
+                    .unwrap();
+                assert_eq!(replay.steps, scored);
+                let stats = replay.accuracy().unwrap();
+                match merged.as_mut() {
+                    None => merged = Some(stats.clone()),
+                    Some(m) => m.merge(stats),
+                }
+            }
+            assert_eq!(merged.as_ref(), Some(pooled), "adaptive={adaptive} walkers={walkers}");
+            // With one walker the pool IS the walker's own accumulator.
+            if adaptive && walkers == 1 {
+                let seq = Runner::new(cfg.clone()).until(rule()).seed(seed).run_local(&g).unwrap();
+                assert_eq!(seq.accuracy.as_ref(), Some(pooled));
+            }
         }
     }
 }
