@@ -7,7 +7,7 @@
 //! | id | protects | fires on |
 //! |----|----------|----------|
 //! | `determinism` | bit-identical estimates/checkpoints | `HashMap`/`HashSet`/`Instant`/`SystemTime`/`available_parallelism`/`RandomState`/`DefaultHasher` mentioned in a manifest-declared deterministic path |
-//! | `panic_surface` | typed-error contract | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code; direct indexing in `index`-manifested paths |
+//! | `panic_surface` | typed-error contract | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`, `assert_eq!`, `assert_ne!` in non-test library code (the `debug_*` asserts are exempt); direct indexing in `index`-manifested paths |
 //! | `lock_discipline` | deadlock freedom in `gx-service` | `.lock()`/`locked(…)` acquiring against the declared order, re-acquiring a held lock, or locking an undeclared name |
 //! | `no_alloc` | hot-loop zero-allocation contract | `Vec::new`, `vec!`, `Box::new`, `format!`, `.collect(`, `.to_vec(`, `.to_string(`, `.to_owned(`, `with_capacity` inside a `// gx-lint: no_alloc`-marked function |
 //!
@@ -209,7 +209,9 @@ fn match_bracket(toks: &[Tok], open: usize) -> usize {
 }
 
 /// End (exclusive) of the item starting at `start`: after the matching
-/// `}` of its first top-level `{`, or after the first top-level `;`.
+/// `}` of its first top-level `{`, or after the first top-level `;`. A
+/// gated struct field or struct-literal entry ends at its top-level `,`
+/// (outside `<…>`), or before the `}` that closes its enclosing block.
 /// Skips any further attributes between `start` and the item proper.
 fn item_end(toks: &[Tok], start: usize) -> usize {
     let n = toks.len();
@@ -226,15 +228,22 @@ fn item_end(toks: &[Tok], start: usize) -> usize {
             break;
         }
     }
-    let mut paren = 0isize;
+    let (mut paren, mut angle) = (0isize, 0isize);
     while i < n {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
             match t.text.as_str() {
                 "(" | "[" => paren += 1,
                 ")" | "]" => paren -= 1,
+                "<" => angle += 1,
+                // `->` and `=>` lex as two puncts; their `>` closes nothing.
+                ">" if !toks[..i].last().is_some_and(|p| p.text == "-" || p.text == "=") => {
+                    angle -= 1
+                }
                 ";" if paren == 0 => return i + 1,
+                "," if paren == 0 && angle == 0 => return i + 1,
                 "{" if paren == 0 => return match_bracket(toks, i) + 1,
+                "}" if paren == 0 => return i,
                 _ => {}
             }
         }
@@ -385,8 +394,11 @@ fn determinism_rule(path: &str, toks: &[Tok], skip: &SkipMap, out: &mut Vec<Find
     }
 }
 
-/// Macros that abort: `name!` in library code is panic surface.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Macros that abort: `name!` in library code is panic surface. The
+/// `debug_assert*` family lexes as distinct identifiers and stays exempt:
+/// it vanishes from release builds.
+const PANIC_MACROS: &[&str] =
+    &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
 fn panic_rule(
     path: &str,
@@ -760,6 +772,35 @@ mod tests {
         // not trip the rule; nor `unwrap` without a call.
         let src = "fn f() { std::panic::catch_unwind(g); expect_value(); let unwrap = 1; }\n";
         assert!(run("x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn asserts_count_but_debug_asserts_do_not() {
+        let src = "fn f() { assert!(a); assert_eq!(a, b); assert_ne!(a, b); \
+                   debug_assert!(a); debug_assert_eq!(a, b); debug_assert_ne!(a, b); }\n";
+        let f = run("x.rs", src);
+        let names: Vec<&str> = f.iter().map(|x| x.message.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "`assert!` in library code",
+                "`assert_eq!` in library code",
+                "`assert_ne!` in library code"
+            ]
+        );
+        assert!(f.iter().all(|x| x.rule == Rule::PanicSurface));
+    }
+
+    #[test]
+    fn test_gated_field_hides_only_itself() {
+        // A gated field or struct-literal entry ends at its comma (or at
+        // the closing brace); the code after it is still linted.
+        let src = "struct S {\n  a: u8,\n  #[cfg(test)]\n  t: Vec<(u8, u32)>,\n}\n\
+                   impl S { fn f() { x.unwrap(); } }\n\
+                   fn g() -> S { S { a: 1, #[cfg(test)] t: Vec::new() } }\n\
+                   fn h() { y.unwrap(); }\n";
+        let lines: Vec<u32> = run("x.rs", src).iter().map(|f| f.line).collect();
+        assert_eq!(lines, [6, 8]);
     }
 
     #[test]

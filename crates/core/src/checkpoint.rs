@@ -1,9 +1,10 @@
 //! Crash-resilient snapshots of a live estimation run.
 //!
 //! A checkpoint is a versioned, checksummed, self-describing binary image
-//! of everything a [`crate::runner::RunHandle`] needs to continue a run
-//! bit-for-bit: per-walker RNG state, walk position, the scoring window's
-//! ring contents, raw graphlet scores, the full batch-means accumulator,
+//! of what a [`crate::runner::RunHandle`] needs to continue a run
+//! bit-for-bit and cannot recompute: per-walker RNG state, the
+//! non-backtracking memory, the scoring window's ring of states and its
+//! slot order, raw graphlet scores, the full batch-means accumulator,
 //! and the adaptive tracker's latches. The golden-bit contract is:
 //!
 //! > checkpoint → drop the process → resume → `finish()` produces the
@@ -17,6 +18,13 @@
 //! encodings live next to the structures they snapshot
 //! (`accuracy.rs`, `window.rs`, `estimator.rs`, `runner.rs`) so a field
 //! added to one of those types is added to its encoder in the same diff.
+//!
+//! A snapshot stores no fact the graph can tell. The walk position is the
+//! window's newest state, and the window's degrees, refcounts, adjacency
+//! rows and state degrees are rebuilt at resume with a few adjacency
+//! fetches per walker. The one window fact kept beyond the ring is the
+//! slot order: the eviction history sets it, and it labels the sample
+//! mask and fixes the CSS summation order, so it cannot be replayed.
 //!
 //! # Corruption model
 //!
@@ -38,12 +46,16 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"GXCP";
 
 /// Current checkpoint format version, the only one read or written.
-/// Version 3 carries only state that cannot be recomputed: the pooled
-/// statistics, per-walker counts, caps and batch length of versions 1
-/// and 2 are rebuilt at resume. Snapshots are a run's own crash-resume
-/// medium, so older versions are refused
-/// ([`CheckpointError::UnsupportedVersion`]), not translated.
-pub const VERSION: u32 = 3;
+/// Version 4 carries only state the graph cannot tell: per walker, the
+/// RNG, the scorer, the non-backtracking memory, the window's ring of
+/// state node lists and its slot order. Resume reads the walk position
+/// off the ring and rebuilds the window's degrees, refcounts and
+/// adjacency rows from the graph, as version 3 rebuilt the pooled
+/// statistics, counts, caps and batch length that versions 1 and 2
+/// stored. Snapshots are a run's own crash-resume medium, so older
+/// versions are refused ([`CheckpointError::UnsupportedVersion`]), not
+/// translated.
+pub const VERSION: u32 = 4;
 
 /// Hard ceiling on the declared payload length (64 MiB). Real snapshots
 /// are kilobytes; anything above this is a corrupted header, and the
@@ -324,7 +336,7 @@ mod tests {
     #[test]
     fn envelope_accepts_every_supported_version() {
         // The current version is the only supported one: older formats
-        // (1 and 2), the never-issued 0 and a future version are all
+        // (1 to 3), the never-issued 0 and a future version are all
         // refused before the payload is read.
         let mut out = Vec::new();
         write_envelope(b"payload", &mut out).unwrap();

@@ -7,7 +7,7 @@ use crate::css::CssWeights;
 use crate::error::{CheckpointError, GxError, RuleError};
 use crate::pie::pie_tilde;
 use crate::result::Estimate;
-use crate::window::NodeWindow;
+use crate::window::{decode_state, NodeWindow, StateRec};
 use gx_graph::{GraphAccess, NodeId};
 use gx_graphlets::{
     alpha::alpha_table, classify_mask, classify_table, num_graphlets, NOT_A_GRAPHLET,
@@ -222,10 +222,21 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
         Self { g, walk, rng, window, scorer, scored: 0 }
     }
 
-    /// Serializes everything of the session except the walk position
-    /// (the flavor-specific part [`AnySession::encode_into`] owns): RNG
-    /// raw state, scored count, scorer, window.
-    fn encode_common(&self, buf: &mut Vec<u8>) {
+    /// Serializes the session's chain state: the non-backtracking
+    /// memory `prev` (flavor-specific, passed in by
+    /// [`AnySession::encode_into`]), RNG raw state, scored count, scorer
+    /// and window. The walk position is not stored: at a checkpoint it is
+    /// always the window's newest state.
+    fn encode_into(&self, buf: &mut Vec<u8>, prev: Option<&[NodeId]>) {
+        match prev {
+            Some(p) => {
+                put_u8(buf, 1);
+                for &v in p {
+                    put_u32(buf, v);
+                }
+            }
+            None => put_u8(buf, 0),
+        }
         let (state, increment) = export_rng_state(&self.rng);
         put_u128(buf, state);
         put_u128(buf, increment);
@@ -234,13 +245,21 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
         self.window.encode_into(buf);
     }
 
-    /// Rebuilds a session around an already-validated resumed walk.
-    fn from_decoded(
+    /// Inverse of [`WalkSession::encode_into`]: rebuilds the window from
+    /// its ring against `g`, then `resume`s the walk at the window's
+    /// newest state with the decoded `prev`. Every state is validated by
+    /// [`decode_state`], so the walk constructors' preconditions hold.
+    fn decode_from(
+        r: &mut Reader<'_>,
         g: &'g G,
         cfg: &EstimatorConfig,
-        walk: W,
-        r: &mut Reader<'_>,
+        resume: impl FnOnce(&[NodeId], Option<&[NodeId]>) -> W,
     ) -> Result<Self, CheckpointError> {
+        let prev = match r.u8("walk.prev.tag")? {
+            0 => None,
+            1 => Some(decode_state(r, g, cfg.d, "walk.prev")?),
+            _ => return Err(CheckpointError::Malformed { what: "walk.prev.tag" }),
+        };
         let state = r.u128("session.rng.state")?;
         let increment = r.u128("session.rng.increment")?;
         if increment & 1 == 0 {
@@ -251,10 +270,9 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
         let rng = import_rng_state(state, increment);
         let scored = r.usize("session.scored")?;
         let scorer = Scorer::decode_from(r, cfg)?;
-        let window = NodeWindow::decode_from(r)?;
-        if window.dims() != (cfg.l(), cfg.d) {
-            return Err(CheckpointError::Malformed { what: "session.window.dims" });
-        }
+        let window = NodeWindow::decode_from(r, g, cfg.l(), cfg.d)?;
+        let current = window.states().last().map_or(&[][..], StateRec::nodes);
+        let walk = resume(current, prev.as_ref().map(StateRec::nodes));
         Ok(Self { g, walk, rng, window, scorer, scored })
     }
 
@@ -520,131 +538,49 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
         }
     }
 
-    /// Serializes the walker's full chain state: walk position (with the
-    /// non-backtracking memory), RNG raw state, scored count, scorer and
-    /// window — the per-walker payload of a
-    /// [`crate::runner::RunHandle::checkpoint`].
+    /// Serializes the walker's full chain state — the per-walker
+    /// payload of a [`crate::runner::RunHandle::checkpoint`]: the flavor
+    /// tag, then [`WalkSession::encode_into`] with the walk's
+    /// non-backtracking memory.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Self::D1(s) => {
                 put_u8(buf, 1);
-                put_u32(buf, s.walk.current());
-                match s.walk.prev_node() {
-                    Some(p) => {
-                        put_u8(buf, 1);
-                        put_u32(buf, p);
-                    }
-                    None => put_u8(buf, 0),
-                }
-                s.encode_common(buf);
+                s.encode_into(buf, s.walk.prev_node().as_ref().map(std::slice::from_ref));
             }
             Self::D2(s) => {
                 put_u8(buf, 2);
-                let (u, v) = s.walk.current();
-                put_u32(buf, u);
-                put_u32(buf, v);
-                match s.walk.prev_edge() {
-                    Some((pu, pv)) => {
-                        put_u8(buf, 1);
-                        put_u32(buf, pu);
-                        put_u32(buf, pv);
-                    }
-                    None => put_u8(buf, 0),
-                }
-                s.encode_common(buf);
+                s.encode_into(
+                    buf,
+                    s.walk.prev_edge().map(|(u, v)| [u, v]).as_ref().map(|e| &e[..]),
+                );
             }
             Self::Dn(s) => {
                 put_u8(buf, 3);
-                let st = s.walk.state().to_vec();
-                put_usize(buf, st.len());
-                for &v in &st {
-                    put_u32(buf, v);
-                }
-                match s.walk.prev_state() {
-                    Some(p) => {
-                        put_u8(buf, 1);
-                        for &v in p {
-                            put_u32(buf, v);
-                        }
-                    }
-                    None => put_u8(buf, 0),
-                }
-                s.encode_common(buf);
+                s.encode_into(buf, s.walk.prev_state());
             }
         }
     }
 
-    /// Inverse of [`AnySession::encode_into`]: validates the walk
-    /// position against the offered graph (node ranges, edge existence,
-    /// connectivity — every invariant the walk constructors would
-    /// otherwise *assert*) so a checksum-valid but inconsistent payload
-    /// is a typed [`CheckpointError`], never a panic.
+    /// Inverse of [`AnySession::encode_into`]. A checksum-valid but
+    /// inconsistent payload is a typed [`CheckpointError`], never a panic.
     pub(crate) fn decode_from(
         r: &mut Reader<'_>,
         g: &'g G,
         cfg: &EstimatorConfig,
     ) -> Result<Self, CheckpointError> {
-        let tag = r.u8("session.tag")?;
-        let expected = match cfg.d {
-            1 => 1,
-            2 => 2,
-            _ => 3,
-        };
-        if tag != expected {
-            return Err(CheckpointError::Malformed { what: "session.tag" });
-        }
-        match tag {
-            1 => {
-                let cur = decode_node(r, g, "walk.current")?;
-                if g.degree(cur) == 0 {
-                    return Err(CheckpointError::Malformed { what: "walk.current" });
-                }
-                let prev = match r.u8("walk.prev.tag")? {
-                    0 => None,
-                    1 => Some(decode_node(r, g, "walk.prev")?),
-                    _ => return Err(CheckpointError::Malformed { what: "walk.prev.tag" }),
-                };
-                let walk = SrwWalk::resume(g, cur, prev, cfg.non_backtracking);
-                Ok(Self::D1(WalkSession::from_decoded(g, cfg, walk, r)?))
-            }
-            2 => {
-                let u = decode_node(r, g, "walk.current")?;
-                let v = decode_node(r, g, "walk.current")?;
-                if !g.has_edge(u, v) {
-                    return Err(CheckpointError::Malformed { what: "walk.current" });
-                }
-                let prev = match r.u8("walk.prev.tag")? {
-                    0 => None,
-                    1 => {
-                        let pu = decode_node(r, g, "walk.prev")?;
-                        let pv = decode_node(r, g, "walk.prev")?;
-                        if !g.has_edge(pu, pv) {
-                            return Err(CheckpointError::Malformed { what: "walk.prev" });
-                        }
-                        Some((pu, pv))
-                    }
-                    _ => return Err(CheckpointError::Malformed { what: "walk.prev.tag" }),
-                };
-                let walk = G2Walk::resume(g, (u, v), prev, cfg.non_backtracking);
-                Ok(Self::D2(WalkSession::from_decoded(g, cfg, walk, r)?))
-            }
-            _ => {
-                let d = r.count(8, "walk.state.len")?;
-                if d != cfg.d {
-                    return Err(CheckpointError::Malformed { what: "walk.state.len" });
-                }
-                let cur = decode_state(r, g, d, "walk.current")?;
-                if !subset_connected(g, &cur) {
-                    return Err(CheckpointError::Malformed { what: "walk.current" });
-                }
-                let prev = match r.u8("walk.prev.tag")? {
-                    0 => None,
-                    1 => Some(decode_state(r, g, d, "walk.prev")?),
-                    _ => return Err(CheckpointError::Malformed { what: "walk.prev.tag" }),
-                };
-                let walk = GdWalk::resume(g, &cur, prev.as_deref(), cfg.non_backtracking);
-                Ok(Self::Dn(WalkSession::from_decoded(g, cfg, walk, r)?))
-            }
+        let nb = cfg.non_backtracking;
+        match (r.u8("session.tag")?, cfg.d) {
+            (1, 1) => Ok(Self::D1(WalkSession::decode_from(r, g, cfg, |cur, prev| {
+                SrwWalk::resume(g, cur[0], prev.map(|p| p[0]), nb)
+            })?)),
+            (2, 2) => Ok(Self::D2(WalkSession::decode_from(r, g, cfg, |cur, prev| {
+                G2Walk::resume(g, (cur[0], cur[1]), prev.map(|p| (p[0], p[1])), nb)
+            })?)),
+            (3, 3..) => Ok(Self::Dn(WalkSession::decode_from(r, g, cfg, |cur, prev| {
+                GdWalk::resume(g, cur, prev, nb)
+            })?)),
+            _ => Err(CheckpointError::Malformed { what: "session.tag" }),
         }
     }
 
@@ -730,62 +666,6 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
             Self::Dn(s) => s.scored,
         }
     }
-}
-
-/// Reads one node id and bounds-checks it against the graph, so no
-/// downstream degree/neighbor lookup can index out of range.
-fn decode_node<G: GraphAccess>(
-    r: &mut Reader<'_>,
-    g: &G,
-    what: &'static str,
-) -> Result<NodeId, CheckpointError> {
-    let v = r.u32(what)?;
-    if (v as usize) < g.num_nodes() {
-        Ok(v)
-    } else {
-        Err(CheckpointError::Malformed { what })
-    }
-}
-
-/// Reads a sorted, duplicate-free `d`-node state with every node in
-/// range — the preconditions [`GdWalk::resume`] would otherwise assert.
-fn decode_state<G: GraphAccess>(
-    r: &mut Reader<'_>,
-    g: &G,
-    d: usize,
-    what: &'static str,
-) -> Result<Vec<NodeId>, CheckpointError> {
-    let mut nodes = Vec::with_capacity(d);
-    for _ in 0..d {
-        nodes.push(decode_node(r, g, what)?);
-    }
-    if nodes.windows(2).all(|w| w[0] < w[1]) {
-        Ok(nodes)
-    } else {
-        Err(CheckpointError::Malformed { what })
-    }
-}
-
-/// Whether `nodes` (≤ 8 of them) induce a connected subgraph — a tiny
-/// bitmask DFS over `has_edge` probes.
-fn subset_connected<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> bool {
-    let d = nodes.len();
-    debug_assert!((1..=8).contains(&d));
-    let mut seen = 1u8;
-    let mut stack = [0usize; 8];
-    let mut top = 1;
-    while top > 0 {
-        top -= 1;
-        let i = stack[top];
-        for j in 0..d {
-            if seen & (1 << j) == 0 && g.has_edge(nodes[i], nodes[j]) {
-                seen |= 1 << j;
-                stack[top] = j;
-                top += 1;
-            }
-        }
-    }
-    seen.count_ones() as usize == d
 }
 
 /// Measures initialization bias of the chain `(g, cfg, seed)` and

@@ -29,11 +29,24 @@
 //! and [`gx_walks::StateWalk::prefetch_entering`] hint one lane-batch
 //! tick ahead of this `push`, which is why the batched engine overlaps
 //! the probe misses of up to B walkers instead of serializing them.
+//!
+//! # Checkpoints
+//!
+//! All of the bookkeeping above is a function of the ring, the slot
+//! order and the graph, so a snapshot stores only the first two. The
+//! slot order is the one fact kept beyond the ring. Swap-removes set
+//! it over the whole eviction history, it labels the sample mask, and
+//! it fixes the CSS summation order, so replaying the ring into a fresh
+//! window would permute it. Resume checks the ring and the slots against
+//! the graph and rebuilds the degrees, refcounts and adjacency rows with
+//! one neighbor-list visit per slot (`NodeWindow::decode_from`).
 
-use crate::checkpoint::{put_u32, put_u64, put_u8, put_usize, Reader};
+use crate::checkpoint::{put_u32, Reader};
 use crate::error::CheckpointError;
 use gx_graph::{GraphAccess, NodeId};
 use gx_graphlets::mask::pair_index;
+use gx_walks::gd::subset_is_connected;
+use gx_walks::gd_state_degree;
 
 /// Maximum union size (k ≤ 6 supported by the taxonomy, + headroom).
 const MAX_NODES: usize = 8;
@@ -178,8 +191,8 @@ impl NodeWindow {
     /// [`NodeWindow::sample`], so a CSS subset whose bits equal a state's
     /// bitmask *is* that state and can reuse its degree instead of
     /// re-enumerating `G(d)` neighbors. Every state node holds a slot
-    /// (`push` acquires it, and checkpoint decoding rejects a window
-    /// where one does not); a node without one would only drop its bit,
+    /// (`push` acquires it, and a resumed window's slots are checked to
+    /// be its ring's node union); a node without one would only drop its bit,
     /// leaving a mask that matches no d-subset, so the degree would be
     /// counted rather than reused.
     pub fn state_slot_masks(&self) -> impl Iterator<Item = (u8, u32)> + '_ {
@@ -195,112 +208,83 @@ impl NodeWindow {
         self.probes
     }
 
-    /// The window's `(l, d)` dimensions — checked against the run
-    /// configuration when a checkpointed window is restored.
-    pub(crate) fn dims(&self) -> (usize, usize) {
-        (self.l, self.d)
-    }
-
     // --- Checkpoint field encoding -----------------------------------------
 
-    /// Serializes the window *verbatim* into a checkpoint payload. The
-    /// slot order of `distinct` is load-bearing: it is determined by the
-    /// full eviction history (swap-removes), it labels the sample mask,
-    /// and it fixes the floating-point summation order of the CSS
-    /// probability terms — replaying pushes into a fresh window on
-    /// resume would permute it and break the golden-bit contract. The
-    /// ring is written oldest first and re-based to `head = 0` on
-    /// decode (the rotation itself is not observable).
+    /// Serializes what the graph cannot tell (see the module docs): the
+    /// ring's `l` states, oldest first, each node list as pushed, then the
+    /// slot order. `l` and `d` come from the run configuration, and a
+    /// session's window is always full (priming pushes `l` states), so no
+    /// size is stored.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_usize(buf, self.l);
-        put_usize(buf, self.d);
-        put_u64(buf, self.probes);
-        put_usize(buf, self.count);
+        debug_assert!(self.is_full(), "only a primed window is checkpointed");
         for s in self.states() {
-            put_u8(buf, s.len);
             for &v in s.nodes() {
                 put_u32(buf, v);
             }
-            put_u32(buf, s.degree);
         }
-        put_usize(buf, self.dlen);
-        for p in 0..self.dlen {
-            put_u32(buf, self.distinct[p]);
-            put_u32(buf, self.degrees[p]);
-            put_u8(buf, self.refcount[p]);
-        }
-        for p in 0..self.dlen {
-            put_u64(buf, self.adj[p]);
+        for &v in self.distinct_nodes() {
+            put_u32(buf, v);
         }
     }
 
-    /// Inverse of [`NodeWindow::encode_into`], with typed rejection of
-    /// any structurally inconsistent payload (a checksum-valid snapshot
-    /// from a confused writer must not panic downstream: every slot
-    /// reference, refcount, and adjacency bit is cross-validated before
-    /// the window is handed back).
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let l = r.usize("window.l")?;
-        let d = r.usize("window.d")?;
-        if !(1..=MAX_STATES).contains(&l) || !(1..=MAX_D).contains(&d) || l + d - 1 > MAX_NODES {
-            return Err(CheckpointError::Malformed { what: "window.dims" });
-        }
+    /// Inverse of [`NodeWindow::encode_into`] — the one constructor of a
+    /// resumed window. The ring must hold `l` states of `G(d)` (see
+    /// [`decode_state`]), consecutive ones `G(d)`-adjacent, so the union
+    /// has at most `k` nodes, and the slot order must be a permutation of
+    /// that union. The rest is rebuilt from `g` as `push` builds it: each
+    /// slot is acquired in the stored order (degree from `g.degree`,
+    /// adjacency row from one `visit_neighbors` probe pass), refcounts
+    /// are the occurrence counts, and each state's `G(d)` degree is
+    /// recomputed as its walk computes it — `d_v`, `d_a + d_b − 2`, or
+    /// `gd_state_degree`. [`NodeWindow::probes`] is a run-local
+    /// diagnostic, so a resumed window counts it from 0.
+    pub(crate) fn decode_from<G: GraphAccess>(
+        r: &mut Reader<'_>,
+        g: &G,
+        l: usize,
+        d: usize,
+    ) -> Result<Self, CheckpointError> {
         let mut w = NodeWindow::new(l, d);
-        w.probes = r.u64("window.probes")?;
-        let count = r.count(l, "window.count")?;
-        w.count = count;
-        for i in 0..count {
-            let len = r.u8("window.state.len")? as usize;
-            if len != d {
-                return Err(CheckpointError::Malformed { what: "window.state.len" });
+        for i in 0..l {
+            let rec = decode_state(r, g, d, "window.state")?;
+            if i > 0 && !is_step(g, w.states[i - 1].nodes(), rec.nodes()) {
+                return Err(CheckpointError::Malformed { what: "window.state.step" });
             }
-            let rec = &mut w.states[i];
-            rec.len = len as u8;
-            for j in 0..len {
-                rec.nodes[j] = r.u32("window.state.node")?;
-            }
-            rec.degree = r.u32("window.state.degree")?;
+            w.states[i] = rec;
         }
-        let dlen = r.count(MAX_NODES, "window.dlen")?;
-        w.dlen = dlen;
-        for p in 0..dlen {
-            w.distinct[p] = r.u32("window.distinct")?;
-            w.degrees[p] = r.u32("window.degree")?;
-            w.refcount[p] = r.u8("window.refcount")?;
-        }
-        let full = (1u64 << dlen) - 1;
-        for p in 0..dlen {
-            let row = r.u64("window.adj")?;
-            if row & !full != 0 || row & (1 << p) != 0 {
-                return Err(CheckpointError::Malformed { what: "window.adj" });
-            }
-            w.adj[p] = row;
-        }
-        // Cross-validate: refcounts must be exactly the occurrence
-        // counts of each slot's node across the remembered states (this
-        // also rejects duplicate slots — both stored refcounts cannot
-        // match then), every state node must resolve to a slot (the
-        // `state_slot_masks` contract), and adjacency must be symmetric.
-        let mut want = [0u32; MAX_NODES];
-        for i in 0..count {
-            for j in 0..w.states[i].len as usize {
-                let v = w.states[i].nodes[j];
-                match w.distinct[..dlen].iter().position(|&x| x == v) {
-                    Some(slot) => want[slot] += 1,
-                    None => return Err(CheckpointError::Malformed { what: "window.state.node" }),
+        w.count = l;
+        // The union in first-seen order, with each node's occurrences.
+        let mut union = [(0, 0u8); MAX_NODES];
+        let mut n = 0;
+        for &v in w.states[..l].iter().flat_map(StateRec::nodes) {
+            match union[..n].iter().position(|&(u, _)| u == v) {
+                Some(i) => union[i].1 += 1,
+                None => {
+                    union[n] = (v, 1);
+                    n += 1;
                 }
             }
         }
-        for (p, &want_p) in want.iter().enumerate().take(dlen) {
-            if w.refcount[p] == 0 || u32::from(w.refcount[p]) != want_p {
-                return Err(CheckpointError::Malformed { what: "window.refcount" });
+        for _ in 0..n {
+            let v = r.u32("window.slot")?;
+            let Some(&(_, count)) = union[..n].iter().find(|&&(u, _)| u == v) else {
+                return Err(CheckpointError::Malformed { what: "window.slot" });
+            };
+            if w.slot_of(v).is_some() {
+                return Err(CheckpointError::Malformed { what: "window.slot" });
             }
-            for q in (p + 1)..dlen {
-                if (w.adj[p] >> q) & 1 != (w.adj[q] >> p) & 1 {
-                    return Err(CheckpointError::Malformed { what: "window.adj.symmetry" });
-                }
-            }
+            let p = w.acquire(g, v, None, None);
+            w.refcount[p] = count;
         }
+        for rec in &mut w.states[..l] {
+            let degree = match *rec.nodes() {
+                [v] => g.degree(v),
+                [a, b] => (g.degree(a) + g.degree(b)).saturating_sub(2),
+                _ => gd_state_degree(g, rec.nodes()),
+            };
+            rec.degree = degree as u32;
+        }
+        w.probes = 0;
         Ok(w)
     }
 
@@ -538,6 +522,40 @@ impl NodeWindow {
     }
 }
 
+/// Reads one `d`-node walk state and checks that it is a state of
+/// `G(d)` as the walks store it: every node in range, and at d = 1 a node
+/// with a neighbor, at d ≥ 2 a strictly ascending node list inducing a
+/// connected subgraph (at d = 2, an edge). These are the preconditions
+/// the walk constructors assert, so a resumed walk never trips them.
+pub(crate) fn decode_state<G: GraphAccess>(
+    r: &mut Reader<'_>,
+    g: &G,
+    d: usize,
+    what: &'static str,
+) -> Result<StateRec, CheckpointError> {
+    let mut rec = StateRec { len: d as u8, ..StateRec::EMPTY };
+    for v in rec.nodes.iter_mut().take(d) {
+        *v = r.u32(what)?;
+    }
+    let nodes = rec.nodes();
+    let valid = nodes.iter().all(|&v| (v as usize) < g.num_nodes())
+        && nodes.windows(2).all(|p| p[0] < p[1])
+        && subset_is_connected(g, nodes)
+        && (d > 1 || g.degree(nodes[0]) > 0);
+    if valid {
+        Ok(rec)
+    } else {
+        Err(CheckpointError::Malformed { what })
+    }
+}
+
+/// Whether `b` is one `G(d)` step from `a`: the two states share d − 1
+/// nodes, and at d = 1 the two nodes are adjacent.
+fn is_step<G: GraphAccess>(g: &G, a: &[NodeId], b: &[NodeId]) -> bool {
+    let shared = b.iter().filter(|v| a.contains(v)).count();
+    shared + 1 == b.len() && (b.len() > 1 || g.has_edge(a[0], b[0]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,77 +715,152 @@ mod tests {
         let _ = NodeWindow::new(9, 1);
     }
 
-    #[test]
-    fn checkpoint_round_trip_preserves_window_verbatim() {
-        use gx_walks::{rng_from_seed, G2Walk, StateWalk};
-        let g = classic::lollipop(5, 3);
-        let mut rng = rng_from_seed(41);
-        let mut walk = G2Walk::new(&g, 0, 1, false);
-        let mut w = NodeWindow::new(4, 2);
-        // Warm through plenty of evictions so slot order reflects real
-        // swap-remove history, then round-trip at several depths.
-        for step in 0..500 {
+    /// Everything a consumer can observe of a window.
+    type Observed = (u32, Vec<NodeId>, Vec<u32>, Vec<(u8, u32)>, Vec<Vec<NodeId>>);
+
+    fn observe(w: &NodeWindow) -> Observed {
+        let (mask, nodes) = w.sample();
+        (
+            mask,
+            nodes.to_vec(),
+            w.slot_degrees().to_vec(),
+            w.state_slot_masks().collect(),
+            w.states().map(|s| s.nodes().to_vec()).collect(),
+        )
+    }
+
+    /// Walks 2,000 steps through a length-`l` window, rebuilding it from
+    /// its checkpoint encoding every 97 steps: the rebuilt window must
+    /// equal the live one in every observable and then track it exactly
+    /// under the same pushes. Returns how many rebuilds saw a slot order
+    /// that differs from the ring's first-seen node order — windows only
+    /// the stored slot order can reproduce.
+    fn assert_rebuild_is_exact<G: GraphAccess, W: gx_walks::StateWalk>(
+        g: &G,
+        mut walk: W,
+        l: usize,
+        seed: u64,
+    ) -> usize {
+        let mut rng = gx_walks::rng_from_seed(seed);
+        let d = walk.d();
+        let mut live = NodeWindow::new(l, d);
+        let mut rebuilt: Option<NodeWindow> = None;
+        let mut permuted = 0;
+        for step in 0..2_000 {
             let deg = walk.state_degree();
-            w.push(&g, walk.state(), deg);
+            live.push(g, walk.state(), deg);
+            if let Some(back) = rebuilt.as_mut() {
+                back.push(g, walk.state(), deg);
+                assert_eq!(observe(back), observe(&live), "diverged after a push, step {step}");
+            }
+            if live.is_full() && step % 97 == 0 {
+                let mut buf = Vec::new();
+                live.encode_into(&mut buf);
+                let mut r = Reader::new(&buf);
+                let back = NodeWindow::decode_from(&mut r, g, l, d).unwrap();
+                r.finish().unwrap();
+                assert_eq!(observe(&back), observe(&live), "rebuild differs, step {step}");
+                assert_eq!(back.probes(), 0);
+                let mut first_seen: Vec<NodeId> = Vec::new();
+                for &v in live.states().flat_map(StateRec::nodes) {
+                    if !first_seen.contains(&v) {
+                        first_seen.push(v);
+                    }
+                }
+                permuted += usize::from(first_seen != live.distinct_nodes());
+                rebuilt = Some(back);
+            }
             walk.step(&mut rng);
-            if step % 97 != 0 {
-                continue;
-            }
-            let mut buf = Vec::new();
-            w.encode_into(&mut buf);
-            let mut r = crate::checkpoint::Reader::new(&buf);
-            let mut back = NodeWindow::decode_from(&mut r).unwrap();
-            r.finish().unwrap();
-            // Slot order, masks, degrees and probes all must survive;
-            // head is re-based but the ring contents are not observable
-            // through any accessor except oldest-first.
-            assert_eq!(back.sample(), w.sample());
-            assert_eq!(back.distinct_nodes(), w.distinct_nodes());
-            assert_eq!(back.slot_degrees(), w.slot_degrees());
-            assert_eq!(back.probes(), w.probes());
-            assert_eq!(
-                back.state_slot_masks().collect::<Vec<_>>(),
-                w.state_slot_masks().collect::<Vec<_>>()
-            );
-            // And the decoded window continues identically under the
-            // same pushes.
-            let mut probe_walk = G2Walk::new(&g, walk.current().0, walk.current().1, false);
-            let mut probe_rng = rng_from_seed(500 + step as u64);
-            let mut mirror = w.clone();
-            for _ in 0..25 {
-                let deg = probe_walk.state_degree();
-                mirror.push(&g, probe_walk.state(), deg);
-                back.push(&g, probe_walk.state(), deg);
-                assert_eq!(back.sample(), mirror.sample());
-                probe_walk.step(&mut probe_rng);
-            }
         }
+        permuted
+    }
+
+    #[test]
+    fn rebuilt_window_equals_the_live_one() {
+        use gx_walks::{G2Walk, GdWalk, SrwWalk};
+        let petersen = classic::petersen();
+        let lollipop = classic::lollipop(6, 4);
+        let permuted = [
+            assert_rebuild_is_exact(&petersen, SrwWalk::new(&petersen, 0, false), 4, 41),
+            assert_rebuild_is_exact(&lollipop, SrwWalk::new(&lollipop, 0, true), 3, 42),
+            assert_rebuild_is_exact(&lollipop, G2Walk::new(&lollipop, 0, 1, false), 4, 43),
+            assert_rebuild_is_exact(&petersen, G2Walk::new(&petersen, 0, 1, true), 3, 44),
+            assert_rebuild_is_exact(&lollipop, GdWalk::new(&lollipop, &[0, 1, 2], false), 3, 45),
+            assert_rebuild_is_exact(&petersen, GdWalk::new(&petersen, &[0, 1, 2], true), 2, 46),
+        ];
+        // Swap-removes reorder the slots on every graph and dimension, so
+        // the stored slot order is load-bearing in each case.
+        assert!(permuted.iter().all(|&n| n > 0), "{permuted:?}");
+    }
+
+    /// Encodes a ring and a slot list the way `encode_into` lays them out.
+    fn payload(states: &[&[NodeId]], slots: &[NodeId]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for &v in states.iter().copied().flatten().chain(slots) {
+            put_u32(&mut buf, v);
+        }
+        buf
+    }
+
+    /// Decodes a whole payload: the window, then nothing left over.
+    fn decode(g: &gx_graph::Graph, l: usize, d: usize, buf: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = Reader::new(buf);
+        NodeWindow::decode_from(&mut r, g, l, d)?;
+        r.finish()
     }
 
     #[test]
     fn decode_rejects_inconsistent_payloads() {
+        // Petersen: outer cycle 0-1-2-3-4, spokes i-(i+5), no triangles.
         let g = classic::petersen();
-        let mut w = NodeWindow::new(3, 1);
-        for v in [0, 1, 2] {
-            w.push(&g, &[v], g.degree(v));
+        let malformed = |what| Err(CheckpointError::Malformed { what });
+        // d = 1, l = 3: the walk 0 → 1 → 2.
+        let ring: &[&[NodeId]] = &[&[0], &[1], &[2]];
+        let good = payload(ring, &[2, 0, 1]);
+        assert_eq!(decode(&g, 3, 1, &good), Ok(()));
+        for cut in 0..good.len() {
+            assert!(decode(&g, 3, 1, &good[..cut]).is_err(), "cut {cut}");
         }
-        let mut buf = Vec::new();
-        w.encode_into(&mut buf);
-        // A clean decode works.
-        let mut r = crate::checkpoint::Reader::new(&buf);
-        assert!(NodeWindow::decode_from(&mut r).is_ok());
-        // l = 0 is out of domain.
-        let mut bad = buf.clone();
-        bad[..8].copy_from_slice(&0u64.to_le_bytes());
-        let mut r = crate::checkpoint::Reader::new(&bad);
+        // A node id past the graph.
         assert_eq!(
-            NodeWindow::decode_from(&mut r).unwrap_err(),
-            CheckpointError::Malformed { what: "window.dims" }
+            decode(&g, 3, 1, &payload(&[&[0], &[1], &[10]], &[0, 1, 10])),
+            malformed("window.state")
         );
-        // Truncating the payload is typed, not a panic.
-        for cut in 0..buf.len() {
-            let mut r = crate::checkpoint::Reader::new(&buf[..cut]);
-            assert!(NodeWindow::decode_from(&mut r).is_err(), "cut {cut}");
-        }
+        // 0 and 2 are not adjacent, so 0 → 2 is no step of the walk.
+        assert_eq!(
+            decode(&g, 3, 1, &payload(&[&[0], &[2], &[1]], &[0, 1, 2])),
+            malformed("window.state.step")
+        );
+        // The slot list must be a permutation of the union {0, 1, 2}.
+        assert_eq!(decode(&g, 3, 1, &payload(ring, &[0, 0, 2])), malformed("window.slot"));
+        assert_eq!(decode(&g, 3, 1, &payload(ring, &[0, 1, 3])), malformed("window.slot"));
+        assert!(decode(&g, 3, 1, &payload(ring, &[0, 1])).is_err(), "missing slot");
+        assert!(decode(&g, 3, 1, &payload(ring, &[0, 1, 2, 3])).is_err(), "extra slot");
+        // d = 2: a non-edge, an unsorted edge, and edges sharing no node.
+        assert_eq!(decode(&g, 2, 2, &payload(&[&[0, 1], &[1, 2]], &[0, 1, 2])), Ok(()));
+        assert_eq!(
+            decode(&g, 2, 2, &payload(&[&[0, 2], &[1, 2]], &[0, 1, 2])),
+            malformed("window.state")
+        );
+        assert_eq!(
+            decode(&g, 2, 2, &payload(&[&[1, 0], &[1, 2]], &[0, 1, 2])),
+            malformed("window.state")
+        );
+        assert_eq!(
+            decode(&g, 2, 2, &payload(&[&[0, 1], &[2, 3]], &[0, 1, 2, 3])),
+            malformed("window.state.step")
+        );
+        // d = 3, l = 2: {0, 1, 2} → {1, 2, 3}; then a disconnected state
+        // ({0, 2, 7}: only 2-7 is an edge) and an unsorted one.
+        let slots = [3, 2, 1, 0];
+        assert_eq!(decode(&g, 2, 3, &payload(&[&[0, 1, 2], &[1, 2, 3]], &slots)), Ok(()));
+        assert_eq!(
+            decode(&g, 2, 3, &payload(&[&[0, 2, 7], &[2, 3, 7]], &[0, 2, 3, 7])),
+            malformed("window.state")
+        );
+        assert_eq!(
+            decode(&g, 2, 3, &payload(&[&[1, 0, 2], &[1, 2, 3]], &slots)),
+            malformed("window.state")
+        );
     }
 }

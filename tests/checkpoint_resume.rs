@@ -4,10 +4,15 @@
 //! The acceptance contract:
 //! * **golden-bit resume** — checkpoint → drop → resume → `finish()` is
 //!   bit-identical to the uninterrupted run, for fixed and adaptive
-//!   budgets, walkers ∈ {1, 2, 8}, and several checkpoint cadences;
+//!   budgets, d ∈ {1, 2, 3} with and without non-backtracking, walkers
+//!   ∈ {1, 2, 3, 8}, and several checkpoint cadences;
 //! * **no panic on rot** — every truncation and every single-bit flip of
 //!   a valid snapshot resumes as a typed [`GxError::Checkpoint`], never
 //!   a panic, never a silently-wrong run;
+//! * **no panic on crafted input** — a resealed (checksum-valid) image
+//!   with any single byte changed resumes as a typed
+//!   [`GxError::Checkpoint`] or runs, reports and estimates without a
+//!   panic, in a debug build where integer overflow panics;
 //! * **fault tolerance** — a failed checkpoint write (injected at the
 //!   byte level or by plan) leaves the run able to finish bit-identical;
 //! * **graceful degradation** — a poisoned walker is quarantined, its
@@ -23,6 +28,7 @@ use graphlet_rw::{
     CheckpointError, EstimatorConfig, FaultPlan, GxError, Progress, Runner, StoppingRule,
     WalkerStatus,
 };
+use rand::Rng;
 use std::io::Write;
 
 /// One deterministic way to damage a serialized snapshot before handing
@@ -176,6 +182,22 @@ fn fixed_budget_resume_is_bit_identical() {
         let one_shot = runner.run(&g).unwrap();
         assert_eq!(bits(&one_shot), bits(&run_uninterrupted(&g, &runner, 700)));
     }
+    for cfg in more_resume_configs() {
+        for walkers in [1usize, 3] {
+            let runner = Runner::new(cfg.clone()).steps(9_000).seed(42).walkers(walkers);
+            let base = run_uninterrupted(&g, &runner, 1_000);
+            assert_estimates_bit_identical(&base, &run_with_crash(&g, &runner, 1_000, 1));
+        }
+    }
+}
+
+/// The configurations beyond `recommended(3)` (d = 1) and
+/// `recommended(4)` (d = 2) that the resume matrix pins: CSS on `G(3)`
+/// at k = 5, and non-backtracking CSS on `G(3)` and `G(2)` at k = 4.
+fn more_resume_configs() -> [EstimatorConfig; 3] {
+    let cfg =
+        |k, d, non_backtracking| EstimatorConfig { k, d, css: true, non_backtracking, burn_in: 0 };
+    [cfg(5, 3, false), cfg(4, 3, true), cfg(4, 2, true)]
 }
 
 #[test]
@@ -195,6 +217,14 @@ fn adaptive_resume_is_bit_identical() {
         }
         // Natural-cadence handle driving matches the one-shot runner.
         assert_eq!(bits(&runner.run(&g).unwrap()), bits(&base));
+    }
+    for cfg in more_resume_configs() {
+        for walkers in [1usize, 3] {
+            let runner = Runner::new(cfg.clone()).until(rule()).seed(7).walkers(walkers);
+            let advance = rule().check_every;
+            let base = run_uninterrupted(&g, &runner, advance);
+            assert_estimates_bit_identical(&base, &run_with_crash(&g, &runner, advance, 1));
+        }
     }
 }
 
@@ -354,7 +384,7 @@ fn resume_refuses_a_different_graph() {
     assert!(Runner::resume(&twin, &mut snap.as_slice()).is_ok());
 }
 
-// --- Format v3: the batch_width field, older versions refused -------------
+// --- Format v4: the batch_width field, older versions refused -------------
 
 /// Re-wraps a payload in a fresh envelope (recomputed length + checksum)
 /// stamped with `version` — the tool for crafting checksum-valid
@@ -401,14 +431,15 @@ fn engine_mode_snapshot_pair(g: &graphlet_rw::Graph) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn pre_v3_snapshots_are_refused_with_a_typed_error() {
-    // Versions 1 and 2 carried derivable state (the pooled statistics,
-    // per-walker counts, caps, batch length) that version 3 rebuilds; a
-    // checksum-valid image stamped with an older version is refused
+fn pre_v4_snapshots_are_refused_with_a_typed_error() {
+    // Versions 1 to 3 carried state that version 4 rebuilds (the pooled
+    // statistics, per-walker counts, caps and batch length; the walk
+    // position and the window's degrees, refcounts and adjacency rows);
+    // a checksum-valid image stamped with an older version is refused
     // before its payload is read, never misparsed.
     let g = classic::lollipop(6, 5);
     let (snap, _) = engine_mode_snapshot_pair(&g);
-    for old in [1u32, 2] {
+    for old in [1u32, 2, 3] {
         let crafted = seal(&snap[24..], old);
         match Runner::resume(&g, &mut crafted.as_slice()) {
             Err(GxError::Checkpoint(CheckpointError::UnsupportedVersion { found })) => {
@@ -507,6 +538,105 @@ fn future_format_version_is_refused_even_with_valid_checksum() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+}
+
+// --- Resealed mutations: typed error or a panic-free run -------------------
+
+/// The checksum-valid single-byte mutations of `snap`'s payload: every
+/// byte offset in `offsets` set to 0x00, 0xff, `b ^ 1` and `b + 1`, each
+/// image resealed with a fresh checksum so it reaches the decoder.
+fn resealed_mutations<'a>(
+    snap: &'a [u8],
+    offsets: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = (usize, Vec<u8>)> + 'a {
+    let payload = &snap[24..];
+    offsets.flat_map(move |at| {
+        let b = payload[at];
+        let mut values = vec![0x00, 0xff, b ^ 1, b.wrapping_add(1)];
+        values.sort_unstable();
+        values.dedup();
+        values.into_iter().filter(move |&v| v != b).map(move |v| {
+            let mut mutated = payload.to_vec();
+            mutated[at] = v;
+            (at, seal(&mutated, graphlet_rw::core::checkpoint::VERSION))
+        })
+    })
+}
+
+/// Resumes each image and, if it resumes, drives it through `advance`,
+/// `progress` and `estimate`. Returns the offsets whose image panicked or
+/// failed with an error other than `GxError::Checkpoint`.
+fn mutation_failures(
+    g: &graphlet_rw::Graph,
+    images: impl Iterator<Item = (usize, Vec<u8>)>,
+) -> Vec<(usize, String)> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut failures = Vec::new();
+    for (at, image) in images {
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| match Runner::resume(g, &mut image.as_slice()) {
+                Err(GxError::Checkpoint(_)) => Ok(()),
+                Err(e) => Err(format!("non-checkpoint error {e:?}")),
+                Ok(mut handle) => {
+                    handle.advance(500);
+                    handle.progress();
+                    handle.estimate();
+                    Ok(())
+                }
+            }));
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => failures.push((at, e)),
+            Err(_) => failures.push((at, "panicked".to_string())),
+        }
+    }
+    failures
+}
+
+/// A Petersen snapshot of a fixed 20,000-step run (seed 5) whose
+/// walkers advance as one lock-step group, taken after `advance(400)`.
+fn petersen_snapshot(cfg: EstimatorConfig, walkers: usize) -> Vec<u8> {
+    let g = classic::petersen();
+    let runner = Runner::new(cfg).steps(20_000).seed(5).walkers(walkers).batch_width(walkers);
+    let mut handle = runner.start(&g).unwrap();
+    handle.advance(400);
+    let mut snap = Vec::new();
+    handle.checkpoint(&mut snap).unwrap();
+    snap
+}
+
+#[test]
+fn resealed_single_byte_mutations_are_typed_errors_or_panic_free_runs() {
+    // Debug builds check overflow, so a resumed value that disagrees with
+    // the graph panics here instead of wrapping silently. A seed-pinned
+    // sample of offsets keeps the sweep near 20 s: one in two for the
+    // k = 5 SRW2CSS case (2 walkers in one width-2 group), one in eight
+    // for d ∈ {1, 2, 3} × width {1, 4} (4 walkers at width 4).
+    let g = classic::petersen();
+    let d3 = EstimatorConfig { k: 4, d: 3, css: true, non_backtracking: true, burn_in: 0 };
+    let cases = [
+        (EstimatorConfig::recommended(5), 2, 2),
+        (EstimatorConfig::recommended(3), 1, 8),
+        (EstimatorConfig::recommended(3), 4, 8),
+        (EstimatorConfig::recommended(4), 1, 8),
+        (EstimatorConfig::recommended(4), 4, 8),
+        (d3.clone(), 1, 8),
+        (d3, 4, 8),
+    ];
+    let mut rng = rng_from_seed(2024);
+    let mut failures = Vec::new();
+    for (cfg, walkers, one_in) in cases {
+        let snap = petersen_snapshot(cfg.clone(), walkers);
+        let offsets: Vec<usize> =
+            (0..snap.len() - 24).filter(|_| rng.gen_range(0..one_in) == 0).collect();
+        for (at, what) in mutation_failures(&g, resealed_mutations(&snap, offsets.into_iter())) {
+            failures.push(format!(
+                "k = {}, d = {}, {walkers} walkers, byte {at}: {what}",
+                cfg.k, cfg.d
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{} failing images: {failures:#?}", failures.len());
 }
 
 // --- Checkpoint-write faults leave the run unharmed ------------------------
