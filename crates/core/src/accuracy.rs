@@ -37,6 +37,7 @@
 
 use crate::checkpoint::{put_f64, put_u64, put_u8, put_usize, Reader};
 use crate::error::{CheckpointError, RuleError};
+use std::sync::{Mutex, PoisonError};
 
 /// Streaming batch-means statistics over per-step score vectors.
 ///
@@ -817,15 +818,52 @@ pub fn student_t_quantile(p: f64, df: u64) -> f64 {
 /// critical value, not a domain panic halfway through a paid-for run.
 /// (Tail precision already degrades for `z ≳ 5.5` — far beyond any
 /// practical confidence level; every sane `z` is unaffected.)
+///
+/// Each `(z, df)` value is computed once per process (the bisection
+/// costs tens of µs, and a run asks for the same few values every round)
+/// and read from a small process-wide memo after that.
 pub fn studentized_critical(z: f64, batches: u64) -> f64 {
     if batches < 2 {
-        f64::NAN
-    } else if batches >= STUDENTIZE_BELOW {
-        z
-    } else {
-        student_t_quantile(normal_cdf(z).min(1.0 - 1e-12), batches - 1)
+        return f64::NAN;
     }
+    if batches >= STUDENTIZE_BELOW {
+        return z;
+    }
+    let df = batches - 1;
+    let slot = (df - 1) as usize;
+    let key = z.to_bits();
+    let memo = || CRITICAL_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    let cached = memo().iter().find(|row| row.0 == key).map(|row| row.1[slot]);
+    if let Some(t) = cached.filter(|t| !t.is_nan()) {
+        return t;
+    }
+    // Computed outside the lock: the quantile asserts its domain, and a
+    // panic must not poison the memo for every other run.
+    let t = student_t_quantile(normal_cdf(z).min(1.0 - 1e-12), df);
+    let mut memo = memo();
+    if let Some(row) = memo.iter_mut().find(|row| row.0 == key) {
+        row.1[slot] = t;
+    } else if memo.len() < CRITICAL_MEMO_ROWS {
+        let mut row = [f64::NAN; STUDENTIZE_SLOTS];
+        row[slot] = t;
+        memo.push((key, row));
+    }
+    t
 }
+
+/// Studentized degrees of freedom: `1..STUDENTIZE_BELOW − 1`.
+const STUDENTIZE_SLOTS: usize = (STUDENTIZE_BELOW - 2) as usize;
+
+/// Distinct `z` values [`CRITICAL_MEMO`] holds; a further `z` is
+/// computed on every call. A rule sizes every interval with its one `z`,
+/// and the workspace uses a handful.
+const CRITICAL_MEMO_ROWS: usize = 8;
+
+/// The [`studentized_critical`] memo: one row per `z` (keyed by its
+/// bits), one slot per df, `NaN` until first use. Scanned linearly —
+/// no hashing, so no iteration order to leak into results; a memoized
+/// value has the bits the bisection returns.
+static CRITICAL_MEMO: Mutex<Vec<(u64, [f64; STUDENTIZE_SLOTS])>> = Mutex::new(Vec::new());
 
 /// When to stop an adaptive estimation run ([`crate::Runner::until`]).
 ///
@@ -1515,6 +1553,21 @@ mod tests {
         assert_eq!(studentized_critical(1.96, 1_000), 1.96);
         assert!(studentized_critical(1.96, 0).is_nan());
         assert!(studentized_critical(1.96, 1).is_nan());
+    }
+
+    #[test]
+    fn memoized_critical_values_equal_the_bisection_bit_for_bit() {
+        // Twice over: the first pass may fill the memo, the second reads
+        // it; both must return the quantile's own bits.
+        for _ in 0..2 {
+            for z in [1.96, 2.576, 9.0] {
+                for df in 1..=28u64 {
+                    let exact = student_t_quantile(normal_cdf(z).min(1.0 - 1e-12), df);
+                    let memo = studentized_critical(z, df + 1);
+                    assert_eq!(memo.to_bits(), exact.to_bits(), "z={z} df={df}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,37 +57,21 @@ pub const MAGIC: [u8; 4] = *b"GXCP";
 /// translated.
 pub const VERSION: u32 = 4;
 
-/// Hard ceiling on the declared payload length (64 MiB). Real snapshots
-/// are kilobytes; anything above this is a corrupted header, and the
-/// bound keeps a flipped length bit from turning into a giant read loop.
+/// Hard ceiling on the payload length (64 MiB), enforced on both sides.
+/// The reader treats a larger declared length as a corrupted header, so
+/// a flipped length bit cannot turn into a giant read loop; the writer
+/// refuses a larger payload ([`CheckpointError::TooLarge`]), so no
+/// snapshot is ever written that resume would refuse. Real snapshots are
+/// kilobytes; only the batch-means series of a very long single-walker
+/// adaptive run without [`crate::StoppingRule::bounded_memory`] grows
+/// toward the ceiling.
 const MAX_PAYLOAD: u64 = 64 << 20;
 
-// ---------------------------------------------------------------------------
-// FNV-1a
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit digest. Every byte step is a bijection of the running
-/// state, so same-length payloads differing in any single bit hash
-/// differently — exactly the guarantee the corruption tests lean on.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Structural graph fingerprint — now defined next to
-/// [`gx_graph::GraphAccess`] itself (it is also embedded in on-disk
-/// snapshot headers by
-/// `gx_graph::disk`); re-exported here so `gx_core::graph_fingerprint`
-/// and every resume/cache call site keep compiling unchanged. Bit
-/// compatible: same FNV-1a constants, same traversal.
-pub use gx_graph::graph_fingerprint;
+/// The envelope checksum and the structural graph fingerprint, both
+/// defined next to [`gx_graph::GraphAccess`] (on-disk snapshot headers
+/// use the same two); re-exported so `gx_core::graph_fingerprint` and
+/// every resume/cache call site read them from here.
+pub use gx_graph::{fnv1a, graph_fingerprint};
 
 // ---------------------------------------------------------------------------
 // Codec: little-endian primitives into a Vec<u8> / out of a slice
@@ -209,11 +193,17 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 /// Wraps a payload in the checkpoint envelope and writes it:
-/// `MAGIC ∥ version ∥ payload_len ∥ fnv1a(payload) ∥ payload`.
+/// `MAGIC ∥ version ∥ payload_len ∥ fnv1a(payload) ∥ payload`. A payload
+/// over [`MAX_PAYLOAD`] is refused as [`CheckpointError::TooLarge`]
+/// before a byte is written.
 pub(crate) fn write_envelope<W: Write>(payload: &[u8], w: &mut W) -> Result<(), GxError> {
+    let len = payload.len() as u64;
+    if len > MAX_PAYLOAD {
+        return Err(CheckpointError::TooLarge { len }.into());
+    }
     w.write_all(&MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(&fnv1a(payload).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
@@ -396,6 +386,19 @@ mod tests {
             read_envelope(&mut out.as_slice()),
             Err(GxError::Checkpoint(CheckpointError::Truncated))
         );
+    }
+
+    #[test]
+    fn writer_refuses_exactly_what_the_reader_would() {
+        let at_ceiling = vec![0u8; MAX_PAYLOAD as usize];
+        assert_eq!(write_envelope(&at_ceiling, &mut std::io::sink()), Ok(()));
+        let over = vec![0u8; MAX_PAYLOAD as usize + 1];
+        let mut out = Vec::new();
+        assert_eq!(
+            write_envelope(&over, &mut out),
+            Err(GxError::Checkpoint(CheckpointError::TooLarge { len: MAX_PAYLOAD + 1 }))
+        );
+        assert!(out.is_empty(), "refused before a byte is written");
     }
 
     #[test]

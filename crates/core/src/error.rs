@@ -114,14 +114,17 @@ impl fmt::Display for RuleError {
 
 impl std::error::Error for RuleError {}
 
-/// Why a checkpoint payload was refused at resume time.
+/// Why a checkpoint was refused — at resume time, or at write time for
+/// a snapshot resume would refuse.
 ///
 /// Every variant is a *typed* rejection: a truncated, bit-flipped, or
 /// mismatched snapshot must never panic or silently resume wrong. The
 /// reader verifies the envelope (magic, version, length, checksum) before
 /// trusting a single payload field, so a corrupted payload surfaces as
 /// [`CheckpointError::Truncated`] / [`CheckpointError::ChecksumMismatch`]
-/// rather than as garbage state.
+/// rather than as garbage state. The writer refuses what the reader
+/// would ([`CheckpointError::TooLarge`]), so a snapshot that was written
+/// always resumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The stream does not start with the checkpoint magic bytes.
@@ -149,6 +152,14 @@ pub enum CheckpointError {
         /// Which field or invariant failed.
         what: &'static str,
     },
+    /// The writer refused a payload over the 64 MiB ceiling the reader
+    /// enforces, before writing a byte; the run is unperturbed. Only
+    /// the batch-means series of a long single-walker adaptive run grows
+    /// this large — [`crate::StoppingRule::bounded_memory`] caps it.
+    TooLarge {
+        /// The refused payload's length in bytes.
+        len: u64,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -166,6 +177,11 @@ impl fmt::Display for CheckpointError {
                  (fingerprint {expected:#018x}, offered graph {found:#018x})"
             ),
             Self::Malformed { what } => write!(f, "malformed checkpoint payload: {what}"),
+            Self::TooLarge { len } => write!(
+                f,
+                "checkpoint payload of {len} bytes exceeds the 64 MiB ceiling \
+                 (bound the batch-means series with StoppingRule::bounded_memory)"
+            ),
         }
     }
 }
@@ -179,9 +195,10 @@ impl std::error::Error for CheckpointError {}
 /// of `Ok(Estimate)` or one of these — never a hang, never an untyped
 /// panic escaping the worker pool. The variants that end a job in
 /// flight ([`ServiceError::DeadlineExceeded`],
-/// [`ServiceError::Cancelled`]) travel with a best-effort partial
-/// estimate at the service layer; the error itself stays `Copy` so
-/// [`GxError`] remains cheap to pass around and compare.
+/// [`ServiceError::Cancelled`], [`ServiceError::Checkpoint`]) travel
+/// with a best-effort partial estimate at the service layer; the error
+/// itself stays `Copy` so [`GxError`] remains cheap to pass around and
+/// compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
     /// Admission control shed the job: the service's bounded queue was
@@ -204,6 +221,11 @@ pub enum ServiceError {
     /// The service shut down before the job completed. Waiters are
     /// released with this instead of hanging on a dead pool.
     Shutdown,
+    /// The job's end-of-lease snapshot was refused — in practice
+    /// [`CheckpointError::TooLarge`]. A descheduled job *is* its
+    /// snapshot, so the job ends here, once; the live run's estimate is
+    /// attached as the partial at the service layer.
+    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for ServiceError {
@@ -219,11 +241,19 @@ impl fmt::Display for ServiceError {
             }
             Self::Cancelled => write!(f, "job cancelled by its submitter"),
             Self::Shutdown => write!(f, "service shut down before the job completed"),
+            Self::Checkpoint(e) => write!(f, "job snapshot refused: {e}"),
         }
     }
 }
 
-impl std::error::Error for ServiceError {}
+impl std::error::Error for ServiceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Checkpoint(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Everything a [`crate::runner::Runner`] run can reject up front.
 ///
@@ -273,7 +303,7 @@ pub enum GxError {
     /// header, truncated file, malformed index, or unreadable path.
     Snapshot(gx_graph::SnapshotError),
     /// The estimation service refused or terminated the job (shed load,
-    /// deadline passed, cancelled, or shut down).
+    /// deadline passed, cancelled, shut down, or snapshot refused).
     Service(ServiceError),
     /// A burn-in pilot ([`crate::measure_burn_in`]) too short for four
     /// complete batches: the diagnosis compares the leading half of the
@@ -427,6 +457,9 @@ mod tests {
         assert!(ServiceError::DeadlineExceeded.to_string().contains("deadline exceeded"));
         assert!(ServiceError::Cancelled.to_string().contains("cancelled by its submitter"));
         assert!(ServiceError::Shutdown.to_string().contains("shut down before"));
+        let refused = ServiceError::Checkpoint(CheckpointError::TooLarge { len: 70_000_000 });
+        assert!(refused.to_string().contains("snapshot refused"));
+        assert!(refused.to_string().contains("70000000 bytes"));
     }
 
     #[test]
@@ -476,6 +509,7 @@ mod tests {
         assert!(CheckpointError::Malformed { what: "window.count" }
             .to_string()
             .contains("window.count"));
+        assert!(CheckpointError::TooLarge { len: 1 << 27 }.to_string().contains("64 MiB"));
         let io = GxError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert_eq!(io, GxError::Io(std::io::ErrorKind::NotFound));
         assert!(GxError::BoundedMemoryParallel { walkers: 4 }

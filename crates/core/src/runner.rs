@@ -67,7 +67,7 @@ use crate::parallel::{available_cores, walker_seed, walker_steps};
 use crate::result::Estimate;
 use gx_graph::GraphAccess;
 use gx_graphlets::num_graphlets;
-use gx_walks::{StateWalk, WalkRng};
+use gx_walks::{derive_seed, StateWalk, WalkRng};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::rc::Rc;
@@ -115,21 +115,14 @@ type ProgressFn = Rc<dyn Fn(&Progress)>;
 /// *never* serialized into a checkpoint (a resumed run starts fault-free
 /// unless the test re-attaches a plan).
 ///
-/// Two fault families are injected from inside the run:
-///
-/// * **checkpoint-write failures** — [`FaultPlan::fail_write_after`]
-///   makes [`RunHandle::checkpoint`] return a typed I/O error after a
-///   budgeted number of successful snapshots;
-/// * **walker-chain poisoning** — [`FaultPlan::poison`] kills a walker's
-///   chain at a chosen round, exercising the quarantine path: the
-///   poisoned walker is frozen, its completed batches stay pooled, and
-///   the run finishes degraded on the remaining walkers.
+/// One fault family is injected from inside the run: **walker-chain
+/// poisoning** — [`FaultPlan::poison`] kills a walker's chain at a
+/// chosen round, exercising the quarantine path: the poisoned walker is
+/// frozen, its completed batches stay pooled, and the run finishes
+/// degraded on the remaining walkers. (A failing checkpoint writer needs
+/// no plan: any [`Write`] that errors exercises that path.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Number of [`RunHandle::checkpoint`] calls allowed to succeed;
-    /// every later call fails with [`GxError::Io`] *before writing a
-    /// byte*, leaving the run unperturbed. `None` never fails.
-    pub fail_write_after: Option<usize>,
     /// `(walker, round)` pairs: quarantine `walker` at the start of the
     /// run's `round`-th advance (1-based), before it contributes that
     /// round's share. Entries for already-quarantined or out-of-range
@@ -153,14 +146,11 @@ impl FaultPlan {
         let mut x = seed;
         let mut next = move || {
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            derive_seed(x, 0)
         };
         let walker = (next() % walkers as u64) as usize;
         let round = 1 + (next() % max_round as u64) as usize;
-        Self { fail_write_after: None, poison: vec![(walker, round)] }
+        Self { poison: vec![(walker, round)] }
     }
 }
 
@@ -211,7 +201,7 @@ impl Runner {
     }
 
     /// Attaches a deterministic [`FaultPlan`] (robustness testing only):
-    /// injected checkpoint-write failures and walker-chain poisonings.
+    /// injected walker-chain poisonings.
     /// The default is [`FaultPlan::none`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
@@ -383,7 +373,6 @@ impl Runner {
             progress: self.progress.clone(),
             plan: self.plan.clone(),
             fingerprint: None,
-            checkpoints: 0,
         })
     }
 
@@ -616,9 +605,6 @@ pub struct RunHandle<'g, G: GraphAccess> {
     /// Cached [`graph_fingerprint`] — computed on the first checkpoint,
     /// so fault-free runs never pay the O(edges) scan.
     fingerprint: Option<u64>,
-    /// Checkpoints successfully taken (drives
-    /// [`FaultPlan::fail_write_after`]).
-    checkpoints: usize,
 }
 
 impl<G: GraphAccess> std::fmt::Debug for RunHandle<'_, G> {
@@ -908,17 +894,13 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     /// [`Runner::resume`] and driving to completion reproduces the
     /// uninterrupted run bit for bit.
     ///
-    /// Fails with [`GxError::Io`] on writer errors (and, under a
-    /// [`FaultPlan::fail_write_after`] budget, by injection — before a
-    /// byte is written). A failed checkpoint never perturbs the run: the
-    /// handle advances and finishes exactly as if the call had not
-    /// happened.
+    /// Fails with [`GxError::Io`] on writer errors, and with
+    /// [`CheckpointError::TooLarge`] — before a byte is written — for a
+    /// snapshot over the 64 MiB ceiling [`Runner::resume`] enforces, so
+    /// every snapshot written resumes. A failed checkpoint never perturbs
+    /// the run: the handle advances and finishes exactly as if the call
+    /// had not happened.
     pub fn checkpoint<W: Write>(&mut self, w: &mut W) -> Result<(), GxError> {
-        if let Some(allowed) = self.plan.fail_write_after {
-            if self.checkpoints >= allowed {
-                return Err(GxError::Io(std::io::ErrorKind::WriteZero));
-            }
-        }
         let fingerprint = match self.fingerprint {
             Some(fp) => fp,
             None => {
@@ -928,16 +910,15 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
             }
         };
         let payload = self.encode_payload(fingerprint);
-        write_envelope(&payload, w)?;
-        self.checkpoints += 1;
-        Ok(())
+        write_envelope(&payload, w)
     }
 
     /// [`RunHandle::checkpoint`] onto disk via
     /// [`crate::checkpoint::write_atomic`] (temporary sibling → fsync →
     /// rename): a crash mid-write leaves the previous checkpoint file
     /// intact, never a torn half-write — the property that makes a live
-    /// checkpoint cadence safe.
+    /// checkpoint cadence safe. An over-ceiling snapshot fails as in
+    /// [`RunHandle::checkpoint`], leaving the file untouched.
     pub fn checkpoint_to_file<P: AsRef<Path>>(&mut self, path: P) -> Result<(), GxError> {
         let mut bytes = Vec::new();
         self.checkpoint(&mut bytes)?;
@@ -1140,5 +1121,27 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
             }
         });
         self.after_round()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_plan_from_seed_keeps_its_draws() {
+        // Pinned against the plans the generator drew before it shared
+        // the SplitMix64 finalizer with `gx_walks::derive_seed`.
+        let pinned = [
+            (0u64, (3, 1)),
+            (1, (1, 10)),
+            (7, (3, 5)),
+            (42, (1, 2)),
+            (0xDEAD_BEEF, (3, 5)),
+            (u64::MAX, (0, 10)),
+        ];
+        for (seed, poison) in pinned {
+            assert_eq!(FaultPlan::from_seed(seed, 4, 10).poison, vec![poison], "seed {seed}");
+        }
     }
 }

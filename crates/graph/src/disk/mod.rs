@@ -54,7 +54,7 @@ mod mmap;
 pub use compressed::CompressedGraph;
 pub use mmap::MmapGraph;
 
-use crate::access::{graph_fingerprint, GraphAccess};
+use crate::access::{fnv1a, graph_fingerprint, GraphAccess};
 use crate::NodeId;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -83,22 +83,6 @@ pub const GXSC_BLOCK: u64 = 64;
 
 const MAGIC_GXSN: [u8; 4] = *b"GXSN";
 const MAGIC_GXSC: [u8; 4] = *b"GXSC";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit digest (same function, same constants as the
-/// checkpoint envelope): every byte step is a bijection of the running
-/// state, so same-length headers differing in any single bit hash
-/// differently — the guarantee the corruption tests lean on.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Errors

@@ -38,7 +38,7 @@ pub mod io;
 pub mod stats;
 pub mod subrel;
 
-pub use access::{graph_fingerprint, ApiGraph, ApiStats, GraphAccess};
+pub use access::{fnv1a, graph_fingerprint, ApiGraph, ApiStats, GraphAccess};
 pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use disk::{

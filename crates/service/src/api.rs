@@ -10,7 +10,6 @@
 //! escaped panic.
 
 use crate::cache::{SharedGraph, SnapshotCache};
-use crate::recovery::BackoffPolicy;
 use crate::scheduler::{self, JobShared, ServiceShared};
 use crate::sync::{locked, wait_timeout_unpoisoned, wait_unpoisoned};
 use gx_core::parallel::available_cores;
@@ -18,6 +17,7 @@ use gx_core::{
     Estimate, EstimatorConfig, FaultPlan, GxError, Progress, ServiceError, StoppingRule,
 };
 use gx_graph::{Graph, MmapGraph};
+use gx_walks::derive_seed;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,11 +45,6 @@ pub struct JobFaults {
     /// checkpoint re-adoption; the panic payload is
     /// [`crate::InjectedWorkerPanic`].
     pub panic_at_round: Option<usize>,
-    /// Fail this many end-of-lease checkpoint writes (typed I/O errors
-    /// through the real [`gx_core::RunHandle::checkpoint`] fault path)
-    /// before letting one succeed. Exercises the capped-backoff retry
-    /// loop.
-    pub checkpoint_write_failures: usize,
     /// `(walker, round)` chain poisonings, threaded into the run's core
     /// [`FaultPlan`]. Exercises graceful degradation: the job completes
     /// on surviving walkers, flagged degraded.
@@ -67,7 +62,8 @@ impl JobFaults {
         *self == Self::none()
     }
 
-    /// A deterministic pseudo-random plan (SplitMix64 over `seed`):
+    /// A deterministic pseudo-random plan (SplitMix64 over `seed`, see
+    /// [`gx_walks::derive_seed`]):
     /// each fault family fires with probability ~1/3, rounds drawn from
     /// `1..=max_round`, poisonings over `0..walkers`. Same seed, same
     /// plan — the chaos-test form of hand-picking faults.
@@ -76,7 +72,8 @@ impl JobFaults {
         let mut x = seed;
         let mut next = move || {
             x = x.wrapping_add(1);
-            crate::recovery::splitmix(x.wrapping_mul(0xA076_1D64_78BD_642F))
+            let z = x.wrapping_mul(0xA076_1D64_78BD_642F);
+            derive_seed(z.wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
         };
         let mut faults = Self::none();
         if next() % 3 == 0 {
@@ -84,9 +81,6 @@ impl JobFaults {
         }
         if next() % 3 == 0 {
             faults.panic_at_round = Some(1 + (next() % max_round as u64) as usize);
-        }
-        if next() % 3 == 0 {
-            faults.checkpoint_write_failures = 1 + (next() % 3) as usize;
         }
         faults
     }
@@ -211,8 +205,8 @@ pub struct JobResult {
     /// service ended the job early.
     pub outcome: Result<Estimate, ServiceError>,
     /// Best-effort partial estimate for jobs ended early (cancelled /
-    /// deadline-exceeded after at least one scheduler round). `None`
-    /// when the job never advanced.
+    /// deadline-exceeded after at least one scheduler round, or a
+    /// refused snapshot). `None` when the job never advanced.
     pub partial: Option<Estimate>,
     /// Whether any of the job's walkers was quarantined mid-run
     /// (graceful degradation — see [`gx_core::WalkerStatus`]).
@@ -223,8 +217,6 @@ pub struct JobResult {
     /// Times the job was re-adopted from its checkpoint after a worker
     /// failure.
     pub recoveries: usize,
-    /// Checkpoint-write retries spent across all leases.
-    pub checkpoint_retries: usize,
     /// Global lease sequence number of the job's first lease.
     pub first_lease_seq: Option<u64>,
     /// Global lease sequence number of the job's last lease.
@@ -304,13 +296,11 @@ pub struct ServiceConfig {
     /// Admission bound: maximum incomplete (queued + in-flight) jobs
     /// before submissions shed as [`ServiceError::Rejected`].
     pub max_pending: usize,
-    /// Checkpoint-write retry backoff.
-    pub backoff: BackoffPolicy,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { workers: available_cores(), max_pending: 64, backoff: BackoffPolicy::default() }
+        Self { workers: available_cores(), max_pending: 64 }
     }
 }
 
@@ -351,10 +341,11 @@ pub struct ServiceStats {
 /// * **Robustness** — per-job deadlines and cooperative cancellation
 ///   terminate as typed [`ServiceError`]s with
 ///   partial estimates attached; admission control sheds overload as
-///   `Rejected` with a retry hint; transient checkpoint-write faults
-///   retry under capped backoff with jitter; a panicking worker is
-///   quarantined and replaced while its job is re-adopted from its last
-///   round-boundary checkpoint by a surviving worker.
+///   `Rejected` with a retry hint; a job whose snapshot the writer
+///   refuses ends once, as [`ServiceError::Checkpoint`] with its live
+///   estimate attached; a panicking worker is quarantined and replaced
+///   while its job is re-adopted from its last round-boundary
+///   checkpoint by a surviving worker.
 /// * **Determinism** — a job's advance schedule is its own (the rule's
 ///   `check_every` cadence, or the fixed-budget increment), independent
 ///   of how jobs interleave, so a fault-free service job is golden-bit
@@ -423,5 +414,31 @@ impl EstimationService {
 impl Drop for EstimationService {
     fn drop(&mut self) {
         scheduler::shutdown(&self.shared);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn job_faults_from_seed_keeps_its_draws() {
+        // Pinned against the plans drawn before the checkpoint-failure
+        // family (the stream's last draw) was removed: every seed keeps
+        // its poison and panic draws.
+        let pinned = [
+            (0u64, None, vec![(0usize, 3usize)]),
+            (1, None, vec![]),
+            (7, Some(2usize), vec![]),
+            (42, Some(1), vec![]),
+            (99, None, vec![]),
+            (0xC0FF_EE00, Some(7), vec![(0, 2)]),
+            (u64::MAX, Some(7), vec![]),
+        ];
+        for (seed, panic_at_round, poison) in pinned {
+            let faults = JobFaults::from_seed(seed, 3, 8);
+            assert_eq!(faults.panic_at_round, panic_at_round, "seed {seed}");
+            assert_eq!(faults.poison, poison, "seed {seed}");
+        }
     }
 }

@@ -14,8 +14,10 @@
 //!   cooperative cancellation, progress polling.
 //! * Typed terminal outcomes only: every submitted job ends in
 //!   `Ok(Estimate)` or a [`gx_core::ServiceError`]
-//!   (`Rejected`/`DeadlineExceeded`/`Cancelled`/`Shutdown`), with a
-//!   best-effort partial estimate attached where one exists.
+//!   (`Rejected`/`DeadlineExceeded`/`Cancelled`/`Shutdown`/`Checkpoint`),
+//!   with a best-effort partial estimate attached where one exists. A
+//!   checkpoint fails one way: the writer refuses a snapshot resume
+//!   would refuse, and the job ends there as `Checkpoint` — no retries.
 //! * Crash recovery: a worker that panics is quarantined and replaced;
 //!   its in-flight job is re-adopted from its last round-boundary
 //!   checkpoint by a surviving worker — bit-identical to an
@@ -42,7 +44,7 @@ pub use api::{
 pub use cache::{SharedGraph, SnapshotCache};
 pub use deadline::Deadline;
 pub use gx_core::ServiceError;
-pub use recovery::{BackoffPolicy, InjectedWorkerPanic};
+pub use recovery::InjectedWorkerPanic;
 
 use std::panic::PanicHookInfo;
 use std::sync::Once;

@@ -12,67 +12,23 @@
 //! checkpoint contract makes the replay bit-identical to a run that was
 //! never interrupted.
 //!
-//! Checkpoint writes are the one step that must not fail silently:
-//! transient faults are retried under [`BackoffPolicy`] (capped
-//! exponential with deterministic jitter), and the retry loop keeps
-//! honoring cancellation and deadlines so a persistently-failing store
-//! still terminates the job with a typed outcome.
+//! The end-of-lease snapshot goes into memory, so the only way it fails
+//! is the writer refusing it: a payload over the ceiling resume enforces
+//! ([`gx_core::CheckpointError::TooLarge`]). Retrying cannot shrink it,
+//! and yielding without it would leave nothing to resume, so the job
+//! ends right there as [`gx_core::ServiceError::Checkpoint`] with the
+//! live run's estimate as its partial — one typed terminal path, no
+//! retry loop. Because the writer refuses exactly what resume would, a
+//! snapshot the scheduler holds always resumes.
 
 use crate::api::{JobBudget, JobFaults};
 use crate::cache::SharedGraph;
 use crate::deadline::Deadline;
 use crate::scheduler::JobShared;
 use crate::sync::locked;
-use gx_core::{Estimate, FaultPlan, Runner};
+use gx_core::{CheckpointError, Estimate, FaultPlan, GxError, Runner, ServiceError};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Capped exponential backoff with deterministic jitter, used between
-/// checkpoint-write retries.
-///
-/// Delay for attempt `n` (0-based) is `min(cap, base · 2ⁿ)`, scaled by
-/// a jitter factor in `[0.5, 1.0]` derived from a SplitMix64 stream of
-/// `(seed, n)` — deterministic per job, so fault-injection tests replay
-/// exactly, while distinct jobs desynchronize instead of thundering
-/// onto a recovering checkpoint store in lockstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// First-retry delay.
-    pub base: Duration,
-    /// Ceiling no delay exceeds (pre-jitter).
-    pub cap: Duration,
-}
-
-impl Default for BackoffPolicy {
-    /// 500µs doubling to a 50ms cap: fast enough that a blip costs
-    /// microseconds, slow enough that a struggling store is not hammered.
-    fn default() -> Self {
-        Self { base: Duration::from_micros(500), cap: Duration::from_millis(50) }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before retry `attempt` (0-based) for a job keyed by
-    /// `seed`.
-    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
-        let exp = self.base.saturating_mul(1u32 << attempt.min(16));
-        let capped = exp.min(self.cap);
-        // Jitter in [0.5, 1.0]: half-scale at minimum keeps the backoff
-        // meaningful, full-scale at maximum never exceeds the cap.
-        let jitter = 0.5 + 0.5 * (splitmix(seed ^ u64::from(attempt)) as f64 / u64::MAX as f64);
-        capped.mul_f64(jitter)
-    }
-}
-
-/// One SplitMix64 output — the deterministic jitter source (also the
-/// stream behind [`crate::JobFaults::from_seed`]).
-pub(crate) fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The panic payload of an injected worker failure, so robustness tests
 /// can distinguish (and silence) injected crashes from real bugs. See
@@ -103,10 +59,8 @@ pub(crate) struct Lease {
     /// Scored windows per round (the job's natural advance increment).
     pub round_windows: usize,
     /// This lease's slice of the job's fault plan (injected panic
-    /// pre-armed by the scheduler; checkpoint-failure budget consumed
-    /// here and returned through [`LeaseEnd::Yielded`]).
+    /// pre-armed by the scheduler).
     pub faults: JobFaults,
-    pub backoff: BackoffPolicy,
     pub deadline: Deadline,
     pub shared: Arc<JobShared>,
 }
@@ -120,19 +74,10 @@ pub(crate) enum LeaseEnd {
     /// this snapshot.
     /// (Degradation needs no field here: quarantined-walker status is
     /// part of the snapshot and resurfaces on resume.)
-    Yielded {
-        snapshot: Vec<u8>,
-        rounds_run: usize,
-        /// Checkpoint-write retries this lease burned (telemetry).
-        checkpoint_retries: usize,
-        /// Remaining injected checkpoint-failure budget, written back to
-        /// the job record.
-        checkpoint_failures_left: usize,
-    },
-    /// The submitter's cancel flag was observed.
-    Cancelled { partial: Option<Box<Estimate>>, degraded: bool },
-    /// The job's deadline passed.
-    DeadlineExceeded { partial: Option<Box<Estimate>>, degraded: bool },
+    Yielded { snapshot: Vec<u8>, rounds_run: usize },
+    /// The job ended early — cancelled, past its deadline, or its
+    /// snapshot refused — with its best-effort partial estimate.
+    Ended { error: ServiceError, partial: Option<Box<Estimate>>, degraded: bool },
 }
 
 /// Runs one lease to its end. Panics only by injection
@@ -151,40 +96,42 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
         rounds_done,
         rounds_budget,
         round_windows,
-        mut faults,
-        backoff,
+        faults,
         deadline,
         shared,
     } = lease;
     let g: &SharedGraph = &graph;
-
-    // Cheap pre-checks before any handle is built: a job cancelled or
-    // expired while queued terminates here, with a partial estimate
-    // only if an earlier lease left a snapshot to read it from.
-    let partial_only = |snapshot: &Option<Vec<u8>>| -> (Option<Box<Estimate>>, bool) {
-        match snapshot {
-            None => (None, false),
-            Some(bytes) => match Runner::resume_trusted(g, fingerprint, &mut bytes.as_slice()) {
-                Ok(h) => (Some(Box::new(h.estimate())), h.degraded()),
-                Err(_) => (None, false),
-            },
+    // Cancellation wins over the deadline; both are cooperative, checked
+    // between rounds only.
+    let interrupted = || {
+        if shared.cancel.load(Ordering::Acquire) {
+            Some(ServiceError::Cancelled)
+        } else if deadline.expired() {
+            Some(ServiceError::DeadlineExceeded)
+        } else {
+            None
         }
     };
-    if shared.cancel.load(Ordering::Acquire) {
-        let (partial, degraded) = partial_only(&snapshot);
-        return LeaseEnd::Cancelled { partial, degraded };
-    }
-    if deadline.expired() {
-        let (partial, degraded) = partial_only(&snapshot);
-        return LeaseEnd::DeadlineExceeded { partial, degraded };
+
+    // Cheap pre-check before any handle is built: a job cancelled or
+    // expired while queued terminates here, with a partial estimate
+    // only if an earlier lease left a snapshot to read it from.
+    if let Some(error) = interrupted() {
+        let resumed = snapshot
+            .as_ref()
+            .and_then(|bytes| Runner::resume_trusted(g, fingerprint, &mut bytes.as_slice()).ok());
+        let degraded = resumed.as_ref().is_some_and(|h| h.degraded());
+        return LeaseEnd::Ended {
+            error,
+            partial: resumed.map(|h| Box::new(h.estimate())),
+            degraded,
+        };
     }
 
     // Materialize the run: resume the snapshot (trusted fingerprint —
     // the cache computed it once at intern time) or start fresh. The
-    // spec was validated at submit, and our own snapshots round-trip by
-    // the PR 6 contract, so failures here are bugs, not inputs.
-    let plan =
-        |fail: Option<usize>| FaultPlan { fail_write_after: fail, poison: faults.poison.clone() };
+    // spec was validated at submit, and the writer refuses any snapshot
+    // resume would, so failures here are bugs, not inputs.
     let mut handle = match &snapshot {
         Some(bytes) => Runner::resume_trusted(g, fingerprint, &mut bytes.as_slice())
             // gx-lint: allow(panic_surface) -- deliberate: runs under the worker catch_unwind boundary; a snapshot we wrote that fails to resume is a checkpoint-subsystem bug, and panicking quarantines the worker and re-adopts the job
@@ -204,24 +151,20 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
             h
         }
     };
-    handle.set_faults(plan(None));
+    handle.set_faults(FaultPlan { poison: faults.poison });
 
-    // The round loop: cooperative cancellation/deadline checks between
-    // rounds, the injected worker panic fired *before* the round it
-    // names (so the job's last snapshot is exactly the round boundary
-    // the recovery conformance test replays from).
+    // The round loop: cancellation/deadline checks before every round
+    // and after the last one, the injected worker panic fired *before*
+    // the round it names (so the job's last snapshot is exactly the
+    // round boundary the recovery conformance test replays from).
     let mut rounds_run = 0usize;
-    while rounds_run < rounds_budget {
-        if shared.cancel.load(Ordering::Acquire) {
+    loop {
+        if let Some(error) = interrupted() {
             let degraded = handle.degraded();
-            return LeaseEnd::Cancelled { partial: Some(Box::new(handle.estimate())), degraded };
+            return LeaseEnd::Ended { error, partial: Some(Box::new(handle.estimate())), degraded };
         }
-        if deadline.expired() {
-            let degraded = handle.degraded();
-            return LeaseEnd::DeadlineExceeded {
-                partial: Some(Box::new(handle.estimate())),
-                degraded,
-            };
+        if rounds_run >= rounds_budget {
+            break;
         }
         let next_round = rounds_done + rounds_run + 1;
         if faults.panic_at_round.is_some_and(|at| next_round >= at) {
@@ -236,76 +179,21 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
         }
     }
 
-    // Deschedule: snapshot at the round boundary, retrying transient
-    // write faults (injected ones consume the fault budget through the
-    // same typed-error path a real store failure would take). The loop
-    // still honors cancellation and deadlines, so a store that never
-    // recovers cannot wedge the job.
-    let mut retries = 0usize;
-    let mut attempt = 0u32;
-    loop {
-        if shared.cancel.load(Ordering::Acquire) {
-            let degraded = handle.degraded();
-            return LeaseEnd::Cancelled { partial: Some(Box::new(handle.estimate())), degraded };
-        }
-        if deadline.expired() {
-            let degraded = handle.degraded();
-            return LeaseEnd::DeadlineExceeded {
-                partial: Some(Box::new(handle.estimate())),
-                degraded,
-            };
-        }
-        let inject = faults.checkpoint_write_failures > 0;
-        handle.set_faults(plan(if inject { Some(0) } else { None }));
-        let mut buf = Vec::new();
-        match handle.checkpoint(&mut buf) {
-            Ok(()) => {
-                return LeaseEnd::Yielded {
-                    snapshot: buf,
-                    rounds_run,
-                    checkpoint_retries: retries,
-                    checkpoint_failures_left: faults.checkpoint_write_failures,
-                };
-            }
-            Err(_) => {
-                // Typed failure (injected or real); the run itself is
-                // unperturbed — a failed checkpoint never moves a sample.
-                if inject {
-                    faults.checkpoint_write_failures -= 1;
-                }
-                retries += 1;
-                std::thread::sleep(backoff.delay(attempt, seed ^ shared.id));
-                attempt = attempt.saturating_add(1);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_grows() {
-        let p = BackoffPolicy::default();
-        assert_eq!(p.delay(3, 7), p.delay(3, 7), "same (attempt, seed), same delay");
-        for attempt in 0..20 {
-            let d = p.delay(attempt, 42);
-            assert!(d <= p.cap, "jittered delay must respect the cap");
-            assert!(d >= p.base / 2, "jitter floor is half the base schedule");
-        }
-        // The pre-jitter schedule doubles: even the minimum jitter at
-        // attempt 4 exceeds the maximum jitter at attempt 0.
-        assert!(p.delay(4, 1).as_nanos() > p.delay(0, 1).as_nanos());
-    }
-
-    #[test]
-    fn backoff_jitter_desynchronizes_distinct_jobs() {
-        let p = BackoffPolicy::default();
-        // Not a randomness test — just that the seed actually reaches
-        // the jitter, so fleets of jobs do not retry in lockstep.
-        let distinct: std::collections::HashSet<u128> =
-            (0..16).map(|seed| p.delay(2, seed).as_nanos()).collect();
-        assert!(distinct.len() > 1);
+    // Deschedule: snapshot at the round boundary, once. The write goes
+    // into memory, so an `Err` is the writer refusing the snapshot —
+    // no retry changes that, and without it there is nothing to resume.
+    let mut snapshot = Vec::new();
+    match handle.checkpoint(&mut snapshot) {
+        Ok(()) => LeaseEnd::Yielded { snapshot, rounds_run },
+        Err(e) => LeaseEnd::Ended {
+            error: ServiceError::Checkpoint(match e {
+                GxError::Checkpoint(refused) => refused,
+                // A `Vec` writer raises no I/O error; were one to appear,
+                // the snapshot it cut short is a truncated one.
+                _ => CheckpointError::Truncated,
+            }),
+            partial: Some(Box::new(handle.estimate())),
+            degraded: handle.degraded(),
+        },
     }
 }

@@ -19,7 +19,7 @@ use crate::api::{
 };
 use crate::cache::{SharedGraph, SnapshotCache};
 use crate::deadline::Deadline;
-use crate::recovery::{run_lease, BackoffPolicy, Lease, LeaseEnd};
+use crate::recovery::{run_lease, Lease, LeaseEnd};
 use crate::sync::{locked, wait_unpoisoned};
 use gx_core::{Estimate, EstimatorConfig, GxError, Progress, Runner, ServiceError};
 use std::collections::{HashMap, VecDeque};
@@ -83,7 +83,6 @@ struct JobRecord {
     /// Telemetry, accumulated into the terminal [`JobResult`].
     leases: usize,
     recoveries: usize,
-    checkpoint_retries: usize,
     first_seq: Option<u64>,
     last_seq: Option<u64>,
     /// Whether a worker currently holds a lease on this job.
@@ -117,7 +116,6 @@ struct State {
 pub(crate) struct ServiceShared {
     workers: usize,
     admission: Admission,
-    backoff: BackoffPolicy,
     state: Mutex<State>,
     /// Signalled when the ready queue grows or shutdown begins.
     work: Condvar,
@@ -141,7 +139,6 @@ impl ServiceShared {
         let shared = Arc::new(Self {
             workers: config.workers.max(1),
             admission: Admission { max_pending: config.max_pending.max(1) },
-            backoff: config.backoff,
             state: Mutex::new(State::default()),
             work: Condvar::new(),
             threads: Mutex::new(Vec::new()),
@@ -232,7 +229,6 @@ pub(crate) fn submit(shared: &Arc<ServiceShared>, spec: JobSpec) -> Result<JobHa
             shared: job_shared.clone(),
             leases: 0,
             recoveries: 0,
-            checkpoint_retries: 0,
             first_seq: None,
             last_seq: None,
             in_flight: false,
@@ -298,7 +294,7 @@ fn worker_loop(shared: Arc<ServiceShared>) {
                     return;
                 }
                 if let Some(id) = st.ready.pop_front() {
-                    if let Some(lease) = grant(&mut st, id, &shared) {
+                    if let Some(lease) = grant(&mut st, id) {
                         break (id, lease);
                     }
                     continue;
@@ -324,7 +320,7 @@ fn worker_loop(shared: Arc<ServiceShared>) {
 /// Copies a lease out of the job record (under the lock) and banks the
 /// job's DRR grant. The injected worker panic, if due within this
 /// lease, is *moved* onto the lease so re-adoption cannot re-fire it.
-fn grant(st: &mut State, id: JobId, shared: &ServiceShared) -> Option<Lease> {
+fn grant(st: &mut State, id: JobId) -> Option<Lease> {
     let seq = st.lease_seq;
     // A ready id whose record is gone would be a scheduler bookkeeping
     // bug; declining the grant keeps the pool alive instead of
@@ -355,12 +351,7 @@ fn grant(st: &mut State, id: JobId, shared: &ServiceShared) -> Option<Lease> {
         rounds_done: job.rounds_done,
         rounds_budget,
         round_windows: job.round_windows,
-        faults: JobFaults {
-            panic_at_round: panic_at,
-            checkpoint_write_failures: job.faults.checkpoint_write_failures,
-            poison: job.faults.poison.clone(),
-        },
-        backoff: shared.backoff,
+        faults: JobFaults { panic_at_round: panic_at, poison: job.faults.poison.clone() },
         deadline: job.deadline,
         shared: job.shared.clone(),
     };
@@ -386,29 +377,13 @@ fn settle(shared: &ServiceShared, id: JobId, end: LeaseEnd, elapsed: Duration) {
         LeaseEnd::Finished { estimate, degraded } => {
             resolve(&mut st, id, Ok(*estimate), None, degraded);
         }
-        LeaseEnd::Cancelled { partial, degraded } => {
-            resolve(&mut st, id, Err(ServiceError::Cancelled), partial.map(|b| *b), degraded);
+        LeaseEnd::Ended { error, partial, degraded } => {
+            resolve(&mut st, id, Err(error), partial.map(|b| *b), degraded);
         }
-        LeaseEnd::DeadlineExceeded { partial, degraded } => {
-            resolve(
-                &mut st,
-                id,
-                Err(ServiceError::DeadlineExceeded),
-                partial.map(|b| *b),
-                degraded,
-            );
-        }
-        LeaseEnd::Yielded {
-            snapshot,
-            rounds_run,
-            checkpoint_retries,
-            checkpoint_failures_left,
-        } => {
+        LeaseEnd::Yielded { snapshot, rounds_run } => {
             job.rounds_done += rounds_run;
             job.deficit = job.deficit.saturating_sub(rounds_run);
             job.snapshot = Some(snapshot);
-            job.checkpoint_retries += checkpoint_retries;
-            job.faults.checkpoint_write_failures = checkpoint_failures_left;
             if st.shutdown {
                 resolve(&mut st, id, Err(ServiceError::Shutdown), None, false);
             } else {
@@ -473,7 +448,6 @@ fn resolve(
         degraded,
         leases: job.leases,
         recoveries: job.recoveries,
-        checkpoint_retries: job.checkpoint_retries,
         first_lease_seq: job.first_seq,
         last_lease_seq: job.last_seq,
     };

@@ -34,6 +34,11 @@ pub fn import_rng_state(state: u128, increment: u128) -> WalkRng {
 /// Derives an independent child seed from `(base, stream)` with SplitMix64
 /// finalization — used to give every repetition / dataset / method its own
 /// stream without correlated low bits.
+///
+/// This is the workspace's one copy of the SplitMix64 finalizer:
+/// `derive_seed(z, 0)` is the bare finalizer of `z`, so a SplitMix64
+/// stream is `derive_seed(x += 0x9E37_79B9_7F4A_7C15, 0)` (the fault-plan
+/// generators draw from it).
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
     let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

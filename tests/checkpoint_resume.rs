@@ -14,7 +14,8 @@
 //!   [`GxError::Checkpoint`] or runs, reports and estimates without a
 //!   panic, in a debug build where integer overflow panics;
 //! * **fault tolerance** — a failed checkpoint write (injected at the
-//!   byte level or by plan) leaves the run able to finish bit-identical;
+//!   byte level, or a snapshot over the 64 MiB ceiling refused before a
+//!   byte is written) leaves the run able to finish bit-identical;
 //! * **graceful degradation** — a poisoned walker is quarantined, its
 //!   completed batches stay pooled, the run completes with
 //!   `degraded == true`;
@@ -669,34 +670,52 @@ fn failing_writer_yields_io_error_and_run_finishes_bit_identical() {
     assert_estimates_bit_identical(&base, &handle.finish());
 }
 
+/// A run whose snapshot would pass the 64 MiB ceiling resume enforces:
+/// one walker, an adaptive rule that never converges and batch length 1,
+/// so the batch-means series keeps one k = 5 mean vector (21 × 8 bytes)
+/// per scored window — 67.2 MB after 400,000 windows. The writer refuses
+/// it, typed, before a byte is written, and the run goes on unperturbed.
 #[test]
-fn fault_plan_fails_checkpoints_after_the_budget() {
-    let g = classic::petersen();
-    let plan = FaultPlan { fail_write_after: Some(1), poison: Vec::new() };
-    let runner =
-        Runner::new(EstimatorConfig::recommended(3)).steps(4_000).seed(2).faults(plan.clone());
-    let base = Runner::new(EstimatorConfig::recommended(3)).steps(4_000).seed(2).run(&g).unwrap();
+fn over_ceiling_checkpoint_is_refused_typed_and_harmless() {
+    let g = classic::lollipop(8, 6);
+    let runner = Runner::new(EstimatorConfig::recommended(5))
+        .until(StoppingRule {
+            target_rel_ci: 1e-9, // unreachable: runs to the cap
+            check_every: 100_000,
+            max_steps: 410_000,
+            batch_len: 1,
+            min_batches: 2,
+            ..Default::default()
+        })
+        .seed(1);
+    let base = run_uninterrupted(&g, &runner, 100_000);
 
     let mut handle = runner.start(&g).unwrap();
-    handle.advance(2_000);
-    let mut first = Vec::new();
-    handle.checkpoint(&mut first).unwrap();
-    let mut second = Vec::new();
-    match handle.checkpoint(&mut second) {
-        Err(GxError::Io(_)) => {}
-        other => panic!("expected injected Io error, got {other:?}"),
+    for _ in 0..4 {
+        handle.advance(100_000);
     }
-    assert!(second.is_empty(), "injected failure must fire before a byte is written");
-    // The successful snapshot resumes fine; the failed one changed nothing.
+    let mut buf = Vec::new();
+    match handle.checkpoint(&mut buf) {
+        Err(GxError::Checkpoint(CheckpointError::TooLarge { len })) => {
+            assert!(len > 64 << 20, "refused a {len}-byte payload under the ceiling");
+        }
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    assert!(buf.is_empty(), "the refusal must come before a byte is written");
+    let dir = std::env::temp_dir().join(format!("gxcp_too_large_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.gxcp");
+    assert!(matches!(
+        handle.checkpoint_to_file(&path),
+        Err(GxError::Checkpoint(CheckpointError::TooLarge { .. }))
+    ));
+    assert!(!path.exists() && !dir.join("run.gxcp.tmp").exists(), "no file for a refusal");
+    std::fs::remove_dir_all(&dir).unwrap();
+
     while !handle.is_finished() {
-        handle.advance(2_000);
+        handle.advance(100_000);
     }
     assert_estimates_bit_identical(&base, &handle.finish());
-    let mut resumed = Runner::resume(&g, &mut first.as_slice()).unwrap();
-    while !resumed.is_finished() {
-        resumed.advance(2_000);
-    }
-    assert_estimates_bit_identical(&base, &resumed.finish());
 }
 
 #[test]
@@ -736,7 +755,7 @@ fn checkpoint_files_are_atomic_and_resumable() {
 #[test]
 fn poisoned_walker_is_quarantined_and_run_completes_degraded() {
     let g = classic::lollipop(6, 5);
-    let plan = FaultPlan { fail_write_after: None, poison: vec![(1, 2)] };
+    let plan = FaultPlan { poison: vec![(1, 2)] };
     let runner = Runner::new(EstimatorConfig::recommended(3))
         .until(StoppingRule {
             target_rel_ci: 1e-9, // unreachable: runs to the cap

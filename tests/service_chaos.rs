@@ -1,6 +1,6 @@
 //! Seed-pinned chaos test: many concurrent jobs under simultaneous
-//! worker panics, checkpoint-write faults, walker poisonings, tiny
-//! deadlines, overload shedding, and random mid-flight cancellations.
+//! worker panics, walker poisonings, tiny deadlines, overload shedding,
+//! and random mid-flight cancellations.
 //!
 //! The single invariant under all of that: **every submitted job
 //! terminates, under a watchdog, with exactly one typed outcome** —
@@ -48,7 +48,6 @@ fn chaos_wave(wave_seed: u64, jobs: usize) {
         workers: 2,
         // Below the wave size, so overload shedding is part of the chaos.
         max_pending: (jobs * 3 / 4).max(1),
-        ..ServiceConfig::default()
     });
 
     let mut admitted: Vec<(usize, JobHandle)> = Vec::new();
@@ -117,6 +116,7 @@ fn chaos_wave(wave_seed: u64, jobs: usize) {
             }
             Err(ServiceError::Shutdown) => panic!("nobody shut the service down yet"),
             Err(ServiceError::Rejected { .. }) => panic!("admitted jobs cannot be rejected"),
+            Err(ServiceError::Checkpoint(e)) => panic!("chaos snapshots are kilobytes: {e}"),
         }
     }
 
@@ -154,11 +154,8 @@ fn chaos_shutdown_mid_wave_leaves_no_waiter_hanging() {
         EstimationService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
     let handles: Vec<JobHandle> = (0..8)
         .map(|i| {
-            let faults = JobFaults {
-                panic_at_round: (i % 3 == 0).then_some(2),
-                checkpoint_write_failures: (i % 2) as usize,
-                ..JobFaults::none()
-            };
+            let faults =
+                JobFaults { panic_at_round: (i % 3 == 0).then_some(2), ..JobFaults::none() };
             service
                 .submit(
                     JobSpec::new(g.clone(), EstimatorConfig::recommended(3))

@@ -13,10 +13,11 @@
 //! * **recovery** — an injected worker panic quarantines the worker,
 //!   spawns a replacement, and re-adopts the job from its last
 //!   round-boundary checkpoint, bit-identical to the uninterrupted run;
-//! * **typed ends** — deadline, cancellation, overload, and shutdown all
-//!   surface as the right [`ServiceError`], with best-effort partial
-//!   estimates where one exists, and never hang (every wait here runs
-//!   under a watchdog timeout).
+//! * **typed ends** — deadline, cancellation, overload, shutdown, and a
+//!   snapshot past the checkpoint ceiling all surface as the right
+//!   [`ServiceError`], with best-effort partial estimates where one
+//!   exists, and never hang (every wait here runs under a watchdog
+//!   timeout).
 
 // Watchdog timeouts here are real timing code; the Instant ban guards
 // library code.
@@ -28,7 +29,8 @@ use graphlet_rw::service::{
     ServiceConfig,
 };
 use graphlet_rw::{
-    Estimate, EstimatorConfig, GraphAccess, GxError, Runner, ServiceError, StoppingRule,
+    CheckpointError, Estimate, EstimatorConfig, GraphAccess, GxError, Runner, ServiceError,
+    StoppingRule,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +45,7 @@ fn graph() -> Arc<graphlet_rw::Graph> {
     Arc::new(classic::lollipop(16, 8))
 }
 
-/// Two workers regardless of the host, one-slot backoff kept default.
+/// Two workers regardless of the host.
 fn two_worker_service() -> EstimationService {
     EstimationService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() })
 }
@@ -271,29 +273,44 @@ fn poisoned_walker_job_completes_degraded() {
     assert_eq!(result.recoveries, 0, "no worker died — degradation is in-run");
 }
 
-/// Transient checkpoint-write faults: the end-of-lease snapshot write
-/// fails (typed, through the real fault path) and is retried under
-/// backoff until it succeeds; the job's answer is unperturbed.
+/// A job whose snapshot would pass the 64 MiB ceiling resume enforces
+/// (one walker, batch length 1, a k = 5 mean vector per scored window:
+/// 67.2 MB after 400,000 windows) ends once, typed, with the live run's
+/// estimate attached — no worker panics on an unresumable snapshot, and
+/// the watchdog turns a hang into a failure.
 #[test]
-fn checkpoint_write_faults_are_retried_and_harmless() {
-    let g = graph();
-    let service = two_worker_service();
-    let faults = JobFaults { checkpoint_write_failures: 2, ..JobFaults::none() };
+fn job_whose_snapshot_passes_the_ceiling_ends_typed() {
+    let g = Arc::new(classic::lollipop(8, 6));
+    let service =
+        EstimationService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let rule = StoppingRule {
+        target_rel_ci: 1e-9, // unreachable: the cap is far past the ceiling
+        check_every: 100_000,
+        max_steps: 2_000_000,
+        batch_len: 1,
+        min_batches: 2,
+        ..Default::default()
+    };
     let job = service
-        .submit(
-            JobSpec::new(g.clone(), cfg())
-                .steps(12_000)
-                .round_windows(2_000)
-                .seed(13)
-                .faults(faults),
-        )
+        .submit(JobSpec::new(g, EstimatorConfig::recommended(5)).until(rule).seed(1))
         .expect("admitted");
-    let result = wait(&job);
-    let est = result.outcome.expect("retried checkpoints must not fail the job");
-    assert!(result.checkpoint_retries >= 2, "both injected failures were retried");
-
-    let (expected, _) = solo(&*g, &Runner::new(cfg()).steps(12_000).seed(13), 2_000);
-    assert_estimates_bit_identical(&est, &expected);
+    let result = job.wait_timeout(Duration::from_secs(60));
+    let stats = service.stats();
+    let result = result.unwrap_or_else(|| {
+        panic!("job hung with {} quarantined workers", stats.quarantined_workers)
+    });
+    match result.outcome {
+        Err(ServiceError::Checkpoint(CheckpointError::TooLarge { len })) => {
+            assert!(len > 64 << 20, "refused a {len}-byte payload under the ceiling");
+        }
+        other => panic!("expected a refused snapshot, got {other:?}"),
+    }
+    let partial = result.partial.expect("the live run's estimate is attached");
+    assert_eq!(partial.steps, 400_000, "the job ends at the first refused snapshot");
+    assert!(!result.degraded);
+    assert_eq!(result.recoveries, 0);
+    assert_eq!(stats.quarantined_workers, 0);
+    assert_eq!(stats.recoveries, 0);
 }
 
 #[test]
@@ -354,11 +371,7 @@ fn cancellation_is_cooperative_prompt_and_typed() {
 #[test]
 fn overload_sheds_as_typed_rejection_with_retry_hint() {
     let g = graph();
-    let service = EstimationService::start(ServiceConfig {
-        workers: 1,
-        max_pending: 2,
-        ..ServiceConfig::default()
-    });
+    let service = EstimationService::start(ServiceConfig { workers: 1, max_pending: 2 });
     let spec = || JobSpec::new(g.clone(), cfg()).steps(50_000_000).round_windows(500);
     let a = service.submit(spec()).expect("slot 1");
     let b = service.submit(spec()).expect("slot 2");
