@@ -115,7 +115,6 @@ struct DenseCss {
 
 impl DenseCss {
     fn build(k: usize, d: usize) -> Self {
-        let l = k - d + 1;
         let n_masks = 1usize << num_pairs(k);
         let mut t = DenseCss {
             entries: vec![Entry::default(); n_masks],
@@ -124,17 +123,16 @@ impl DenseCss {
             interiors: Vec::new(),
         };
         for mask in 0..n_masks {
-            let small = SmallGraph::from_mask(k, mask as u32);
-            if !small.is_connected() {
+            // Disconnected masks have no cover and keep the zero entry.
+            let Some(cover) = covering_sequences(&SmallGraph::from_mask(k, mask as u32), d) else {
                 continue;
-            }
-            let cover = covering_sequences(&small, d);
-            assert!(cover.subsets.len() <= MAX_SUBSETS, "subset scratch overflow");
-            let flat = cover.flat_interiors(l);
+            };
+            debug_assert!(cover.subsets.len() <= MAX_SUBSETS, "C(k, d) ≤ C(6, 3) = 20");
+            let flat = cover.flat_interiors();
             t.entries[mask] = Entry {
                 subs_off: t.subset_bits.len() as u32,
                 seq_off: t.interiors.len() as u32,
-                seq_cnt: cover.sequences.len() as u32,
+                seq_cnt: cover.count() as u32,
                 used: interior_used_bits(&flat),
                 subs_len: cover.subsets.len() as u8,
             };
@@ -175,8 +173,9 @@ fn dense_css(k: usize, d: usize) -> &'static DenseCss {
 }
 
 /// One lazily built k = 6 entry, in the same flat shape as the dense
-/// arenas so both paths share the scoring code.
-#[derive(Debug)]
+/// arenas so both paths share the scoring code. Empty for a disconnected
+/// mask, like the dense table's zero entry.
+#[derive(Debug, Default)]
 struct LazyEntry {
     subset_bits: Vec<u8>,
     subset_pos: Vec<[u8; 2]>,
@@ -192,23 +191,25 @@ enum Table {
     /// branch at all.
     Dense(&'static DenseCss),
     /// k = 6: per-instance dense `Vec` filled on first visit of each mask
-    /// (still direct-indexed, still hash-free; eager precomputation of
-    /// all 26k+ connected 6-node masks is not worth the startup cost for
-    /// a configuration the paper never runs).
+    /// (still direct-indexed, still hash-free). An entry costs tens of
+    /// microseconds, but the whole table would not pay: over all 26,704
+    /// connected 6-node masks the d = 3 interiors alone come to 26.6 MB
+    /// and take about 0.45 s to enumerate, and a run visits few masks.
     Lazy { k: usize, d: usize, entries: Vec<Option<Box<LazyEntry>>> },
 }
 
 impl LazyEntry {
     fn build(k: usize, d: usize, mask: u32) -> Self {
-        let small = SmallGraph::from_mask(k, mask);
-        let cover = covering_sequences(&small, d);
-        assert!(cover.subsets.len() <= MAX_SUBSETS, "subset scratch overflow");
-        let flat = cover.flat_interiors(k - d + 1);
+        let Some(cover) = covering_sequences(&SmallGraph::from_mask(k, mask), d) else {
+            return LazyEntry::default();
+        };
+        debug_assert!(cover.subsets.len() <= MAX_SUBSETS, "C(k, d) ≤ C(6, 3) = 20");
+        let flat = cover.flat_interiors();
         LazyEntry {
             used: interior_used_bits(&flat),
             interiors: flat,
             subset_pos: cover.subsets.iter().map(|&b| lowest_two_positions(b)).collect(),
-            seq_cnt: cover.sequences.len() as u32,
+            seq_cnt: cover.count() as u32,
             subset_bits: cover.subsets,
         }
     }
@@ -290,8 +291,16 @@ impl CssWeights {
     /// Taking `k` here (every call site knows it at construction) lets the
     /// whole dense table be ready before the first sample, removing the
     /// per-step lazy-init/hash path of the seed implementation.
+    ///
+    /// # Panics
+    ///
+    /// Unless `3 ≤ k ≤ 6` and `1 ≤ d ≤ k` (what
+    /// [`EstimatorConfig::try_validate`](crate::EstimatorConfig::try_validate)
+    /// admits).
     pub fn new(k: usize, d: usize) -> Self {
+        // gx-lint: allow(panic_surface) -- documented precondition, like an index out of range; the estimator passes a validated config
         assert!((3..=6).contains(&k), "CssWeights: k={k} unsupported (3..=6)");
+        // gx-lint: allow(panic_surface) -- documented precondition, as above
         assert!((1..=k).contains(&d), "CssWeights: d={d} must be in 1..=k={k}");
         let l = k - d + 1;
         let table = if k <= 5 {
@@ -319,6 +328,10 @@ impl CssWeights {
     /// estimator's hot loop uses
     /// [`CssWeights::sampling_probability_windowed`], which reads the same
     /// degrees from the window instead of the graph.
+    ///
+    /// # Panics
+    ///
+    /// If `nodes` does not hold exactly the configured k nodes.
     pub fn sampling_probability<G: GraphAccess>(
         &mut self,
         g: &G,
@@ -326,6 +339,7 @@ impl CssWeights {
         nodes: &[NodeId],
         non_backtracking: bool,
     ) -> f64 {
+        // gx-lint: allow(panic_surface) -- documented precondition of the general-purpose path; the estimator's hot loop takes the windowed path
         assert_eq!(nodes.len(), self.k, "sample size must match the configured k");
         let view = view_entry(&mut self.table, self.stride, mask);
         match self.l {
@@ -990,12 +1004,10 @@ mod seed_oracle {
             let d = self.d;
             let entry = self.cache.entry((k, mask)).or_insert_with(|| {
                 let small = SmallGraph::from_mask(k, mask);
-                let cover = covering_sequences(&small, d);
+                let cover = covering_sequences(&small, d).unwrap();
                 let l = k - d + 1;
                 CssEntry {
-                    subsets: cover.subsets,
                     interiors: cover
-                        .sequences
                         .iter()
                         .map(|seq| {
                             if seq.len() <= 2 {
@@ -1005,6 +1017,7 @@ mod seed_oracle {
                             }
                         })
                         .collect(),
+                    subsets: cover.subsets,
                     l_is_one: l == 1,
                 }
             });

@@ -9,9 +9,7 @@ use crate::pie::pie_tilde;
 use crate::result::Estimate;
 use crate::window::{decode_state, NodeWindow, StateRec};
 use gx_graph::{GraphAccess, NodeId};
-use gx_graphlets::{
-    alpha::alpha_table, classify_mask, classify_table, num_graphlets, NOT_A_GRAPHLET,
-};
+use gx_graphlets::{alpha::alpha_table, classify_table, num_graphlets, NOT_A_GRAPHLET};
 use gx_walks::{
     export_rng_state, import_rng_state, random_start_edge, random_start_node, random_start_state,
     rng_from_seed, G2Walk, GdWalk, SrwWalk, StateWalk, WalkRng,
@@ -38,9 +36,9 @@ struct Scorer {
     l: usize,
     non_backtracking: bool,
     alphas: &'static [u64],
-    /// Dense `mask → paper index` byte table (k ≤ 5); `None` falls back
-    /// to the two-step canonical classification (k = 6).
-    dense_classify: Option<&'static [u8]>,
+    /// Dense `mask → paper index` byte table ([`classify_table`]; a
+    /// validated config's k always has one).
+    classify: &'static [u8],
     css: Option<CssWeights>,
     /// Raw scores in a fixed stack array (112 covers every k ≤ 6), so the
     /// per-sample accumulate is an array store with no heap indirection.
@@ -64,7 +62,7 @@ impl Scorer {
             l: cfg.l(),
             non_backtracking: cfg.non_backtracking,
             alphas: alpha_table(cfg.k, cfg.d),
-            dense_classify: classify_table(cfg.k),
+            classify: classify_table(cfg.k).unwrap_or_default(),
             css: if cfg.css { Some(CssWeights::new(cfg.k, cfg.d)) } else { None },
             raw: [0.0f64; MAX_TYPES],
             valid: 0,
@@ -101,7 +99,7 @@ impl Scorer {
             l: cfg.l(),
             non_backtracking: cfg.non_backtracking,
             alphas: alpha_table(cfg.k, cfg.d),
-            dense_classify: classify_table(cfg.k),
+            classify: classify_table(cfg.k).unwrap_or_default(),
             css: if cfg.css { Some(CssWeights::new(cfg.k, cfg.d)) } else { None },
             raw,
             valid,
@@ -133,14 +131,14 @@ impl Scorer {
         }
         let (mask, _nodes) = window.sample();
         // A window covering k distinct nodes induces a connected
-        // subgraph, so both lookups always find a type; the `None` arm
+        // subgraph, so the lookup always finds a type; the `None` arm
         // is unreachable and would score the window as invalid.
-        let idx = match self.dense_classify {
-            Some(table) => {
-                Some(table[mask as usize]).filter(|&id| id != NOT_A_GRAPHLET).map(usize::from)
-            }
-            None => classify_mask(self.k, mask).map(|class| class.index as usize),
-        };
+        let idx = self
+            .classify
+            .get(mask as usize)
+            .copied()
+            .filter(|&id| id != NOT_A_GRAPHLET)
+            .map(usize::from);
         let Some(idx) = idx else {
             debug_assert!(false, "a window covering k distinct nodes induces a connected subgraph");
             self.acc.tick(&self.raw);

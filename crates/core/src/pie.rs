@@ -87,10 +87,12 @@ mod tests {
         assert!((pie_tilde(&w, true) - 0.25).abs() < 1e-12);
     }
 
+    /// An empty window is a debug-build assertion; release builds compile
+    /// it out and read the documented `1.0`.
     #[test]
-    #[should_panic(expected = "empty window")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "empty window"))]
     fn empty_window_panics() {
         let w = NodeWindow::new(3, 1);
-        let _ = pie_tilde(&w, false);
+        assert_eq!(pie_tilde(&w, false), 1.0);
     }
 }

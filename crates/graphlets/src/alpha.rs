@@ -15,23 +15,25 @@
 //! regenerates both tables from this module and fails on any mismatch.
 
 use crate::atlas::atlas;
-use crate::mask::SmallGraph;
+use crate::mask::{SmallGraph, MAX_K};
 use crate::GraphletId;
 use std::sync::OnceLock;
 
-/// Whether the subset of nodes given by `bits` induces a connected
-/// subgraph of `g`.
-fn subset_connected(g: &SmallGraph, bits: u8) -> bool {
+/// The most d-subsets a graph on k ≤ 7 nodes has: C(7, 3).
+const MAX_SUBSETS: usize = 35;
+
+/// Whether the node set `bits` induces a connected subgraph of the graph
+/// whose node `i` has neighbour bits `nbrs[i]`.
+fn subset_connected(nbrs: &[u8], bits: u8) -> bool {
     if bits == 0 {
         return false;
     }
-    let start = bits.trailing_zeros() as usize;
-    let mut reached: u8 = 1 << start;
+    let mut reached: u8 = 1 << bits.trailing_zeros();
     loop {
         let mut next = reached;
-        for i in 0..g.k() {
+        for (i, &n) in nbrs.iter().enumerate() {
             if reached & (1 << i) != 0 {
-                next |= g.neighbors_bits(i) & bits;
+                next |= n & bits;
             }
         }
         if next == reached {
@@ -41,32 +43,34 @@ fn subset_connected(g: &SmallGraph, bits: u8) -> bool {
     }
 }
 
-/// All connected induced d-subgraphs of `g`, as node bitmasks.
-fn connected_subsets(g: &SmallGraph, d: usize) -> Vec<u8> {
-    let k = g.k();
-    let mut out = Vec::new();
-    for bits in 0u8..(1u16 << k) as u8 {
-        if bits.count_ones() as usize == d && subset_connected(g, bits) {
-            out.push(bits);
-        }
-    }
-    out
-}
-
 /// The corresponding-state structure of a graphlet under SRW(d): its
 /// connected d-subgraphs and every covering l-sequence (the states of
 /// `C(s)` in Definition 3, as index sequences into `subsets`).
 #[derive(Debug, Clone)]
 pub struct CoveringSequences {
-    /// Connected induced d-subgraphs of the graphlet, as node bitmasks.
+    /// Connected induced d-subgraphs of the graphlet, as node bitmasks in
+    /// ascending order.
     pub subsets: Vec<u8>,
     /// Every ordered sequence of l = k − d + 1 distinct subsets with
     /// consecutive subsets adjacent in the relationship graph and union
-    /// covering all k nodes. `α = sequences.len()`.
-    pub sequences: Vec<Vec<u8>>,
+    /// covering all k nodes, in lexicographic order, flattened with
+    /// stride l (see [`CoveringSequences::iter`]).
+    pub sequences: Vec<u8>,
+    /// The sequence length l (≥ 1).
+    l: usize,
 }
 
 impl CoveringSequences {
+    /// The number of covering sequences: α.
+    pub fn count(&self) -> usize {
+        self.sequences.len() / self.l
+    }
+
+    /// The covering sequences, each a slice of l subset indices.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.sequences.chunks_exact(self.l)
+    }
+
     /// The interior subset-indices (X₂ … X_{l−1}) of every sequence,
     /// flattened into one contiguous array with constant stride `l − 2`
     /// (empty for `l ≤ 2`, where sequences have no interior states).
@@ -74,43 +78,57 @@ impl CoveringSequences {
     /// CSS sums `Π 1/d_{X_i}` over exactly these interiors (Algorithm 3);
     /// the flat layout lets that sum stream through one cache-friendly
     /// array instead of chasing one heap pointer per sequence.
-    pub fn flat_interiors(&self, l: usize) -> Vec<u8> {
-        if l <= 2 {
+    pub fn flat_interiors(&self) -> Vec<u8> {
+        if self.l <= 2 {
             return Vec::new();
         }
-        let mut flat = Vec::with_capacity(self.sequences.len() * (l - 2));
-        for seq in &self.sequences {
-            debug_assert_eq!(seq.len(), l, "covering sequence length is l");
-            flat.extend_from_slice(&seq[1..seq.len() - 1]);
-        }
-        flat
+        self.iter().flat_map(|seq| &seq[1..self.l - 1]).copied().collect()
     }
 }
 
 /// Enumerates the covering sequences of `g` under SRW(d) — the machinery
 /// shared by Algorithm 2 (α = number of sequences) and Algorithm 3 (CSS
-/// sums π_e over exactly these sequences).
-pub fn covering_sequences(g: &SmallGraph, d: usize) -> CoveringSequences {
+/// sums π_e over exactly these sequences). `None` unless `1 ≤ d ≤ k` and
+/// `g` is connected.
+///
+/// Adjacent subsets share d − 1 nodes, so each step adds at most one
+/// node, and the l − 1 steps from a d-subset reach all k = d + l − 1
+/// nodes only if every step adds one. The depth-first search therefore
+/// extends a sequence only by an adjacent subset holding an uncovered
+/// node. Such a subset cannot repeat an earlier one (those are covered),
+/// so the states are distinct as Algorithm 2 requires, and every
+/// sequence that reaches length l covers g. Candidates are taken in
+/// ascending subset order, which lists the sequences lexicographically.
+pub fn covering_sequences(g: &SmallGraph, d: usize) -> Option<CoveringSequences> {
     let k = g.k();
-    assert!((1..=k).contains(&d), "alpha: d={d} must be in 1..=k={k}");
-    assert!(g.is_connected(), "alpha is defined for connected graphlets");
-    let l = k - d + 1;
-    let subs = connected_subsets(g, d);
-    let m = subs.len();
-    let mut out = CoveringSequences { subsets: subs, sequences: Vec::new() };
-    if m == 0 {
-        return out;
+    if !(1..=k).contains(&d) || !g.is_connected() {
+        return None;
     }
-    // Adjacency in the relationship graph restricted to g's subgraphs.
-    let mut adj = vec![0u64; m];
-    for i in 0..m {
-        for j in (i + 1)..m {
+    let l = k - d + 1;
+    let mut nbrs = [0u8; MAX_K];
+    for (i, n) in nbrs.iter_mut().enumerate().take(k) {
+        *n = g.neighbors_bits(i);
+    }
+    let nbrs = &nbrs[..k];
+    let subsets: Vec<u8> = (0..1u16 << k)
+        .map(|bits| bits as u8)
+        .filter(|&bits| bits.count_ones() as usize == d && subset_connected(nbrs, bits))
+        .collect();
+    // `adj[i]`: the subsets adjacent to subset i in the relationship
+    // graph; `holding[v]`: the subsets that hold node v.
+    let mut adj = [0u64; MAX_SUBSETS];
+    let mut holding = [0u64; MAX_K];
+    for (i, &a) in subsets.iter().enumerate() {
+        for (v, h) in holding.iter_mut().enumerate().take(k) {
+            if a & (1 << v) != 0 {
+                *h |= 1 << i;
+            }
+        }
+        for (j, &b) in subsets.iter().enumerate().skip(i + 1) {
             let adjacent = if d == 1 {
-                let u = out.subsets[i].trailing_zeros() as usize;
-                let v = out.subsets[j].trailing_zeros() as usize;
-                g.has_edge(u, v)
+                nbrs[a.trailing_zeros() as usize] & b != 0
             } else {
-                (out.subsets[i] & out.subsets[j]).count_ones() as usize == d - 1
+                (a & b).count_ones() as usize == d - 1
             };
             if adjacent {
                 adj[i] |= 1 << j;
@@ -119,79 +137,72 @@ pub fn covering_sequences(g: &SmallGraph, d: usize) -> CoveringSequences {
         }
     }
     let full: u8 = ((1u16 << k) - 1) as u8;
-    // DFS over ordered sequences of distinct subgraphs. A window of k
-    // distinct nodes visits k − d + 1 distinct states, so distinctness is
-    // enforced (Algorithm 2 draws combinations, then permutations).
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        subs: &[u8],
-        adj: &[u64],
-        used: u64,
-        covered: u8,
-        seq: &mut Vec<u8>,
-        l: usize,
-        full: u8,
-        out: &mut Vec<Vec<u8>>,
-    ) {
-        if seq.len() == l {
-            if covered == full {
-                out.push(seq.clone());
-            }
-            return;
+    // The subsets that would add a node to `covered`.
+    let growing = |covered: u8| {
+        let mut rest = full & !covered;
+        let mut out = 0u64;
+        while rest != 0 {
+            out |= holding[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
         }
-        // Prune: each further step adds at most one uncovered node.
-        let missing = (full & !covered).count_ones() as usize;
-        if missing > l - seq.len() {
-            return;
-        }
-        let last = *seq.last().expect("seq starts non-empty") as usize;
-        let mut candidates = adj[last] & !used;
-        while candidates != 0 {
-            let j = candidates.trailing_zeros() as usize;
-            candidates &= candidates - 1;
-            seq.push(j as u8);
-            dfs(subs, adj, used | (1 << j), covered | subs[j], seq, l, full, out);
-            seq.pop();
-        }
-    }
-    let mut seq: Vec<u8> = Vec::with_capacity(l);
-    for start in 0..m {
-        seq.push(start as u8);
+        out
+    };
+    // The search stack, one level per sequence position: the subset
+    // taken, the nodes covered through it, and the candidates not yet
+    // tried for the next position.
+    let (mut seq, mut covered, mut untried) = ([0u8; MAX_K], [0u8; MAX_K], [0u64; MAX_K]);
+    let mut sequences = Vec::new();
+    for (start, &bits) in subsets.iter().enumerate() {
         if l == 1 {
-            if out.subsets[start] == full {
-                out.sequences.push(seq.clone());
-            }
-        } else {
-            dfs(
-                &out.subsets,
-                &adj,
-                1 << start,
-                out.subsets[start],
-                &mut seq,
-                l,
-                full,
-                &mut out.sequences,
-            );
+            sequences.push(start as u8);
+            continue;
         }
-        seq.pop();
+        (seq[0], covered[0], untried[1]) = (start as u8, bits, adj[start] & growing(bits));
+        let mut depth = 1;
+        while depth > 0 {
+            if untried[depth] == 0 {
+                depth -= 1;
+                continue;
+            }
+            let j = untried[depth].trailing_zeros() as usize;
+            untried[depth] &= untried[depth] - 1;
+            seq[depth] = j as u8;
+            if depth + 1 == l {
+                sequences.extend_from_slice(&seq[..l]);
+                continue;
+            }
+            covered[depth] = covered[depth - 1] | subsets[j];
+            untried[depth + 1] = adj[j] & growing(covered[depth]);
+            depth += 1;
+        }
     }
-    out
+    Some(CoveringSequences { subsets, sequences, l })
 }
 
 /// α for graphlet `g` under SRW(d). `1 ≤ d ≤ k`; `d = k` gives l = 1 and
 /// α = 1 for every connected g (the single state covering g).
+///
+/// # Panics
+///
+/// If `d` is outside `1..=k` or `g` is disconnected.
 pub fn alpha(g: &SmallGraph, d: usize) -> u64 {
-    covering_sequences(g, d).sequences.len() as u64
+    match covering_sequences(g, d) {
+        Some(cover) => cover.count() as u64,
+        // gx-lint: allow(panic_surface) -- documented precondition of a public fn, pinned by `alpha_rejects_bad_d` and `alpha_rejects_disconnected`; `covering_sequences` is the typed form
+        None => panic!("alpha: d={d} must be in 1..=k={} and the graph connected", g.k()),
+    }
 }
 
 /// α for every k-node graphlet type in paper order, under SRW(d). Cached.
+///
+/// # Panics
+///
+/// Unless `3 ≤ k ≤ 6` and `1 ≤ d ≤ k`.
 pub fn alpha_table(k: usize, d: usize) -> &'static [u64] {
-    // Index by (k, d); k ≤ 6, d ≤ 6.
-    static TABLES: OnceLock<[[OnceLock<Vec<u64>>; 7]; 7]> = OnceLock::new();
-    let tables = TABLES.get_or_init(Default::default);
-    assert!((3..=6).contains(&k), "alpha_table: k={k} unsupported");
-    assert!((1..=k).contains(&d), "alpha_table: d={d} must be in 1..=k");
-    tables[k][d].get_or_init(|| {
+    static TABLES: [[OnceLock<Vec<u64>>; 7]; 7] = [const { [const { OnceLock::new() }; 7] }; 7];
+    // gx-lint: allow(panic_surface) -- documented precondition, like an index out of range; in-tree callers pass a (k, d) checked by `EstimatorConfig::try_validate` or literals
+    assert!((3..=6).contains(&k) && (1..=k).contains(&d), "alpha_table: k={k}, d={d} unsupported");
+    TABLES[k][d].get_or_init(|| {
         atlas(k)
             .iter()
             .map(|info| alpha(&SmallGraph::from_mask(k, info.canonical_mask), d))
@@ -326,24 +337,108 @@ mod tests {
     fn flat_interiors_matches_nested_layout() {
         // Tailed triangle under SRW(2): l = 3, stride 1, α = 10 interiors.
         let tt = SmallGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let cover = covering_sequences(&tt, 2);
-        let flat = cover.flat_interiors(3);
-        assert_eq!(flat.len(), cover.sequences.len());
-        for (chunk, seq) in flat.chunks_exact(1).zip(&cover.sequences) {
+        let cover = covering_sequences(&tt, 2).unwrap();
+        let flat = cover.flat_interiors();
+        assert_eq!(flat.len(), cover.count());
+        for (chunk, seq) in flat.chunks_exact(1).zip(cover.iter()) {
             assert_eq!(chunk, &seq[1..2]);
         }
         // l = 2 (PSRW) and l = 1 have no interiors.
-        assert!(cover.flat_interiors(2).is_empty());
+        assert!(covering_sequences(&tt, 3).unwrap().flat_interiors().is_empty());
         let tri = SmallGraph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert!(covering_sequences(&tri, 3).flat_interiors(1).is_empty());
+        assert!(covering_sequences(&tri, 3).unwrap().flat_interiors().is_empty());
         // k = 5, d = 2: l = 4, stride 2.
         let k5 = SmallGraph::from_mask(5, (1 << 10) - 1);
-        let cover5 = covering_sequences(&k5, 2);
-        let flat5 = cover5.flat_interiors(4);
-        assert_eq!(flat5.len(), 2 * cover5.sequences.len());
-        for (chunk, seq) in flat5.chunks_exact(2).zip(&cover5.sequences) {
+        let cover5 = covering_sequences(&k5, 2).unwrap();
+        let flat5 = cover5.flat_interiors();
+        assert_eq!(flat5.len(), 2 * cover5.count());
+        for (chunk, seq) in flat5.chunks_exact(2).zip(cover5.iter()) {
             assert_eq!(chunk, &seq[1..3]);
         }
+    }
+
+    /// The per-sequence-allocating enumerator the stack search replaced,
+    /// kept as its oracle: the connected d-subsets in ascending order and
+    /// every covering sequence in lexicographic order.
+    fn covering_sequences_oracle(g: &SmallGraph, d: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let k = g.k();
+        let connected = |bits: u8| {
+            let mut reached: u8 = 1 << bits.trailing_zeros();
+            loop {
+                let mut next = reached;
+                for i in 0..k {
+                    if reached & (1 << i) != 0 {
+                        next |= g.neighbors_bits(i) & bits;
+                    }
+                }
+                if next == reached {
+                    return reached == bits;
+                }
+                reached = next;
+            }
+        };
+        let subs: Vec<u8> = (0u8..(1u16 << k) as u8)
+            .filter(|&b| b.count_ones() as usize == d && connected(b))
+            .collect();
+        let adjacent = |a: u8, b: u8| {
+            if d == 1 {
+                g.has_edge(a.trailing_zeros() as usize, b.trailing_zeros() as usize)
+            } else {
+                (a & b).count_ones() as usize == d - 1
+            }
+        };
+        let (l, full) = (k - d + 1, ((1u16 << k) - 1) as u8);
+        let mut out = Vec::new();
+        let mut stack: Vec<Vec<u8>> = (0..subs.len() as u8).rev().map(|s| vec![s]).collect();
+        while let Some(seq) = stack.pop() {
+            let covered = seq.iter().fold(0u8, |acc, &i| acc | subs[i as usize]);
+            if seq.len() == l {
+                if covered == full {
+                    out.push(seq);
+                }
+                continue;
+            }
+            let last = subs[*seq.last().unwrap() as usize];
+            for j in (0..subs.len() as u8).rev() {
+                if !seq.contains(&j) && adjacent(last, subs[j as usize]) {
+                    let mut next = seq.clone();
+                    next.push(j);
+                    stack.push(next);
+                }
+            }
+        }
+        (subs, out)
+    }
+
+    fn assert_matches_oracle(k: usize, mask: u32) {
+        let g = SmallGraph::from_mask(k, mask);
+        for d in 1..=k {
+            let got = covering_sequences(&g, d);
+            if !g.is_connected() {
+                assert!(got.is_none(), "k={k} mask {mask:#x}");
+                continue;
+            }
+            let got = got.unwrap();
+            let (subsets, sequences) = covering_sequences_oracle(&g, d);
+            assert_eq!(got.subsets, subsets, "k={k} d={d} mask {mask:#x}");
+            assert_eq!(got.iter().collect::<Vec<_>>(), sequences, "k={k} d={d} mask {mask:#x}");
+        }
+    }
+
+    /// Every mask for k ≤ 5, every 41st mask for k = 6, every d: the
+    /// same subsets and the same sequences in the same order.
+    #[test]
+    fn covering_sequences_match_oracle() {
+        for k in 1..=5 {
+            for mask in 0..1u32 << crate::mask::num_pairs(k) {
+                assert_matches_oracle(k, mask);
+            }
+        }
+        for mask in (0..1u32 << 15).step_by(41) {
+            assert_matches_oracle(6, mask);
+        }
+        assert!(covering_sequences(&SmallGraph::from_mask(4, 0b111), 0).is_none());
+        assert!(covering_sequences(&SmallGraph::from_mask(4, 0b111), 5).is_none());
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! For each k, a table over all 2^C(k,2) edge masks mapping a labeled
 //! induced subgraph to its graphlet class in O(1). The table is built once
-//! by canonicalizing every mask over all k! permutations — 1024 × 120
-//! operations for k = 5, 32768 × 720 for k = 6 — and cached for the
-//! process lifetime.
+//! per process by walking isomorphism orbits: the first mask not yet
+//! labeled is relabeled by all k! permutations, the least image is the
+//! orbit's canonical mask (the definition of
+//! [`SmallGraph::canonical_mask`]), and every image is labeled in the same
+//! pass. That costs k! relabelings per orbit — 34 orbits × 120 for k = 5,
+//! 156 × 720 for k = 6 — instead of k! per mask.
 //!
 //! Classes are numbered here in *canonical order* (ascending edge count,
 //! then ascending canonical mask). The [`mod@crate::atlas`] module maps
 //! canonical order to the paper's ordering.
 
-use crate::mask::{num_pairs, SmallGraph};
+use crate::mask::{num_pairs, pair_index, permutations, SmallGraph};
 use std::sync::OnceLock;
 
 /// Classification table for one k.
@@ -28,31 +31,47 @@ const NONE: i16 = -1;
 
 impl CanonTable {
     fn build(k: usize) -> CanonTable {
-        let bits = num_pairs(k);
-        let size = 1usize << bits;
-        // Map each mask to its canonical mask; collect connected classes.
-        let mut canon_of = vec![0u32; size];
-        let mut class_of_canon = std::collections::HashMap::new();
-        let mut reps: Vec<u32> = Vec::new();
-        for m in 0..size as u32 {
-            let g = SmallGraph::from_mask(k, m);
-            if !g.is_connected() {
-                canon_of[m as usize] = u32::MAX;
+        let pairs = num_pairs(k);
+        // For each permutation, the pair of a mask that lands on each pair
+        // of its image (the relabeling of `SmallGraph::permute`).
+        let sources: Vec<Vec<u8>> = permutations(k)
+            .map(|perm| {
+                (0..k)
+                    .flat_map(|i| ((i + 1)..k).map(move |j| (perm[i], perm[j])))
+                    .map(|(a, b)| pair_index(a.min(b), a.max(b), k) as u8)
+                    .collect()
+            })
+            .collect();
+        // Label every mask with its orbit, and note each orbit's canonical
+        // mask (its least image) and whether it is connected.
+        const UNSEEN: u16 = u16::MAX;
+        let mut orbit_of = vec![UNSEEN; 1usize << pairs];
+        let mut orbits: Vec<(u32, bool)> = Vec::new();
+        let mut images: Vec<u32> = Vec::with_capacity(sources.len());
+        for m in 0..orbit_of.len() as u32 {
+            if orbit_of[m as usize] != UNSEEN {
                 continue;
             }
-            let c = g.canonical_mask();
-            canon_of[m as usize] = c;
-            class_of_canon.entry(c).or_insert_with(|| {
-                reps.push(c);
-                reps.len() - 1
-            });
+            images.clear();
+            images.extend(sources.iter().map(|src| {
+                src.iter().enumerate().fold(0u32, |acc, (q, &p)| acc | ((m >> p) & 1) << q)
+            }));
+            let id = orbits.len() as u16;
+            for &image in &images {
+                orbit_of[image as usize] = id;
+            }
+            let canonical = images.iter().copied().min().unwrap_or(m);
+            orbits.push((canonical, SmallGraph::from_mask(k, canonical).is_connected()));
         }
         // Canonical order: ascending (edge count, mask value).
+        let mut reps: Vec<u32> =
+            orbits.iter().filter(|&&(_, connected)| connected).map(|&(c, _)| c).collect();
         reps.sort_unstable_by_key(|&m| (m.count_ones(), m));
-        let rank: std::collections::HashMap<u32, i16> =
-            reps.iter().enumerate().map(|(i, &m)| (m, i as i16)).collect();
-        let table =
-            canon_of.into_iter().map(|c| if c == u32::MAX { NONE } else { rank[&c] }).collect();
+        let class_of_orbit: Vec<i16> = orbits
+            .iter()
+            .map(|&(c, _)| reps.iter().position(|&r| r == c).map_or(NONE, |i| i as i16))
+            .collect();
+        let table = orbit_of.into_iter().map(|o| class_of_orbit[o as usize]).collect();
         CanonTable { k, table, reps }
     }
 
@@ -77,17 +96,14 @@ impl CanonTable {
     }
 }
 
-/// The classification table for `k` (3..=6), built lazily and cached.
+/// The classification table for `k`, built on first use and cached.
+///
+/// # Panics
+///
+/// If `k` is outside `1..=6`.
 pub fn canon_table(k: usize) -> &'static CanonTable {
-    static TABLES: [OnceLock<CanonTable>; 7] = [
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-    ];
+    static TABLES: [OnceLock<CanonTable>; 7] = [const { OnceLock::new() }; 7];
+    // gx-lint: allow(panic_surface) -- documented precondition, like an index out of range; in-tree callers pass a k checked by `atlas` or `EstimatorConfig::try_validate`
     assert!((1..=6).contains(&k), "canon_table: k={k} unsupported (1..=6)");
     TABLES[k].get_or_init(|| CanonTable::build(k))
 }
@@ -109,9 +125,34 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "builds the 32768x720 six-node table (~seconds); run with --ignored"]
     fn six_node_class_count() {
         assert_eq!(canon_table(6).num_classes(), 112);
+    }
+
+    /// The class of `mask` per the definition: the representative of a
+    /// connected mask is its own `canonical_mask()`.
+    fn assert_table_matches_canonical_mask(k: usize, masks: impl Iterator<Item = u32>) {
+        let t = canon_table(k);
+        for mask in masks {
+            let g = SmallGraph::from_mask(k, mask);
+            let want = g.is_connected().then(|| g.canonical_mask());
+            assert_eq!(t.class_of(mask).map(|c| t.representative(c)), want, "k={k} mask {mask:#x}");
+        }
+    }
+
+    #[test]
+    fn table_matches_per_mask_canonical_form_through_k5() {
+        for k in 1..=5 {
+            assert_table_matches_canonical_mask(k, 0..1u32 << num_pairs(k));
+        }
+    }
+
+    /// Every 7th mask in the debug profile (each check relabels 720
+    /// times), every mask in release.
+    #[test]
+    fn table_matches_per_mask_canonical_form_k6() {
+        let stride = if cfg!(debug_assertions) { 7 } else { 1 };
+        assert_table_matches_canonical_mask(6, (0..1u32 << 15).step_by(stride));
     }
 
     #[test]

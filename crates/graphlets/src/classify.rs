@@ -26,61 +26,37 @@ pub fn induced_mask<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> u32 {
 /// Sentinel for disconnected masks in [`classify_table`].
 pub const NOT_A_GRAPHLET: u8 = u8::MAX;
 
-/// Direct-indexed `mask → paper graphlet index` table for one `k`:
-/// `table[mask]` is the 0-based paper index, or [`NOT_A_GRAPHLET`] for
-/// disconnected masks. Fuses the two lookups of the canonical path
-/// (`canon_table` + `canon_to_paper`) into one cache-friendly byte load —
-/// this is the estimator's per-sample hot path.
-fn graphlet_index_table(k: usize) -> &'static [u8] {
-    static TABLES: [OnceLock<Vec<u8>>; 6] = [
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-    ];
-    debug_assert!((3..=5).contains(&k));
-    TABLES[k].get_or_init(|| {
-        let canon = canon_table(k);
-        let paper = canon_to_paper(k);
-        (0..1u32 << num_pairs(k))
-            .map(|mask| match canon.class_of(mask) {
-                Some(canon_idx) => paper[canon_idx],
-                None => NOT_A_GRAPHLET,
-            })
-            .collect()
-    })
-}
-
-/// The dense `mask → paper graphlet index` table for `k ≤ 5`, with
-/// [`NOT_A_GRAPHLET`] marking disconnected masks; `None` for `k = 6`
-/// (whose table stays on the two-step canonical path).
+/// The dense `mask → paper graphlet index` table for `k` in `3..=6`:
+/// `table[mask]` is the 0-based paper index, or [`NOT_A_GRAPHLET`] for a
+/// disconnected mask (2^C(k,2) bytes: 1 KB at k = 5, 32 KB at k = 6).
+/// `None` for any other `k`. Fuses the two lookups of the canonical path
+/// (`canon_table` + `canon_to_paper`) into one byte load, built once per
+/// process from the orbit-built canonical table.
 ///
 /// Exposed so per-step hot loops can resolve the `OnceLock` once and
 /// classify with a single byte load per sample afterwards.
 pub fn classify_table(k: usize) -> Option<&'static [u8]> {
-    ((3..=5).contains(&k)).then(|| graphlet_index_table(k))
+    static TABLES: [OnceLock<Vec<u8>>; 7] = [const { OnceLock::new() }; 7];
+    if !(3..=6).contains(&k) {
+        return None;
+    }
+    let table = TABLES[k].get_or_init(|| {
+        let canon = canon_table(k);
+        let paper = canon_to_paper(k);
+        (0..1u32 << num_pairs(k))
+            .map(|mask| canon.class_of(mask).map_or(NOT_A_GRAPHLET, |c| paper[c]))
+            .collect()
+    });
+    Some(table)
 }
 
-/// Classifies an edge mask on `k` labeled nodes. Returns `None` for
-/// disconnected subgraphs (which are not graphlets).
-///
-/// For `k ≤ 5` (up to 1024 masks) this is a single lookup in a fused
-/// direct-indexed table; k = 6 keeps the two-step canonical path (its
-/// table is 32768 entries and built lazily in seconds — not worth
-/// duplicating).
+/// Classifies an edge mask on `k` labeled nodes with one lookup in
+/// [`classify_table`]. Returns `None` for disconnected subgraphs (which
+/// are not graphlets), and for a `k` outside `3..=6`.
 #[inline]
 pub fn classify_mask(k: usize, mask: u32) -> Option<GraphletId> {
-    if k <= 5 {
-        let index = graphlet_index_table(k)[mask as usize];
-        if index == NOT_A_GRAPHLET {
-            return None;
-        }
-        return Some(GraphletId { k: k as u8, index });
-    }
-    let canon_idx = canon_table(k).class_of(mask)?;
-    Some(GraphletId { k: k as u8, index: canon_to_paper(k)[canon_idx] })
+    let index = *classify_table(k)?.get(mask as usize)?;
+    (index != NOT_A_GRAPHLET).then_some(GraphletId { k: k as u8, index })
 }
 
 /// Classifies the subgraph induced by `nodes` (distinct) in `g`.
@@ -178,6 +154,21 @@ mod tests {
                 assert_eq!(fused, canonical, "k={k} mask={mask:#x}");
             }
         }
+    }
+
+    /// k = 6 classifies through the dense table too, and its indices are
+    /// the canonical class order.
+    #[test]
+    fn six_node_table_indices_are_canonical_order() {
+        let canon = crate::canon::canon_table(6);
+        let table = classify_table(6).expect("k = 6 has a dense table");
+        assert_eq!(table.len(), 1 << 15);
+        for (mask, &index) in (0u32..).zip(table) {
+            let want = canon.class_of(mask).map_or(NOT_A_GRAPHLET, |c| c as u8);
+            assert_eq!(index, want, "mask {mask:#x}");
+        }
+        assert!(classify_table(2).is_none() && classify_table(7).is_none());
+        assert_eq!(classify_mask(7, 0), None);
     }
 
     #[test]

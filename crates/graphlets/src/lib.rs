@@ -4,8 +4,9 @@
 //! Definition 1). This crate owns everything about *identifying* them:
 //!
 //! * [`mask`] — small graphs on k ≤ 7 nodes as edge bitmasks;
-//! * [`canon`] — exact classification tables built by canonicalizing every
-//!   possible mask over all k! permutations (k = 3..6);
+//! * [`canon`] — exact classification tables built once per isomorphism
+//!   orbit: k! relabelings per orbit, every mask of the orbit labeled in
+//!   the same pass (k = 1..6);
 //! * [`mod@atlas`] — the catalogue of graphlet types, ordered to match the
 //!   paper's Figure 2 (k = 3, 4) and Table 3 (k = 5), with names, canonical
 //!   edge lists and degree sequences;

@@ -198,21 +198,20 @@ impl SmallGraph {
     }
 }
 
-/// All permutations of `0..k`, cached per `k` (k ≤ 7 → at most 5040).
+/// All permutations of `0..k`, built on first use of each `k` and cached
+/// (k ≤ 7 → at most 5040); asking for one `k` builds no other.
 pub fn permutations(k: usize) -> impl Iterator<Item = &'static [usize]> {
     use std::sync::OnceLock;
-    static CACHE: OnceLock<Vec<Vec<Vec<usize>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| {
-        (0..=MAX_K)
-            .map(|k| {
-                let mut out = Vec::new();
-                let mut items: Vec<usize> = (0..k).collect();
-                heap_permutations(&mut items, k, &mut out);
-                out
-            })
-            .collect()
-    });
-    cache[k].iter().map(|p| p.as_slice())
+    static CACHE: [OnceLock<Vec<Vec<usize>>>; MAX_K + 1] = [const { OnceLock::new() }; MAX_K + 1];
+    CACHE[k]
+        .get_or_init(|| {
+            let mut out = Vec::new();
+            let mut items: Vec<usize> = (0..k).collect();
+            heap_permutations(&mut items, k, &mut out);
+            out
+        })
+        .iter()
+        .map(|p| p.as_slice())
 }
 
 fn heap_permutations(items: &mut Vec<usize>, n: usize, out: &mut Vec<Vec<usize>>) {

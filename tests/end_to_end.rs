@@ -60,6 +60,36 @@ fn srw2css_matches_exact_5node_concentrations() {
     check_mean_convergence("facebook-sim", &EstimatorConfig::recommended(5), 40_000, 4, 0.02);
 }
 
+/// Six-node graphlets on a walk on G(3) with CSS (l = 4): the k = 6
+/// classification table and the lazily filled k = 6 CSS entries, end to
+/// end, against ESU counts. 112 types, most of them rare, so the bound is
+/// a loose absolute one on the mean of four runs.
+#[test]
+fn srw3css_matches_exact_6node_concentrations() {
+    use graphlet_rw::graph::generators::holme_kim;
+    use graphlet_rw::walks::rng_from_seed;
+    let g = holme_kim(40, 3, 0.5, &mut rng_from_seed(6));
+    let truth = graphlet_rw::exact::exact_counts(&g, 6).concentrations();
+    let cfg = EstimatorConfig { k: 6, d: 3, css: true, ..Default::default() };
+    let runs = 4;
+    let mut mean = vec![0.0f64; truth.len()];
+    for seed in 0..runs {
+        let est = Runner::new(cfg.clone()).steps(20_000).seed(0x6D3 + seed).run(&g).unwrap();
+        assert!(est.valid_samples > 10_000, "{} valid windows", est.valid_samples);
+        for (acc, c) in mean.iter_mut().zip(est.concentrations()) {
+            *acc += c / runs as f64;
+        }
+    }
+    let worst = mean.iter().zip(&truth).map(|(m, t)| (m - t).abs()).fold(0.0f64, f64::max);
+    assert!(worst < 0.01, "largest concentration error {worst:.4}");
+    // A type the graph does not hold is never sampled, and this graph's
+    // 100-odd types are all reached.
+    for (i, (&m, &t)) in mean.iter().zip(&truth).enumerate() {
+        assert_eq!(m > 0.0, t > 0.0, "type g6_{}: mean {m:.5} vs exact {t:.5}", i + 1);
+    }
+    assert!(truth.iter().filter(|&&t| t > 0.0).count() > 100);
+}
+
 #[test]
 fn estimates_are_reproducible_across_processes() {
     // fixed dataset + fixed seed: byte-identical raw scores.
