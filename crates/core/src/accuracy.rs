@@ -1048,51 +1048,6 @@ pub struct AdaptiveReport {
     pub steps_used: Vec<usize>,
     /// Per-type converged/pending status.
     pub converged: Vec<bool>,
-    /// Whether any walker was quarantined mid-run (graceful
-    /// degradation): the estimate then pools fewer chains than
-    /// requested, but every retained batch is sound.
-    pub degraded: bool,
-    /// Per-walker health, parallel to the requested fan-out. Empty only
-    /// for reports predating the run's first round.
-    pub walker_status: Vec<WalkerStatus>,
-}
-
-/// Health of one walker at the end of a run — the graceful-degradation
-/// side of [`AdaptiveReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkerStatus {
-    /// The walker contributed every round it was asked to.
-    Healthy,
-    /// The walker's chain was poisoned and it was removed from the
-    /// rotation. Batches it completed *before* quarantine stay pooled —
-    /// they are sound samples of the same stationary distribution — and
-    /// the run continues on the remaining walkers.
-    Quarantined {
-        /// Coordinator round (1-based) at which the walker was removed.
-        round: usize,
-    },
-}
-
-impl WalkerStatus {
-    /// Serializes one status into a checkpoint payload.
-    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
-        match *self {
-            Self::Healthy => put_u8(buf, 0),
-            Self::Quarantined { round } => {
-                put_u8(buf, 1);
-                put_usize(buf, round);
-            }
-        }
-    }
-
-    /// Inverse of [`WalkerStatus::encode_into`].
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.u8("walker_status.tag")? {
-            0 => Ok(Self::Healthy),
-            1 => Ok(Self::Quarantined { round: r.usize("walker_status.round")? }),
-            _ => Err(CheckpointError::Malformed { what: "walker_status.tag" }),
-        }
-    }
 }
 
 /// The latching convergence bookkeeping shared by the sequential and
@@ -1168,9 +1123,6 @@ impl AdaptiveTracker {
     }
 
     /// Packs the latched state into the user-facing report.
-    /// `walker_status` carries per-walker health (all
-    /// [`WalkerStatus::Healthy`] for fault-free runs); any quarantined
-    /// entry marks the report degraded.
     pub(crate) fn report(
         &self,
         walkers: usize,
@@ -1178,7 +1130,6 @@ impl AdaptiveTracker {
         total_steps: usize,
         target_met: bool,
         critical_value: f64,
-        walker_status: Vec<WalkerStatus>,
     ) -> AdaptiveReport {
         AdaptiveReport {
             walkers,
@@ -1187,8 +1138,6 @@ impl AdaptiveTracker {
             critical_value,
             steps_used: self.latched.iter().map(|l| l.unwrap_or(total_steps)).collect(),
             converged: self.latched.iter().map(|l| l.is_some()).collect(),
-            degraded: walker_status.iter().any(|s| !matches!(s, WalkerStatus::Healthy)),
-            walker_status,
         }
     }
 
@@ -1677,14 +1626,12 @@ mod tests {
             .collect();
         let stats = accumulate(&tight, 2);
         assert!(tracker.observe(&rule, &stats, 200), "all types latched");
-        let report = tracker.report(1, 2, 200, true, 2.2, vec![WalkerStatus::Healthy]);
+        let report = tracker.report(1, 2, 200, true, 2.2);
         assert_eq!(report.steps_used, vec![100, 200]);
         assert_eq!(report.converged, vec![true, true]);
         assert!(report.target_met);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.walkers, 1);
-        assert!(!report.degraded);
-        assert_eq!(report.walker_status, vec![WalkerStatus::Healthy]);
     }
 
     #[test]
@@ -1701,20 +1648,10 @@ mod tests {
         let stream: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
         let stats = accumulate(&stream, 2);
         assert!(!tracker.observe(&rule, &stats, 500));
-        let report = tracker.report(2, 1, 500, false, f64::NAN, vec![WalkerStatus::Healthy; 2]);
+        let report = tracker.report(2, 1, 500, false, f64::NAN);
         assert_eq!(report.steps_used, vec![500]);
         assert_eq!(report.converged, vec![false]);
         assert!(!report.target_met);
-        // A quarantined walker flips the degradation flag.
-        let report = tracker.report(
-            2,
-            1,
-            500,
-            false,
-            f64::NAN,
-            vec![WalkerStatus::Healthy, WalkerStatus::Quarantined { round: 1 }],
-        );
-        assert!(report.degraded);
     }
 
     #[test]
@@ -1724,9 +1661,7 @@ mod tests {
         let stream: Vec<Vec<f64>> = (0..8).map(|i| vec![1.0 + (i % 2) as f64]).collect();
         let stats = accumulate(&stream, 2); // 4 batches < 5
         assert!(!tracker.observe(&rule, &stats, 8));
-        assert!(
-            !tracker.report(1, 1, 8, false, f64::NAN, vec![WalkerStatus::Healthy]).converged[0]
-        );
+        assert!(!tracker.report(1, 1, 8, false, f64::NAN).converged[0]);
     }
 
     #[test]
@@ -1862,16 +1797,6 @@ mod tests {
         let back = AdaptiveTracker::decode_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.latched, tracker.latched);
-
-        let mut buf = Vec::new();
-        WalkerStatus::Quarantined { round: 7 }.encode_into(&mut buf);
-        WalkerStatus::Healthy.encode_into(&mut buf);
-        let mut r = crate::checkpoint::Reader::new(&buf);
-        assert_eq!(
-            WalkerStatus::decode_from(&mut r).unwrap(),
-            WalkerStatus::Quarantined { round: 7 }
-        );
-        assert_eq!(WalkerStatus::decode_from(&mut r).unwrap(), WalkerStatus::Healthy);
     }
 
     #[test]

@@ -46,16 +46,17 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"GXCP";
 
 /// Current checkpoint format version, the only one read or written.
-/// Version 4 carries only state the graph cannot tell: per walker, the
-/// RNG, the scorer, the non-backtracking memory, the window's ring of
-/// state node lists and its slot order. Resume reads the walk position
-/// off the ring and rebuilds the window's degrees, refcounts and
-/// adjacency rows from the graph, as version 3 rebuilt the pooled
-/// statistics, counts, caps and batch length that versions 1 and 2
-/// stored. Snapshots are a run's own crash-resume medium, so older
+/// Version 5 drops the per-walker health bytes version 4 stored, since
+/// a run has no quarantined walkers: every walker scores its full share
+/// or the run ends with a typed error. Like version 4 it carries only
+/// state the graph cannot tell: per walker, the RNG, the scorer, the
+/// non-backtracking memory, the window's ring of state node lists and
+/// its slot order. Resume reads the walk position off the ring and
+/// rebuilds the window's degrees, refcounts and adjacency rows from the
+/// graph. Snapshots are a run's own crash-resume medium, so older
 /// versions are refused ([`CheckpointError::UnsupportedVersion`]), not
 /// translated.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Hard ceiling on the payload length (64 MiB), enforced on both sides.
 /// The reader treats a larger declared length as a corrupted header, so
@@ -326,7 +327,7 @@ mod tests {
     #[test]
     fn envelope_accepts_every_supported_version() {
         // The current version is the only supported one: older formats
-        // (1 to 3), the never-issued 0 and a future version are all
+        // (1 to 4), the never-issued 0 and a future version are all
         // refused before the payload is read.
         let mut out = Vec::new();
         write_envelope(b"payload", &mut out).unwrap();

@@ -43,7 +43,7 @@ pub mod window;
 
 pub use accuracy::{
     normal_quantile, student_t_quantile, studentized_critical, AdaptiveReport, BatchStats,
-    BurnInReport, StoppingRule, WalkerStatus,
+    BurnInReport, StoppingRule,
 };
 pub use checkpoint::{graph_fingerprint, write_atomic};
 pub use config::EstimatorConfig;
@@ -52,7 +52,7 @@ pub use error::{CheckpointError, ConfigError, GxError, RuleError, ServiceError};
 pub use estimator::measure_burn_in;
 pub use parallel::available_cores;
 pub use result::Estimate;
-pub use runner::{FaultPlan, Progress, RunHandle, Runner};
+pub use runner::{Progress, RunHandle, Runner};
 pub use window::NodeWindow;
 
 // The α coefficients (Algorithm 2) live next to the atlas so the

@@ -16,9 +16,10 @@
 //! * **resilience** — [`RunHandle::checkpoint`] snapshots a live run
 //!   into any writer (atomically onto disk via
 //!   [`RunHandle::checkpoint_to_file`]), [`Runner::resume`] rebuilds it
-//!   in a fresh process with golden-bit fidelity, and [`FaultPlan`]
-//!   injects deterministic faults for robustness testing (see the
-//!   [`crate::checkpoint`] module docs for the corruption model).
+//!   in a fresh process with golden-bit fidelity (see the
+//!   [`crate::checkpoint`] module docs for the corruption model). A run
+//!   either finishes, every walker scoring its full share (or an
+//!   adaptive target met), or returns a typed [`GxError`].
 //!
 //! Walkers pool one way for every budget: the walker-order merge of
 //! their own batch-means accumulators, rebuilt from the sessions when
@@ -54,7 +55,6 @@
 
 use crate::accuracy::{
     default_batch_len, studentized_critical, AdaptiveTracker, BatchStats, StoppingRule,
-    WalkerStatus,
 };
 use crate::checkpoint::{
     graph_fingerprint, put_f64, put_u64, put_u8, put_usize, read_envelope, write_atomic,
@@ -67,7 +67,7 @@ use crate::parallel::{available_cores, walker_seed, walker_steps};
 use crate::result::Estimate;
 use gx_graph::GraphAccess;
 use gx_graphlets::num_graphlets;
-use gx_walks::{derive_seed, StateWalk, WalkRng};
+use gx_walks::{StateWalk, WalkRng};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::rc::Rc;
@@ -110,50 +110,6 @@ pub struct Progress {
 
 type ProgressFn = Rc<dyn Fn(&Progress)>;
 
-/// A deterministic fault-injection plan for robustness testing —
-/// attached with [`Runner::faults`], carried by the [`RunHandle`], and
-/// *never* serialized into a checkpoint (a resumed run starts fault-free
-/// unless the test re-attaches a plan).
-///
-/// One fault family is injected from inside the run: **walker-chain
-/// poisoning** — [`FaultPlan::poison`] kills a walker's chain at a
-/// chosen round, exercising the quarantine path: the poisoned walker is
-/// frozen, its completed batches stay pooled, and the run finishes
-/// degraded on the remaining walkers. (A failing checkpoint writer needs
-/// no plan: any [`Write`] that errors exercises that path.)
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// `(walker, round)` pairs: quarantine `walker` at the start of the
-    /// run's `round`-th advance (1-based), before it contributes that
-    /// round's share. Entries for already-quarantined or out-of-range
-    /// walkers are ignored.
-    pub poison: Vec<(usize, usize)>,
-}
-
-impl FaultPlan {
-    /// The empty plan: no faults (what [`Runner::new`] carries).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A deterministic pseudo-random plan derived from `seed` (SplitMix64):
-    /// poisons one walker in `0..walkers` at a round in `1..=max_round`.
-    /// Same seed, same plan — the property-test form of hand-picking a
-    /// poisoning.
-    pub fn from_seed(seed: u64, walkers: usize, max_round: usize) -> Self {
-        assert!(walkers >= 1, "a poison plan needs at least one walker");
-        assert!(max_round >= 1, "a poison plan needs at least one round");
-        let mut x = seed;
-        let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            derive_seed(x, 0)
-        };
-        let walker = (next() % walkers as u64) as usize;
-        let round = 1 + (next() % max_round as u64) as usize;
-        Self { poison: vec![(walker, round)] }
-    }
-}
-
 /// Builder-style front door to the whole estimation framework: config ×
 /// budget × execution × observability, composed with method chaining and
 /// executed with [`Runner::run`] (or driven incrementally via
@@ -167,7 +123,6 @@ pub struct Runner {
     batch_width: usize,
     seed: u64,
     progress: Option<ProgressFn>,
-    plan: FaultPlan,
 }
 
 impl std::fmt::Debug for Runner {
@@ -179,33 +134,16 @@ impl std::fmt::Debug for Runner {
             .field("batch_width", &self.batch_width)
             .field("seed", &self.seed)
             .field("progress", &self.progress.as_ref().map(|_| "Fn(&Progress)"))
-            .field("plan", &self.plan)
             .finish()
     }
 }
 
 impl Runner {
-    /// A runner for `cfg` with no budget yet, one walker, seed 0, and no
-    /// fault plan. Nothing is validated until a run entry point is
-    /// called — builders never panic.
+    /// A runner for `cfg` with no budget yet, one walker and seed 0.
+    /// Nothing is validated until a run entry point is called —
+    /// builders never panic.
     pub fn new(cfg: EstimatorConfig) -> Self {
-        Self {
-            cfg,
-            budget: Budget::Unset,
-            walkers: 1,
-            batch_width: 1,
-            seed: 0,
-            progress: None,
-            plan: FaultPlan::none(),
-        }
-    }
-
-    /// Attaches a deterministic [`FaultPlan`] (robustness testing only):
-    /// injected walker-chain poisonings.
-    /// The default is [`FaultPlan::none`].
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.plan = plan;
-        self
+        Self { cfg, budget: Budget::Unset, walkers: 1, batch_width: 1, seed: 0, progress: None }
     }
 
     /// Fixed budget: score exactly `steps` windows (Algorithm 1's sample
@@ -366,12 +304,10 @@ impl Runner {
             seed: self.seed,
             caps: (0..self.walkers).map(|i| walker_steps(max_steps, self.walkers, i)).collect(),
             sessions,
-            status: vec![WalkerStatus::Healthy; self.walkers],
             tracker: AdaptiveTracker::new(num_graphlets(self.cfg.k)),
             rounds: 0,
             met: false,
             progress: self.progress.clone(),
-            plan: self.plan.clone(),
             fingerprint: None,
         })
     }
@@ -391,8 +327,8 @@ impl Runner {
     /// **Golden-bit contract:** checkpoint → drop the handle (or the
     /// process) → `resume` → drive to completion produces bit-identical
     /// output to the uninterrupted run — fixed and adaptive budgets, any
-    /// walker count, any checkpoint cadence. Progress callbacks and
-    /// fault plans do not travel in snapshots; re-attach them with
+    /// walker count, any checkpoint cadence. Progress callbacks do not
+    /// travel in snapshots; re-attach one with
     /// [`RunHandle::on_progress`] if wanted.
     pub fn resume<'g, G: GraphAccess, R: Read>(
         g: &'g G,
@@ -500,8 +436,7 @@ impl Runner {
         }
         let crit = rule.map(|r| r.critical_value(session.stats().batches()));
         let mut est = session.into_estimate(&self.cfg);
-        est.adaptive = crit
-            .map(|crit| tracker.report(1, rounds, done, met, crit, vec![WalkerStatus::Healthy]));
+        est.adaptive = crit.map(|crit| tracker.report(1, rounds, done, met, crit));
         Ok(est)
     }
 }
@@ -573,11 +508,9 @@ fn advance_slots<'g, G: GraphAccess>(
 ///
 /// **Crash resilience:** [`RunHandle::checkpoint`] serializes the live
 /// state between advances, and [`Runner::resume`] rebuilds it with
-/// golden-bit fidelity. **Degradation:** a poisoned walker (see
-/// [`FaultPlan`]) is quarantined — frozen in place, its completed
-/// batches kept pooled — and the run finishes on the remaining walkers,
-/// reported via [`RunHandle::walker_status`] and
-/// [`crate::AdaptiveReport::degraded`].
+/// golden-bit fidelity. A run finishes when every walker has scored its
+/// full share (or an adaptive target is met); failures are typed
+/// [`GxError`]s, never a partial answer.
 pub struct RunHandle<'g, G: GraphAccess> {
     g: &'g G,
     cfg: EstimatorConfig,
@@ -594,16 +527,12 @@ pub struct RunHandle<'g, G: GraphAccess> {
     caps: Vec<usize>,
     /// Lazily-created persistent chains, index = walker.
     sessions: Vec<Option<AnySession<'g, G>>>,
-    /// Per-walker health: quarantined walkers are out of the rotation.
-    status: Vec<WalkerStatus>,
     tracker: AdaptiveTracker,
     rounds: usize,
     met: bool,
     progress: Option<ProgressFn>,
-    /// Fault-injection plan (empty outside robustness tests).
-    plan: FaultPlan,
     /// Cached [`graph_fingerprint`] — computed on the first checkpoint,
-    /// so fault-free runs never pay the O(edges) scan.
+    /// so runs that never checkpoint never pay the O(edges) scan.
     fingerprint: Option<u64>,
 }
 
@@ -644,37 +573,15 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     }
 
     /// Per-walker share of an advance by `windows` scored windows:
-    /// remaining budget capped, zero for quarantined walkers, zero for
-    /// everyone once the run has converged. Precomputed before any chain
-    /// moves, so [`RunHandle::advance`] and [`RunHandle::advance_par`]
-    /// distribute identically — quarantines included.
+    /// remaining budget capped, zero for everyone once the run has
+    /// converged. Precomputed before any chain moves, so
+    /// [`RunHandle::advance`] and [`RunHandle::advance_par`] distribute
+    /// identically.
     fn shares(&self, windows: usize) -> Vec<usize> {
         if self.met {
             return vec![0; self.caps.len()];
         }
-        self.caps
-            .iter()
-            .zip(self.done())
-            .zip(&self.status)
-            .map(|((&c, d), s)| match s {
-                WalkerStatus::Healthy => windows.min(c - d),
-                WalkerStatus::Quarantined { .. } => 0,
-            })
-            .collect()
-    }
-
-    /// Fires any [`FaultPlan::poison`] entries due at the upcoming round
-    /// (1-based), quarantining their walkers before shares are computed.
-    /// Already-quarantined and out-of-range walkers are ignored.
-    fn apply_poison(&mut self) {
-        let next_round = self.rounds + 1;
-        for &(w, at) in &self.plan.poison {
-            if at <= next_round && w < self.status.len() {
-                if let s @ WalkerStatus::Healthy = &mut self.status[w] {
-                    *s = WalkerStatus::Quarantined { round: next_round };
-                }
-            }
-        }
+        self.caps.iter().zip(self.done()).map(|(&c, d)| windows.min(c - d)).collect()
     }
 
     /// Advances every still-budgeted walker by up to `windows` more
@@ -699,14 +606,13 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     }
 
     /// Opens a round of up to `windows` more scored windows per walker:
-    /// fires the poisonings due, then returns the per-walker shares —
-    /// or `None` when no chain would move (`windows == 0`, or a finished
-    /// run), the documented no-op of both advances.
-    fn begin_round(&mut self, windows: usize) -> Option<Vec<usize>> {
+    /// returns the per-walker shares — or `None` when no chain would
+    /// move (`windows == 0`, or a finished run), the documented no-op of
+    /// both advances.
+    fn begin_round(&self, windows: usize) -> Option<Vec<usize>> {
         if windows == 0 {
             return None;
         }
-        self.apply_poison();
         let shares = self.shares(windows);
         shares.iter().any(|&s| s > 0).then_some(shares)
     }
@@ -750,45 +656,15 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     }
 
     /// Whether the run is over: adaptive target met, or every walker
-    /// either exhausted its budget share or sits in quarantine (a
-    /// quarantined walker's remaining share is forfeit — the run
-    /// *completes*, degraded, instead of spinning on a dead chain).
+    /// has exhausted its budget share.
     pub fn is_finished(&self) -> bool {
-        self.met
-            || self
-                .done()
-                .zip(&self.caps)
-                .zip(&self.status)
-                .all(|((d, &c), s)| d >= c || !matches!(s, WalkerStatus::Healthy))
-    }
-
-    /// Per-walker health, index = walker. All [`WalkerStatus::Healthy`]
-    /// unless a [`FaultPlan`] poisoned a chain.
-    pub fn walker_status(&self) -> &[WalkerStatus] {
-        &self.status
-    }
-
-    /// Whether any walker has been quarantined — the handle-level twin
-    /// of [`crate::AdaptiveReport::degraded`] (which fixed-budget runs
-    /// do not carry).
-    pub fn degraded(&self) -> bool {
-        self.status.iter().any(|s| !matches!(s, WalkerStatus::Healthy))
+        self.met || self.done().zip(&self.caps).all(|(d, &c)| d >= c)
     }
 
     /// (Re-)attaches a progress callback — e.g. after [`Runner::resume`],
     /// since callbacks cannot travel in a snapshot.
     pub fn on_progress(&mut self, f: impl Fn(&Progress) + 'static) {
         self.progress = Some(Rc::new(f));
-    }
-
-    /// (Re-)attaches a [`FaultPlan`] — the fault-injection half of
-    /// re-adoption. Plans never travel in snapshots (a resumed run
-    /// starts fault-free), so a robustness harness that resumes a job
-    /// re-arms its remaining faults here. Entries for already-quarantined
-    /// walkers are ignored, making it safe to re-attach a plan whose
-    /// earlier poisonings the snapshot already absorbed.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.plan = plan;
     }
 
     /// The engine's group width (1 = one walker per group).
@@ -858,14 +734,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         }
         let adaptive = self.rule.as_ref().map(|rule| {
             let crit = rule.critical_value(accuracy.batches());
-            self.tracker.report(
-                self.caps.len(),
-                self.rounds,
-                self.steps(),
-                self.met,
-                crit,
-                self.status.clone(),
-            )
+            self.tracker.report(self.caps.len(), self.rounds, self.steps(), self.met, crit)
         });
         Estimate {
             config: self.cfg.clone(),
@@ -885,8 +754,8 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
     }
 
     /// Serializes the run's live state into `w` as a versioned,
-    /// checksummed snapshot: configuration, budget, walker health, the
-    /// adaptive tracker's latches, and each walker's session (RNG raw
+    /// checksummed snapshot: configuration, budget, the adaptive
+    /// tracker's latches, and each walker's session (RNG raw
     /// state, walk position, scoring window, raw scores, batch-means
     /// accumulator). Nothing derivable is written — the pool, per-walker
     /// counts, caps and batch length are rebuilt at resume. Call it
@@ -956,9 +825,6 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         put_u64(&mut buf, self.seed);
         put_usize(&mut buf, self.caps.len());
         put_usize(&mut buf, self.batch_width);
-        for s in &self.status {
-            s.encode_into(&mut buf);
-        }
         put_usize(&mut buf, self.rounds);
         put_u8(&mut buf, self.met as u8);
         self.tracker.encode_into(&mut buf);
@@ -1018,15 +884,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
             // one is corruption (zero is refused by `check`).
             return Err(CheckpointError::Malformed { what: "handle.batch_width" }.into());
         }
-        let runner = Runner {
-            cfg,
-            budget,
-            walkers,
-            batch_width,
-            seed,
-            progress: None,
-            plan: FaultPlan::none(),
-        };
+        let runner = Runner { cfg, budget, walkers, batch_width, seed, progress: None };
         let mut handle = runner.start(g).map_err(|e| CheckpointError::Malformed {
             what: match e {
                 GxError::Config(_) => "cfg",
@@ -1037,9 +895,6 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
             },
         })?;
         handle.fingerprint = Some(expected);
-        for s in handle.status.iter_mut() {
-            *s = WalkerStatus::decode_from(r)?;
-        }
         handle.rounds = r.usize("handle.rounds")?;
         handle.met = decode_bool(r, "handle.met")?;
         handle.tracker = AdaptiveTracker::decode_from(r)?;
@@ -1095,7 +950,7 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
     /// machine's cores (one OS thread per core, each running a
     /// contiguous chunk of walkers). State evolution — and therefore
     /// every subsequent output — is bit-identical to [`RunHandle::advance`]:
-    /// shares (quarantines included) are precomputed before any thread
+    /// shares are precomputed before any thread
     /// spawns, and pooling and merging happen on the calling thread in
     /// walker order.
     ///
@@ -1121,27 +976,5 @@ impl<'g, G: GraphAccess + Sync> RunHandle<'g, G> {
             }
         });
         self.after_round()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fault_plan_from_seed_keeps_its_draws() {
-        // Pinned against the plans the generator drew before it shared
-        // the SplitMix64 finalizer with `gx_walks::derive_seed`.
-        let pinned = [
-            (0u64, (3, 1)),
-            (1, (1, 10)),
-            (7, (3, 5)),
-            (42, (1, 2)),
-            (0xDEAD_BEEF, (3, 5)),
-            (u64::MAX, (0, 10)),
-        ];
-        for (seed, poison) in pinned {
-            assert_eq!(FaultPlan::from_seed(seed, 4, 10).poison, vec![poison], "seed {seed}");
-        }
     }
 }

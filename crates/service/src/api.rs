@@ -13,11 +13,10 @@ use crate::cache::{SharedGraph, SnapshotCache};
 use crate::scheduler::{self, JobShared, ServiceShared};
 use crate::sync::{locked, wait_timeout_unpoisoned, wait_unpoisoned};
 use gx_core::parallel::available_cores;
-use gx_core::{
-    Estimate, EstimatorConfig, FaultPlan, GxError, Progress, ServiceError, StoppingRule,
-};
+use gx_core::{Estimate, EstimatorConfig, GxError, Progress, ServiceError, StoppingRule};
 use gx_graph::{Graph, MmapGraph};
 use gx_walks::derive_seed;
+use std::num::NonZeroUsize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,9 +34,8 @@ pub(crate) enum JobBudget {
     Until(StoppingRule),
 }
 
-/// Deterministic fault plan for one job — the service-level extension
-/// of [`gx_core::FaultPlan`], covering the failure modes the *pool*
-/// (not a single run) must survive.
+/// Deterministic fault plan for one job: the failure the *pool* (not a
+/// single run) must survive. The default injects nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobFaults {
     /// Panic the worker right before it would advance this job round
@@ -45,42 +43,29 @@ pub struct JobFaults {
     /// checkpoint re-adoption; the panic payload is
     /// [`crate::InjectedWorkerPanic`].
     pub panic_at_round: Option<usize>,
-    /// `(walker, round)` chain poisonings, threaded into the run's core
-    /// [`FaultPlan`]. Exercises graceful degradation: the job completes
-    /// on surviving walkers, flagged degraded.
-    pub poison: Vec<(usize, usize)>,
 }
 
 impl JobFaults {
-    /// No faults (the default).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Whether this plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        *self == Self::none()
-    }
-
     /// A deterministic pseudo-random plan (SplitMix64 over `seed`, see
-    /// [`gx_walks::derive_seed`]):
-    /// each fault family fires with probability ~1/3, rounds drawn from
-    /// `1..=max_round`, poisonings over `0..walkers`. Same seed, same
+    /// [`gx_walks::derive_seed`]): the panic fires with probability
+    /// ~1/3, at a round drawn from `1..=max_round`. Same seed, same
     /// plan — the chaos-test form of hand-picking faults.
-    pub fn from_seed(seed: u64, walkers: usize, max_round: usize) -> Self {
-        assert!(walkers >= 1 && max_round >= 1, "fault plans need a walker and a round");
+    pub fn from_seed(seed: u64, max_round: NonZeroUsize) -> Self {
         let mut x = seed;
         let mut next = move || {
             x = x.wrapping_add(1);
             let z = x.wrapping_mul(0xA076_1D64_78BD_642F);
             derive_seed(z.wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
         };
-        let mut faults = Self::none();
+        // The stream once drew a walker poisoning first (a tag, then
+        // its walker and round under one more draw). Consuming those
+        // draws keeps every seed's panic round where it was.
         if next() % 3 == 0 {
-            faults.poison = FaultPlan::from_seed(next(), walkers, max_round).poison;
+            next();
         }
+        let mut faults = Self::default();
         if next() % 3 == 0 {
-            faults.panic_at_round = Some(1 + (next() % max_round as u64) as usize);
+            faults.panic_at_round = Some(1 + (next() % max_round.get() as u64) as usize);
         }
         faults
     }
@@ -130,7 +115,7 @@ impl JobSpec {
             weight: 1,
             deadline: None,
             round_windows: None,
-            faults: JobFaults::none(),
+            faults: JobFaults::default(),
         }
     }
 
@@ -198,7 +183,9 @@ impl JobSpec {
 
 /// How the service terminated one job — every field observable exactly
 /// once the job is done (via [`JobHandle::wait`] or
-/// [`JobHandle::try_result`]).
+/// [`JobHandle::try_result`]). A finished estimate pools every walker's
+/// full share; a worker panic the service recovered from shows only in
+/// [`JobResult::recoveries`].
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// The typed terminal outcome: the finished estimate, or why the
@@ -208,9 +195,6 @@ pub struct JobResult {
     /// deadline-exceeded after at least one scheduler round, or a
     /// refused snapshot). `None` when the job never advanced.
     pub partial: Option<Estimate>,
-    /// Whether any of the job's walkers was quarantined mid-run
-    /// (graceful degradation — see [`gx_core::WalkerStatus`]).
-    pub degraded: bool,
     /// Scheduler leases the job received (excluding leases lost to a
     /// worker failure).
     pub leases: usize,
@@ -424,21 +408,21 @@ mod tests {
     #[test]
     fn job_faults_from_seed_keeps_its_draws() {
         // Pinned against the plans drawn before the checkpoint-failure
-        // family (the stream's last draw) was removed: every seed keeps
-        // its poison and panic draws.
+        // family (the stream's last draw) and the walker poisoning (its
+        // first) were removed: every seed keeps its panic draw.
         let pinned = [
-            (0u64, None, vec![(0usize, 3usize)]),
-            (1, None, vec![]),
-            (7, Some(2usize), vec![]),
-            (42, Some(1), vec![]),
-            (99, None, vec![]),
-            (0xC0FF_EE00, Some(7), vec![(0, 2)]),
-            (u64::MAX, Some(7), vec![]),
+            (0u64, None),
+            (1, None),
+            (7, Some(2usize)),
+            (42, Some(1)),
+            (99, None),
+            (0xC0FF_EE00, Some(7)),
+            (u64::MAX, Some(7)),
         ];
-        for (seed, panic_at_round, poison) in pinned {
-            let faults = JobFaults::from_seed(seed, 3, 8);
+        let max_round = NonZeroUsize::new(8).unwrap();
+        for (seed, panic_at_round) in pinned {
+            let faults = JobFaults::from_seed(seed, max_round);
             assert_eq!(faults.panic_at_round, panic_at_round, "seed {seed}");
-            assert_eq!(faults.poison, poison, "seed {seed}");
         }
     }
 }

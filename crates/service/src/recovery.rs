@@ -21,12 +21,12 @@
 //! retry loop. Because the writer refuses exactly what resume would, a
 //! snapshot the scheduler holds always resumes.
 
-use crate::api::{JobBudget, JobFaults};
+use crate::api::JobBudget;
 use crate::cache::SharedGraph;
 use crate::deadline::Deadline;
 use crate::scheduler::JobShared;
 use crate::sync::locked;
-use gx_core::{CheckpointError, Estimate, FaultPlan, GxError, Runner, ServiceError};
+use gx_core::{CheckpointError, Estimate, GxError, Runner, ServiceError};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -58,9 +58,9 @@ pub(crate) struct Lease {
     pub rounds_budget: usize,
     /// Scored windows per round (the job's natural advance increment).
     pub round_windows: usize,
-    /// This lease's slice of the job's fault plan (injected panic
-    /// pre-armed by the scheduler).
-    pub faults: JobFaults,
+    /// The job's injected worker panic, armed by the scheduler only for
+    /// the lease whose grant reaches its round.
+    pub panic_at_round: Option<usize>,
     pub deadline: Deadline,
     pub shared: Arc<JobShared>,
 }
@@ -69,15 +69,13 @@ pub(crate) struct Lease {
 /// returns it to the scheduler's ready queue.
 pub(crate) enum LeaseEnd {
     /// The job's budget (or stopping rule) completed.
-    Finished { estimate: Box<Estimate>, degraded: bool },
+    Finished { estimate: Box<Estimate> },
     /// The lease's round grant is spent; the job continues later from
     /// this snapshot.
-    /// (Degradation needs no field here: quarantined-walker status is
-    /// part of the snapshot and resurfaces on resume.)
     Yielded { snapshot: Vec<u8>, rounds_run: usize },
     /// The job ended early — cancelled, past its deadline, or its
     /// snapshot refused — with its best-effort partial estimate.
-    Ended { error: ServiceError, partial: Option<Box<Estimate>>, degraded: bool },
+    Ended { error: ServiceError, partial: Option<Box<Estimate>> },
 }
 
 /// Runs one lease to its end. Panics only by injection
@@ -96,7 +94,7 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
         rounds_done,
         rounds_budget,
         round_windows,
-        faults,
+        panic_at_round,
         deadline,
         shared,
     } = lease;
@@ -117,15 +115,11 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
     // expired while queued terminates here, with a partial estimate
     // only if an earlier lease left a snapshot to read it from.
     if let Some(error) = interrupted() {
-        let resumed = snapshot
+        let partial = snapshot
             .as_ref()
-            .and_then(|bytes| Runner::resume_trusted(g, fingerprint, &mut bytes.as_slice()).ok());
-        let degraded = resumed.as_ref().is_some_and(|h| h.degraded());
-        return LeaseEnd::Ended {
-            error,
-            partial: resumed.map(|h| Box::new(h.estimate())),
-            degraded,
-        };
+            .and_then(|bytes| Runner::resume_trusted(g, fingerprint, &mut bytes.as_slice()).ok())
+            .map(|h| Box::new(h.estimate()));
+        return LeaseEnd::Ended { error, partial };
     }
 
     // Materialize the run: resume the snapshot (trusted fingerprint —
@@ -151,7 +145,6 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
             h
         }
     };
-    handle.set_faults(FaultPlan { poison: faults.poison });
 
     // The round loop: cancellation/deadline checks before every round
     // and after the last one, the injected worker panic fired *before*
@@ -160,22 +153,20 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
     let mut rounds_run = 0usize;
     loop {
         if let Some(error) = interrupted() {
-            let degraded = handle.degraded();
-            return LeaseEnd::Ended { error, partial: Some(Box::new(handle.estimate())), degraded };
+            return LeaseEnd::Ended { error, partial: Some(Box::new(handle.estimate())) };
         }
         if rounds_run >= rounds_budget {
             break;
         }
         let next_round = rounds_done + rounds_run + 1;
-        if faults.panic_at_round.is_some_and(|at| next_round >= at) {
+        if panic_at_round.is_some_and(|at| next_round >= at) {
             std::panic::panic_any(InjectedWorkerPanic);
         }
         let progress = handle.advance(round_windows);
         rounds_run += 1;
         *locked(&shared.progress) = Some(progress);
         if progress.finished {
-            let degraded = handle.degraded();
-            return LeaseEnd::Finished { estimate: Box::new(handle.finish()), degraded };
+            return LeaseEnd::Finished { estimate: Box::new(handle.finish()) };
         }
     }
 
@@ -193,7 +184,6 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
                 _ => CheckpointError::Truncated,
             }),
             partial: Some(Box::new(handle.estimate())),
-            degraded: handle.degraded(),
         },
     }
 }

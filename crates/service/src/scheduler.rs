@@ -253,7 +253,7 @@ pub(crate) fn shutdown(shared: &Arc<ServiceShared>) {
             let queued: Vec<JobId> =
                 st.jobs.iter().filter(|(_, j)| !j.in_flight).map(|(&id, _)| id).collect();
             for id in queued {
-                resolve(&mut st, id, Err(ServiceError::Shutdown), None, false);
+                resolve(&mut st, id, Err(ServiceError::Shutdown), None);
             }
         }
     }
@@ -333,7 +333,7 @@ fn grant(st: &mut State, id: JobId) -> Option<Lease> {
     job.last_seq = Some(seq);
     job.deficit += job.weight as usize;
     let rounds_budget = job.deficit;
-    let panic_at = match job.faults.panic_at_round {
+    let panic_at_round = match job.faults.panic_at_round {
         Some(at) if at <= job.rounds_done + rounds_budget => {
             job.faults.panic_at_round = None;
             Some(at)
@@ -351,7 +351,7 @@ fn grant(st: &mut State, id: JobId) -> Option<Lease> {
         rounds_done: job.rounds_done,
         rounds_budget,
         round_windows: job.round_windows,
-        faults: JobFaults { panic_at_round: panic_at, poison: job.faults.poison.clone() },
+        panic_at_round,
         deadline: job.deadline,
         shared: job.shared.clone(),
     };
@@ -374,18 +374,18 @@ fn settle(shared: &ServiceShared, id: JobId, end: LeaseEnd, elapsed: Duration) {
     job.in_flight = false;
     job.leases += 1;
     match end {
-        LeaseEnd::Finished { estimate, degraded } => {
-            resolve(&mut st, id, Ok(*estimate), None, degraded);
+        LeaseEnd::Finished { estimate } => {
+            resolve(&mut st, id, Ok(*estimate), None);
         }
-        LeaseEnd::Ended { error, partial, degraded } => {
-            resolve(&mut st, id, Err(error), partial.map(|b| *b), degraded);
+        LeaseEnd::Ended { error, partial } => {
+            resolve(&mut st, id, Err(error), partial.map(|b| *b));
         }
         LeaseEnd::Yielded { snapshot, rounds_run } => {
             job.rounds_done += rounds_run;
             job.deficit = job.deficit.saturating_sub(rounds_run);
             job.snapshot = Some(snapshot);
             if st.shutdown {
-                resolve(&mut st, id, Err(ServiceError::Shutdown), None, false);
+                resolve(&mut st, id, Err(ServiceError::Shutdown), None);
             } else {
                 st.ready.push_back(id);
                 drop(st);
@@ -413,7 +413,7 @@ fn quarantine_and_readopt(shared: &Arc<ServiceShared>, id: JobId, elapsed: Durat
             job.recoveries += 1;
             job.deficit = job.deficit.saturating_sub(job.weight as usize);
             if st.shutdown {
-                resolve(&mut st, id, Err(ServiceError::Shutdown), None, false);
+                resolve(&mut st, id, Err(ServiceError::Shutdown), None);
             } else {
                 st.ready.push_front(id);
             }
@@ -433,7 +433,6 @@ fn resolve(
     id: JobId,
     outcome: Result<Estimate, ServiceError>,
     partial: Option<Estimate>,
-    degraded: bool,
 ) {
     let Some(job) = st.jobs.remove(&id) else {
         // Double-resolve (the caller raced another terminal path): the
@@ -445,7 +444,6 @@ fn resolve(
     let result = JobResult {
         outcome,
         partial,
-        degraded,
         leases: job.leases,
         recoveries: job.recoveries,
         first_lease_seq: job.first_seq,

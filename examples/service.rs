@@ -66,7 +66,7 @@ fn main() {
                 .steps(60_000)
                 .round_windows(10_000)
                 .seed(7)
-                .faults(JobFaults { panic_at_round: Some(3), ..JobFaults::none() }),
+                .faults(JobFaults { panic_at_round: Some(3) }),
         )
         .expect("admitted");
 

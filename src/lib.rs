@@ -64,8 +64,8 @@ pub use gx_service as service;
 
 pub use gx_core::{
     available_cores, graph_fingerprint, measure_burn_in, write_atomic, AdaptiveReport, BatchStats,
-    BurnInReport, CheckpointError, ConfigError, Estimate, EstimatorConfig, FaultPlan, GxError,
-    Progress, RuleError, RunHandle, Runner, ServiceError, StoppingRule, WalkerStatus,
+    BurnInReport, CheckpointError, ConfigError, Estimate, EstimatorConfig, GxError, Progress,
+    RuleError, RunHandle, Runner, ServiceError, StoppingRule,
 };
 pub use gx_graph::{
     read_header, write_gxsc, write_gxsn, CompressedGraph, Graph, GraphAccess, MmapGraph, NodeId,

@@ -1,5 +1,5 @@
 //! Crash-resilience conformance suite: serializable `RunHandle`
-//! checkpoints, fault-injected resume, and graceful walker degradation.
+//! checkpoints and fault-injected resume.
 //!
 //! The acceptance contract:
 //! * **golden-bit resume** — checkpoint → drop → resume → `finish()` is
@@ -16,19 +16,13 @@
 //! * **fault tolerance** — a failed checkpoint write (injected at the
 //!   byte level, or a snapshot over the 64 MiB ceiling refused before a
 //!   byte is written) leaves the run able to finish bit-identical;
-//! * **graceful degradation** — a poisoned walker is quarantined, its
-//!   completed batches stay pooled, the run completes with
-//!   `degraded == true`;
 //! * **bounded memory** — `StoppingRule::bounded_memory` is bit-identical
 //!   to unbounded below the cap, collapses at the cap, and is a typed
 //!   error with more than one walker.
 
 use graphlet_rw::graph::generators::classic;
 use graphlet_rw::walks::{rng_from_seed, SrwWalk};
-use graphlet_rw::{
-    CheckpointError, EstimatorConfig, FaultPlan, GxError, Progress, Runner, StoppingRule,
-    WalkerStatus,
-};
+use graphlet_rw::{CheckpointError, EstimatorConfig, GxError, Progress, Runner, StoppingRule};
 use rand::Rng;
 use std::io::Write;
 
@@ -385,7 +379,7 @@ fn resume_refuses_a_different_graph() {
     assert!(Runner::resume(&twin, &mut snap.as_slice()).is_ok());
 }
 
-// --- Format v4: the batch_width field, older versions refused -------------
+// --- Format v5: the batch_width field, older versions refused -------------
 
 /// Re-wraps a payload in a fresh envelope (recomputed length + checksum)
 /// stamped with `version` — the tool for crafting checksum-valid
@@ -432,15 +426,16 @@ fn engine_mode_snapshot_pair(g: &graphlet_rw::Graph) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn pre_v4_snapshots_are_refused_with_a_typed_error() {
-    // Versions 1 to 3 carried state that version 4 rebuilds (the pooled
-    // statistics, per-walker counts, caps and batch length; the walk
-    // position and the window's degrees, refcounts and adjacency rows);
-    // a checksum-valid image stamped with an older version is refused
-    // before its payload is read, never misparsed.
+fn pre_v5_snapshots_are_refused_with_a_typed_error() {
+    // Versions 1 to 3 carried state that later versions rebuild (the
+    // pooled statistics, per-walker counts, caps and batch length; the
+    // walk position and the window's degrees, refcounts and adjacency
+    // rows), and version 4 a per-walker health byte that version 5
+    // dropped; a checksum-valid image stamped with an older version is
+    // refused before its payload is read, never misparsed.
     let g = classic::lollipop(6, 5);
     let (snap, _) = engine_mode_snapshot_pair(&g);
-    for old in [1u32, 2, 3] {
+    for old in [1u32, 2, 3, 4] {
         let crafted = seal(&snap[24..], old);
         match Runner::resume(&g, &mut crafted.as_slice()) {
             Err(GxError::Checkpoint(CheckpointError::UnsupportedVersion { found })) => {
@@ -748,93 +743,6 @@ fn checkpoint_files_are_atomic_and_resumable() {
         Err(GxError::Io(std::io::ErrorKind::NotFound))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-// --- Graceful degradation ---------------------------------------------------
-
-#[test]
-fn poisoned_walker_is_quarantined_and_run_completes_degraded() {
-    let g = classic::lollipop(6, 5);
-    let plan = FaultPlan { poison: vec![(1, 2)] };
-    let runner = Runner::new(EstimatorConfig::recommended(3))
-        .until(StoppingRule {
-            target_rel_ci: 1e-9, // unreachable: runs to the cap
-            check_every: 1_000,
-            max_steps: 12_000,
-            batch_len: 128,
-            min_batches: 6,
-            ..Default::default()
-        })
-        .seed(17)
-        .walkers(4)
-        .faults(plan);
-
-    let mut handle = runner.start(&g).unwrap();
-    let mut rounds = 0usize;
-    while !handle.is_finished() {
-        handle.advance(1_000);
-        rounds += 1;
-        assert!(rounds < 100, "degraded run must terminate");
-    }
-    assert!(handle.degraded());
-    assert_eq!(handle.walker_status()[1], WalkerStatus::Quarantined { round: 2 });
-    assert_eq!(handle.walker_status()[0], WalkerStatus::Healthy);
-
-    let est = handle.finish();
-    let report = est.adaptive.expect("adaptive run carries a report");
-    assert!(report.degraded, "poisoned walker must mark the report degraded");
-    assert_eq!(report.walker_status.len(), 4);
-    assert_eq!(report.walker_status[1], WalkerStatus::Quarantined { round: 2 });
-    // Walker 1 contributed exactly one round before quarantine; its
-    // batches stay pooled and the healthy walkers ran out their shares.
-    assert_eq!(est.steps, 3 * 3_000 + 1_000);
-    assert!(est.accuracy.unwrap().batches() > 0);
-}
-
-#[test]
-fn degradation_is_identical_across_advance_flavors_and_survives_resume() {
-    let g = classic::petersen();
-    let plan = FaultPlan::from_seed(99, 3, 3);
-    let mk = || {
-        Runner::new(EstimatorConfig::recommended(3))
-            .steps(9_000)
-            .seed(23)
-            .walkers(3)
-            .faults(plan.clone())
-    };
-
-    let seq = {
-        let mut h = mk().start(&g).unwrap();
-        while !h.is_finished() {
-            h.advance(1_000);
-        }
-        h.finish()
-    };
-    let par = {
-        let mut h = mk().start(&g).unwrap();
-        while !h.is_finished() {
-            h.advance_par(1_000);
-        }
-        h.finish()
-    };
-    assert_estimates_bit_identical(&seq, &par);
-
-    // Quarantine state round-trips through a checkpoint.
-    let mut h = mk().start(&g).unwrap();
-    h.advance(1_000);
-    h.advance(1_000);
-    h.advance(1_000);
-    let status_before = h.walker_status().to_vec();
-    assert!(h.degraded(), "seeded plan poisons within three rounds");
-    let mut snap = Vec::new();
-    h.checkpoint(&mut snap).unwrap();
-    drop(h);
-    let mut resumed = Runner::resume(&g, &mut snap.as_slice()).unwrap();
-    assert_eq!(resumed.walker_status(), &status_before[..]);
-    while !resumed.is_finished() {
-        resumed.advance(1_000);
-    }
-    assert_estimates_bit_identical(&seq, &resumed.finish());
 }
 
 // --- Bounded-memory batch-mean series --------------------------------------
