@@ -14,8 +14,7 @@
 //! The covering sequences of a sampled subgraph depend only on its edge
 //! mask, so the per-(k, d) structure is precomputed *once per process*
 //! into a dense, direct-indexed table (`DenseCss`, shared via
-//! `OnceLock` across estimators and walker threads) instead of a lazily
-//! filled `HashMap<(k, mask), _>`:
+//! `OnceLock` across estimators and walker threads), for every k:
 //!
 //! * `entries[mask]` — one fixed-width record per edge mask (`2^C(k,2)`
 //!   entries; masks fit `u32` for k ≤ 6), holding offsets into two flat
@@ -28,6 +27,11 @@
 //! * `interiors` — the interior subset-indices of every covering
 //!   sequence, flattened with constant stride `l − 2` (see
 //!   [`gx_graphlets::alpha::CoveringSequences::flat_interiors`]).
+//!
+//! k ≤ 5 enumerate each mask's sequences. k = 6 enumerates them once per
+//! graphlet class, on its representative (paper §4.1): every mask of the
+//! class stores the representative's subsets relabeled onto its own
+//! nodes, in the same order, and shares the class's interiors.
 //!
 //! # Why the hot loop is allocation- and hash-free
 //!
@@ -47,14 +51,17 @@
 //! already paid for, which is exactly the paper's Lemma-5 pitch: CSS
 //! reuses observed degree information, it does not buy new information.
 //!
-//! Summation order is identical to the seed `HashMap` implementation
-//! (same subset enumeration, same covering-sequence order, same fold
-//! direction), so results are bit-for-bit identical — enforced by the
-//! exhaustive oracle test at the bottom of this file.
+//! For k ≤ 5 the summation order is identical to the seed `HashMap`
+//! implementation (same subset enumeration, same covering-sequence order,
+//! same fold direction), so results are bit-for-bit identical — enforced
+//! by the exhaustive oracle tests at the bottom of this file. At k = 6
+//! the sum follows the representative's order and may move in the last
+//! bits.
 
 use crate::window::NodeWindow;
 use gx_graph::{GraphAccess, NodeId};
 use gx_graphlets::alpha::covering_sequences;
+use gx_graphlets::canon::canon_table;
 use gx_graphlets::mask::num_pairs;
 use gx_graphlets::SmallGraph;
 use gx_walks::{effective_degree, effective_degree_recip, gd_state_degree_with, GdDegreeScratch};
@@ -115,6 +122,7 @@ struct DenseCss {
 
 impl DenseCss {
     fn build(k: usize, d: usize) -> Self {
+        let canon = canon_table(k);
         let n_masks = 1usize << num_pairs(k);
         let mut t = DenseCss {
             entries: vec![Entry::default(); n_masks],
@@ -122,27 +130,72 @@ impl DenseCss {
             subset_pos: Vec::new(),
             interiors: Vec::new(),
         };
-        for mask in 0..n_masks {
-            // Disconnected masks have no cover and keep the zero entry.
-            let Some(cover) = covering_sequences(&SmallGraph::from_mask(k, mask as u32), d) else {
+        // Ascending masks reach each class representative (its orbit's
+        // least mask) before the rest of its class.
+        for mask in 0..n_masks as u32 {
+            // Disconnected masks have no class and keep the zero entry.
+            let Some(class) = canon.class_of(mask) else {
                 continue;
             };
-            debug_assert!(cover.subsets.len() <= MAX_SUBSETS, "C(k, d) ≤ C(6, 3) = 20");
-            let flat = cover.flat_interiors();
-            t.entries[mask] = Entry {
-                subs_off: t.subset_bits.len() as u32,
-                seq_off: t.interiors.len() as u32,
-                seq_cnt: cover.count() as u32,
-                used: interior_used_bits(&flat),
-                subs_len: cover.subsets.len() as u8,
+            let rep = canon.representative(class);
+            let entry = if k <= 5 || mask == rep {
+                t.push_enumerated(k, d, mask)
+            } else {
+                Some(t.push_relabeled(rep, canon.relabeling(mask)))
             };
-            for &bits in &cover.subsets {
-                t.subset_bits.push(bits);
-                t.subset_pos.push(lowest_two_positions(bits));
-            }
-            t.interiors.extend_from_slice(&flat);
+            t.entries[mask as usize] = entry.unwrap_or_default();
         }
+        t.subset_pos = t.subset_bits.iter().map(|&bits| lowest_two_positions(bits)).collect();
         t
+    }
+
+    /// Enumerates `mask`'s covering sequences into the arenas (`None` only
+    /// for a disconnected mask, which the caller never passes).
+    fn push_enumerated(&mut self, k: usize, d: usize, mask: u32) -> Option<Entry> {
+        let cover = covering_sequences(&SmallGraph::from_mask(k, mask), d)?;
+        debug_assert!(cover.subsets.len() <= MAX_SUBSETS, "C(k, d) ≤ C(6, 3) = 20");
+        let flat = cover.flat_interiors();
+        let entry = Entry {
+            subs_off: self.subset_bits.len() as u32,
+            seq_off: self.interiors.len() as u32,
+            seq_cnt: cover.count() as u32,
+            used: interior_used_bits(&flat),
+            subs_len: cover.subsets.len() as u8,
+        };
+        self.subset_bits.extend_from_slice(&cover.subsets);
+        self.interiors.extend_from_slice(&flat);
+        Some(entry)
+    }
+
+    /// `rep`'s entry for the mask that `perm` relabels it into: subset `i`
+    /// is the image of `rep`'s subset `i`, so `rep`'s interiors (subset
+    /// indices) serve unchanged.
+    fn push_relabeled(&mut self, rep: u32, perm: &[usize]) -> Entry {
+        let src = self.entries[rep as usize];
+        let subs_off = self.subset_bits.len() as u32;
+        for i in src.subs_off..src.subs_off + u32::from(src.subs_len) {
+            let rep_bits = self.subset_bits[i as usize];
+            let bits = (0..perm.len())
+                .filter(|&v| rep_bits & (1 << perm[v]) != 0)
+                .fold(0u8, |acc, v| acc | (1 << v));
+            self.subset_bits.push(bits);
+        }
+        Entry { subs_off, ..src }
+    }
+
+    /// The mask's slices into the arenas.
+    #[inline]
+    fn view(&self, stride: usize, mask: u32) -> EntryView<'_> {
+        let e = self.entries[mask as usize];
+        let (s0, s1) = (e.subs_off as usize, e.subs_off as usize + e.subs_len as usize);
+        let (i0, i1) = (e.seq_off as usize, e.seq_off as usize + e.seq_cnt as usize * stride);
+        EntryView {
+            subset_bits: &self.subset_bits[s0..s1],
+            subset_pos: &self.subset_pos[s0..s1],
+            interiors: &self.interiors[i0..i1],
+            seq_cnt: e.seq_cnt,
+            used: e.used,
+        }
     }
 }
 
@@ -163,59 +216,16 @@ fn lowest_two_positions(bits: u8) -> [u8; 2] {
 }
 
 /// The process-wide dense table for `(k, d)`, built on first use and
-/// shared by every estimator and walker thread (k ≤ 5; the k = 6 tables
-/// are 32768 entries and stay per-instance + lazy, see [`Table::Lazy`]).
+/// shared by every estimator and walker thread; nothing mutates it after
+/// the build.
 fn dense_css(k: usize, d: usize) -> &'static DenseCss {
     static TABLES: OnceLock<[[OnceLock<DenseCss>; 7]; 7]> = OnceLock::new();
-    debug_assert!((3..=5).contains(&k) && (1..=k).contains(&d));
+    debug_assert!((3..=6).contains(&k) && (1..=k).contains(&d));
     let tables = TABLES.get_or_init(Default::default);
     tables[k][d].get_or_init(|| DenseCss::build(k, d))
 }
 
-/// One lazily built k = 6 entry, in the same flat shape as the dense
-/// arenas so both paths share the scoring code. Empty for a disconnected
-/// mask, like the dense table's zero entry.
-#[derive(Debug, Default)]
-struct LazyEntry {
-    subset_bits: Vec<u8>,
-    subset_pos: Vec<[u8; 2]>,
-    interiors: Vec<u8>,
-    seq_cnt: u32,
-    used: u32,
-}
-
-/// Where a [`CssWeights`] instance looks masks up.
-#[derive(Debug)]
-enum Table {
-    /// k ≤ 5: shared, fully precomputed — the hot loop has no lazy-init
-    /// branch at all.
-    Dense(&'static DenseCss),
-    /// k = 6: per-instance dense `Vec` filled on first visit of each mask
-    /// (still direct-indexed, still hash-free). An entry costs tens of
-    /// microseconds, but the whole table would not pay: over all 26,704
-    /// connected 6-node masks the d = 3 interiors alone come to 26.6 MB
-    /// and take about 0.45 s to enumerate, and a run visits few masks.
-    Lazy { k: usize, d: usize, entries: Vec<Option<Box<LazyEntry>>> },
-}
-
-impl LazyEntry {
-    fn build(k: usize, d: usize, mask: u32) -> Self {
-        let Some(cover) = covering_sequences(&SmallGraph::from_mask(k, mask), d) else {
-            return LazyEntry::default();
-        };
-        debug_assert!(cover.subsets.len() <= MAX_SUBSETS, "C(k, d) ≤ C(6, 3) = 20");
-        let flat = cover.flat_interiors();
-        LazyEntry {
-            used: interior_used_bits(&flat),
-            interiors: flat,
-            subset_pos: cover.subsets.iter().map(|&b| lowest_two_positions(b)).collect(),
-            seq_cnt: cover.count() as u32,
-            subset_bits: cover.subsets,
-        }
-    }
-}
-
-/// Borrowed view of one mask's CSS structure, uniform over both tables.
+/// Borrowed view of one mask's CSS structure.
 #[derive(Clone, Copy)]
 struct EntryView<'a> {
     subset_bits: &'a [u8],
@@ -224,40 +234,6 @@ struct EntryView<'a> {
     seq_cnt: u32,
     /// See [`Entry::used`].
     used: u32,
-}
-
-/// The mask's entry view, building a k = 6 entry on its first visit. A
-/// free function over the table field (not a `&mut self` method) so
-/// callers can keep the view alive while mutating the disjoint scratch
-/// fields of [`CssWeights`].
-#[inline]
-fn view_entry(table: &mut Table, stride: usize, mask: u32) -> EntryView<'_> {
-    match table {
-        Table::Dense(t) => {
-            let e = t.entries[mask as usize];
-            let (s0, s1) = (e.subs_off as usize, e.subs_off as usize + e.subs_len as usize);
-            let (i0, i1) = (e.seq_off as usize, e.seq_off as usize + e.seq_cnt as usize * stride);
-            EntryView {
-                subset_bits: &t.subset_bits[s0..s1],
-                subset_pos: &t.subset_pos[s0..s1],
-                interiors: &t.interiors[i0..i1],
-                seq_cnt: e.seq_cnt,
-                used: e.used,
-            }
-        }
-        Table::Lazy { k, d, entries } => {
-            let (k, d) = (*k, *d);
-            let e = entries[mask as usize]
-                .get_or_insert_with(|| Box::new(LazyEntry::build(k, d, mask)));
-            EntryView {
-                subset_bits: &e.subset_bits,
-                subset_pos: &e.subset_pos,
-                interiors: &e.interiors,
-                seq_cnt: e.seq_cnt,
-                used: e.used,
-            }
-        }
-    }
 }
 
 /// Computes CSS sampling probabilities for one estimator run.
@@ -271,7 +247,7 @@ pub struct CssWeights {
     l: usize,
     /// Interiors per covering sequence, `l − 2` (0 for l ≤ 2).
     stride: usize,
-    table: Table,
+    table: &'static DenseCss,
     /// Scratch: `1/d_eff` per subset for the current sample (stack array,
     /// never reallocated).
     recip: [f64; MAX_SUBSETS],
@@ -290,7 +266,9 @@ impl CssWeights {
     ///
     /// Taking `k` here (every call site knows it at construction) lets the
     /// whole dense table be ready before the first sample, removing the
-    /// per-step lazy-init/hash path of the seed implementation.
+    /// per-step lazy-init/hash path of the seed implementation. The table
+    /// is built by the first instance for its `(k, d)` in the process;
+    /// later instances only fetch it.
     ///
     /// # Panics
     ///
@@ -303,17 +281,12 @@ impl CssWeights {
         // gx-lint: allow(panic_surface) -- documented precondition, as above
         assert!((1..=k).contains(&d), "CssWeights: d={d} must be in 1..=k={k}");
         let l = k - d + 1;
-        let table = if k <= 5 {
-            Table::Dense(dense_css(k, d))
-        } else {
-            Table::Lazy { k, d, entries: (0..1usize << num_pairs(k)).map(|_| None).collect() }
-        };
         Self {
             k,
             d,
             l,
             stride: l.saturating_sub(2),
-            table,
+            table: dense_css(k, d),
             recip: [0.0; MAX_SUBSETS],
             subset_nodes: [0; 8],
             deg_scratch: GdDegreeScratch::default(),
@@ -341,7 +314,7 @@ impl CssWeights {
     ) -> f64 {
         // gx-lint: allow(panic_surface) -- documented precondition of the general-purpose path; the estimator's hot loop takes the windowed path
         assert_eq!(nodes.len(), self.k, "sample size must match the configured k");
-        let view = view_entry(&mut self.table, self.stride, mask);
+        let view = self.table.view(self.stride, mask);
         match self.l {
             1 => {
                 // p̃ = the single full-subgraph state's own degree.
@@ -391,7 +364,7 @@ impl CssWeights {
         non_backtracking: bool,
     ) -> f64 {
         debug_assert_eq!(window.distinct_count(), self.k);
-        let view = view_entry(&mut self.table, self.stride, mask);
+        let view = self.table.view(self.stride, mask);
         let slot_deg = window.slot_degrees();
         match self.l {
             1 => {
@@ -729,10 +702,10 @@ mod tests {
         assert!((p1 - p3).abs() < 1e-12, "K5 symmetry");
     }
 
-    /// The k = 6 lazy-dense path agrees with a hand-computable case: the
-    /// 6-path under SRW2 (l = 5).
+    /// The k = 6 table agrees with a hand-computable case: the 6-path
+    /// under SRW2 (l = 5).
     #[test]
-    fn k6_lazy_path_works() {
+    fn k6_table_path_works() {
         let g = classic::path(6);
         let nodes = [0u32, 1, 2, 3, 4, 5];
         let mask = induced_mask(&g, &nodes);
@@ -864,7 +837,7 @@ mod tests {
     /// non-backtracking: a star, where every state has an articulation
     /// position (the hub); a clique, where every candidate is valid for
     /// every drop; and k = 6 with d = 3 on a skewed graph, which runs the
-    /// lazy k = 6 table, stride-2 interiors, and a memo that sees many
+    /// per-class k = 6 table, stride-2 interiors, and a memo that sees many
     /// distinct subsets with distinct degrees.
     #[test]
     fn windowed_matches_general_on_adversarial_graphs() {
@@ -905,7 +878,8 @@ mod tests {
     }
 
     /// Every CSS engine path — walk steps, the window and the CSS degree
-    /// lookups, for d = 1, 2 and 3 — reads adjacency only through
+    /// lookups, for d = 1, 2 and 3 and the k = 6 table — reads adjacency
+    /// only through
     /// `visit_neighbors` and the trait defaults derived from it, so a
     /// backend whose `neighbors()` would have to pin a decoded block for
     /// its lifetime (the compressed snapshot) never has to. Scalar and
@@ -943,7 +917,7 @@ mod tests {
 
         let g = holme_kim(80, 4, 0.5, &mut rng_from_seed(3));
         let scoped = ScopedOnly(&g);
-        for (k, d) in [(3, 1), (4, 2), (5, 3)] {
+        for (k, d) in [(3, 1), (4, 2), (5, 3), (6, 3)] {
             let cfg = EstimatorConfig { k, d, css: true, ..Default::default() };
             for runner in [
                 Runner::new(cfg.clone()).steps(6_000).seed(21),
@@ -958,6 +932,30 @@ mod tests {
                 };
                 assert_eq!(bits(&got), bits(&want), "k={k} d={d}");
             }
+        }
+    }
+
+    /// k = 6 through the shared table: a threaded run (`prewarm`, then
+    /// walker threads reading one table) gives the raw bits of the same
+    /// walkers run one after another.
+    #[test]
+    fn k6_threaded_run_matches_local_run() {
+        use crate::config::EstimatorConfig;
+        use crate::runner::Runner;
+        use gx_graph::generators::holme_kim;
+        use gx_walks::rng_from_seed;
+        let g = holme_kim(300, 4, 0.5, &mut rng_from_seed(13));
+        for d in [1, 2, 3] {
+            let cfg = EstimatorConfig { k: 6, d, css: true, ..Default::default() };
+            let runner = Runner::new(cfg).steps(3_000).seed(8).walkers(4);
+            let threaded = runner.run(&g).unwrap();
+            let local = runner.run_local(&g).unwrap();
+            assert!(threaded.valid_samples > 1_000, "d={d}: {} windows", threaded.valid_samples);
+            assert_eq!(threaded.valid_samples, local.valid_samples, "d={d}");
+            let bits = |e: &crate::Estimate| -> Vec<u64> {
+                e.raw_scores.iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&threaded), bits(&local), "d={d}");
         }
     }
 }
@@ -1143,5 +1141,58 @@ mod oracle_tests {
             walk.step(&mut rng);
         }
         assert!(seen > 500, "walk produced too few valid samples ({seen})");
+    }
+
+    /// Every connected 6-node mask (every 41st in the debug profile), every
+    /// d, plain and non-backtracking: the per-class k = 6 table gives the
+    /// seed's value, within a relative 1e-12 where sequences are summed
+    /// in the representative's order (l ≥ 3) and bit for bit where no
+    /// product is formed (l ≤ 2). Each entry's sequence count is α of its
+    /// class.
+    #[test]
+    fn k6_table_matches_seed_oracle_for_every_mask() {
+        use gx_graphlets::alpha::alpha_table;
+        use gx_graphlets::classify_table;
+        let classify = classify_table(6).unwrap();
+        let nodes: Vec<u32> = (0..6).collect();
+        let stride = if cfg!(debug_assertions) { 41 } else { 1 };
+        let mut checked = 0usize;
+        for mask in (0u32..1 << num_pairs(6)).step_by(stride) {
+            if !SmallGraph::from_mask(6, mask).is_connected() {
+                continue;
+            }
+            let g = realize(6, mask);
+            for d in 1..=6 {
+                let alpha = alpha_table(6, d)[classify[mask as usize] as usize];
+                assert_eq!(u64::from(dense_css(6, d).entries[mask as usize].seq_cnt), alpha);
+                let mut table = CssWeights::new(6, d);
+                let mut seed = SeedCssWeights::new(d);
+                for nb in [false, true] {
+                    let a = table.sampling_probability(&g, mask, &nodes, nb);
+                    let b = seed.sampling_probability(&g, mask, &nodes, nb);
+                    let at = format!("d={d} nb={nb} mask={mask:#x}: table {a} vs seed {b}");
+                    if d >= 5 {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                    } else {
+                        assert!((a - b).abs() <= 1e-12 * b.abs(), "{at}");
+                    }
+                }
+            }
+            checked += 1;
+        }
+        assert!(stride > 1 || checked == 26_704, "{checked} connected masks checked");
+    }
+
+    /// Every (6, d) table stays well under 2 MB: per-mask entries and
+    /// relabeled subsets, interiors once per class.
+    #[test]
+    fn k6_tables_are_small() {
+        for d in 1..=6 {
+            let t = dense_css(6, d);
+            let bytes = t.entries.len() * std::mem::size_of::<Entry>()
+                + t.subset_bits.len() * 3
+                + t.interiors.len();
+            assert!(bytes < 2 << 20, "(6, {d}) table: {bytes} bytes");
+        }
     }
 }

@@ -16,12 +16,13 @@ use gx_walks::{
 };
 
 /// Builds every process-wide table the configuration will touch (α,
-/// classification, dense CSS), so parallel walkers never serialize on a
-/// cold `OnceLock` and the hot loop starts warm from step one.
+/// classification, the CSS table for every k), so parallel walkers never
+/// serialize on a cold `OnceLock` and the hot loop starts warm from step
+/// one.
 pub(crate) fn prewarm(cfg: &EstimatorConfig) {
     let _ = alpha_table(cfg.k, cfg.d);
     let _ = classify_table(cfg.k);
-    if cfg.css && cfg.k <= 5 {
+    if cfg.css {
         let _ = CssWeights::new(cfg.k, cfg.d);
     }
 }

@@ -7,13 +7,14 @@
 //! orbit's canonical mask (the definition of
 //! [`SmallGraph::canonical_mask`]), and every image is labeled in the same
 //! pass. That costs k! relabelings per orbit — 34 orbits × 120 for k = 5,
-//! 156 × 720 for k = 6 — instead of k! per mask.
+//! 156 × 720 for k = 6 — instead of k! per mask — and records which
+//! relabeling produced each mask ([`CanonTable::relabeling`]).
 //!
 //! Classes are numbered here in *canonical order* (ascending edge count,
 //! then ascending canonical mask). The [`mod@crate::atlas`] module maps
 //! canonical order to the paper's ordering.
 
-use crate::mask::{num_pairs, pair_index, permutations, SmallGraph};
+use crate::mask::{num_pairs, pair_index, permutation_list, SmallGraph};
 use std::sync::OnceLock;
 
 /// Classification table for one k.
@@ -25,6 +26,8 @@ pub struct CanonTable {
     table: Vec<i16>,
     /// Canonical representative mask of each class, in canonical order.
     reps: Vec<u32>,
+    /// `perm_of[mask]` indexes [`permutation_list`]: see `relabeling`.
+    perm_of: Vec<u16>,
 }
 
 const NONE: i16 = -1;
@@ -34,7 +37,8 @@ impl CanonTable {
         let pairs = num_pairs(k);
         // For each permutation, the pair of a mask that lands on each pair
         // of its image (the relabeling of `SmallGraph::permute`).
-        let sources: Vec<Vec<u8>> = permutations(k)
+        let sources: Vec<Vec<u8>> = permutation_list(k)
+            .iter()
             .map(|perm| {
                 (0..k)
                     .flat_map(|i| ((i + 1)..k).map(move |j| (perm[i], perm[j])))
@@ -42,10 +46,12 @@ impl CanonTable {
                     .collect()
             })
             .collect();
-        // Label every mask with its orbit, and note each orbit's canonical
-        // mask (its least image) and whether it is connected.
+        // Label every mask with its orbit and the relabeling that produced
+        // it, and note each orbit's canonical mask (its least image) and
+        // whether it is connected.
         const UNSEEN: u16 = u16::MAX;
         let mut orbit_of = vec![UNSEEN; 1usize << pairs];
+        let mut perm_of = vec![0u16; 1usize << pairs];
         let mut orbits: Vec<(u32, bool)> = Vec::new();
         let mut images: Vec<u32> = Vec::with_capacity(sources.len());
         for m in 0..orbit_of.len() as u32 {
@@ -57,11 +63,13 @@ impl CanonTable {
                 src.iter().enumerate().fold(0u32, |acc, (q, &p)| acc | ((m >> p) & 1) << q)
             }));
             let id = orbits.len() as u16;
-            for &image in &images {
+            for (p, &image) in images.iter().enumerate() {
                 orbit_of[image as usize] = id;
+                perm_of[image as usize] = p as u16;
             }
-            let canonical = images.iter().copied().min().unwrap_or(m);
-            orbits.push((canonical, SmallGraph::from_mask(k, canonical).is_connected()));
+            // Masks go in ascending order, so an orbit's first unseen
+            // mask is its least image: the canonical mask.
+            orbits.push((m, SmallGraph::from_mask(k, m).is_connected()));
         }
         // Canonical order: ascending (edge count, mask value).
         let mut reps: Vec<u32> =
@@ -72,7 +80,7 @@ impl CanonTable {
             .map(|&(c, _)| reps.iter().position(|&r| r == c).map_or(NONE, |i| i as i16))
             .collect();
         let table = orbit_of.into_iter().map(|o| class_of_orbit[o as usize]).collect();
-        CanonTable { k, table, reps }
+        CanonTable { k, table, reps, perm_of }
     }
 
     /// Canonical class index of `mask`, or `None` if disconnected.
@@ -93,6 +101,12 @@ impl CanonTable {
     /// Canonical representative mask of class `i`.
     pub fn representative(&self, i: usize) -> u32 {
         self.reps[i]
+    }
+
+    /// A `perm` with `representative.permute(perm) == mask` for a
+    /// connected `mask`: its node `i` plays the representative's `perm[i]`.
+    pub fn relabeling(&self, mask: u32) -> &'static [usize] {
+        &permutation_list(self.k)[self.perm_of[mask as usize] as usize]
     }
 }
 
@@ -153,6 +167,22 @@ mod tests {
     fn table_matches_per_mask_canonical_form_k6() {
         let stride = if cfg!(debug_assertions) { 7 } else { 1 };
         assert_table_matches_canonical_mask(6, (0..1u32 << 15).step_by(stride));
+    }
+
+    /// Every connected mask is its representative relabeled by
+    /// `relabeling` (k = 6 strided in the debug profile, like the pin
+    /// above).
+    #[test]
+    fn relabeling_maps_representative_to_mask() {
+        for k in 3..=6 {
+            let t = canon_table(k);
+            let stride = if cfg!(debug_assertions) && k == 6 { 7 } else { 1 };
+            for mask in (0..1u32 << num_pairs(k)).step_by(stride) {
+                let Some(class) = t.class_of(mask) else { continue };
+                let rep = SmallGraph::from_mask(k, t.representative(class));
+                assert_eq!(rep.permute(t.relabeling(mask)).mask(), mask, "k={k} mask {mask:#x}");
+            }
+        }
     }
 
     #[test]

@@ -201,17 +201,19 @@ impl SmallGraph {
 /// All permutations of `0..k`, built on first use of each `k` and cached
 /// (k ≤ 7 → at most 5040); asking for one `k` builds no other.
 pub fn permutations(k: usize) -> impl Iterator<Item = &'static [usize]> {
+    permutation_list(k).iter().map(|p| p.as_slice())
+}
+
+/// The cached list behind [`permutations`], indexable by position.
+pub(crate) fn permutation_list(k: usize) -> &'static [Vec<usize>] {
     use std::sync::OnceLock;
     static CACHE: [OnceLock<Vec<Vec<usize>>>; MAX_K + 1] = [const { OnceLock::new() }; MAX_K + 1];
-    CACHE[k]
-        .get_or_init(|| {
-            let mut out = Vec::new();
-            let mut items: Vec<usize> = (0..k).collect();
-            heap_permutations(&mut items, k, &mut out);
-            out
-        })
-        .iter()
-        .map(|p| p.as_slice())
+    CACHE[k].get_or_init(|| {
+        let mut out = Vec::new();
+        let mut items: Vec<usize> = (0..k).collect();
+        heap_permutations(&mut items, k, &mut out);
+        out
+    })
 }
 
 fn heap_permutations(items: &mut Vec<usize>, n: usize, out: &mut Vec<Vec<usize>>) {

@@ -61,7 +61,7 @@ fn srw2css_matches_exact_5node_concentrations() {
 }
 
 /// Six-node graphlets on a walk on G(3) with CSS (l = 4): the k = 6
-/// classification table and the lazily filled k = 6 CSS entries, end to
+/// classification table and the per-class k = 6 CSS table, end to
 /// end, against ESU counts. 112 types, most of them rare, so the bound is
 /// a loose absolute one on the mean of four runs.
 #[test]
