@@ -41,15 +41,10 @@
 //! streaming pass over the mask's `interiors` slice accumulating the sum
 //! of products. Subset degrees come from the [`NodeWindow`]'s cached slot
 //! degrees (d ≤ 2) or the window's own recorded state degrees (d ≥ 3)
-//! — the graph is not touched at all for d ≤ 2. A d ≥ 3 subset the walk
-//! did not visit falls back to [`gd_state_degree_with`] (`d` list
-//! fetches, one merge, candidates counted per position mask, no
-//! adjacency probes), behind a 16-entry memo of recent fallback degrees
-//! keyed by the sorted node set: consecutive windows share all but one
-//! node, so most unvisited subsets recur while they stay in the window.
-//! Nothing is heap-allocated and nothing is recomputed that the walk
-//! already paid for, which is exactly the paper's Lemma-5 pitch: CSS
-//! reuses observed degree information, it does not buy new information.
+//! — the graph is not touched at all for d ≤ 2. Nothing is heap-allocated
+//! and nothing is recomputed that the walk already paid for, which is
+//! exactly the paper's Lemma-5 pitch: CSS reuses observed degree
+//! information, it does not buy new information.
 //!
 //! For k ≤ 5 the summation order is identical to the seed `HashMap`
 //! implementation (same subset enumeration, same covering-sequence order,
@@ -57,6 +52,33 @@
 //! by the exhaustive oracle tests at the bottom of this file. At k = 6
 //! the sum follows the representative's order and may move in the last
 //! bits.
+//!
+//! # Unvisited d ≥ 3 subsets: the window neighbourhood profile
+//!
+//! CSS needs the `G(d)` degree of every connected d-subset of the
+//! window, including the ones the walk did not visit. A d ≥ 3 instance
+//! owns a `Profile` of the window's neighbourhood: each tracked window
+//! node's adjacency list, an open-addressing table mapping every node
+//! `w` adjacent to a tracked node to the mask of tracked nodes it
+//! touches, and `count[m]`, how many nodes carry mask `m`. It follows
+//! the window lazily, once per sample that meets an unvisited subset: a
+//! node entering costs one list fetch and one table update per list
+//! entry, a node leaving clears its bit over the list it was fetched
+//! with, and the nodes that stay cost nothing. A subset `S`'s degree is
+//! then exact integer arithmetic over at most 2^k mask counts,
+//!
+//! `deg(S) = Σ_m count[m] · nd_S(m ∩ S) − Σ_{u ∈ S} nd_S(adj_u ∩ S)`,
+//!
+//! where the second sum takes out S's own nodes (the table holds them
+//! too, and their S-masks are S's induced rows) and `nd_S(x)` counts the
+//! drop positions `p ∈ S` for which a node with S-mask `x` touches every
+//! component of `S ∖ p` ([`drop_counts`], the rule
+//! [`gd_state_degree_with`] counts by):
+//! no list is re-fetched or merged, and the degree, hence every bit of
+//! p̃, equals the counted one. The
+//! table holds at most the tracked nodes' Σ degrees entries at load
+//! ≤ 1/2 and never shrinks, so its memory is bounded by the largest
+//! window neighbourhood the walk has met, never by the graph.
 
 use crate::window::NodeWindow;
 use gx_graph::{GraphAccess, NodeId};
@@ -64,7 +86,9 @@ use gx_graphlets::alpha::covering_sequences;
 use gx_graphlets::canon::canon_table;
 use gx_graphlets::mask::num_pairs;
 use gx_graphlets::SmallGraph;
-use gx_walks::{effective_degree, effective_degree_recip, gd_state_degree_with, GdDegreeScratch};
+use gx_walks::{
+    drop_counts, effective_degree, effective_degree_recip, gd_state_degree_with, GdDegreeScratch,
+};
 use std::sync::OnceLock;
 
 /// Entries in the shared reciprocal table (covers effective degrees up to
@@ -251,12 +275,13 @@ pub struct CssWeights {
     /// Scratch: `1/d_eff` per subset for the current sample (stack array,
     /// never reallocated).
     recip: [f64; MAX_SUBSETS],
-    /// Scratch: concrete nodes of a subset (d ≥ 3 fallback).
+    /// Scratch: concrete nodes of a subset (general path, d ≥ 3).
     subset_nodes: [NodeId; 8],
-    /// Scratch for d ≥ 3 `G(d)`-degree enumeration.
+    /// Scratch for the general path's d ≥ 3 `G(d)`-degree enumeration.
     deg_scratch: GdDegreeScratch,
-    /// Recent d ≥ 3 fallback degrees (windowed path only).
-    memo: DegreeMemo,
+    /// The windowed path's source of unvisited d ≥ 3 subset degrees
+    /// (`None` for d ≤ 2, which never needs one).
+    profile: Option<Box<Profile>>,
     /// Shared `1/d` lookup (see [`recip_table`]).
     recip_of: &'static [f64; RECIP_TABLE],
 }
@@ -290,7 +315,7 @@ impl CssWeights {
             recip: [0.0; MAX_SUBSETS],
             subset_nodes: [0; 8],
             deg_scratch: GdDegreeScratch::default(),
-            memo: DegreeMemo::default(),
+            profile: (d >= 3).then(|| Box::new(Profile::new())),
             recip_of: recip_table(),
         }
     }
@@ -350,12 +375,13 @@ impl CssWeights {
     /// degree comes from bookkeeping the walk already paid for — the
     /// window's cached slot degrees for d ≤ 2, the window's recorded
     /// state degrees for the d ≥ 3 subsets the walk itself visited, and
-    /// a memo of recent fallback degrees for the d ≥ 3 subsets it did not.
+    /// the window neighbourhood profile (see the module doc) for the d ≥ 3
+    /// subsets it did not.
     ///
-    /// One instance serves one graph: the memo keys degrees by node set
-    /// alone, the same contract the window's cached slot degrees rely
-    /// on. The memo is a cache, not state — checkpoints do not carry it,
-    /// and a resumed run refills it with the same values.
+    /// One instance serves one graph: the profile keys adjacency by node
+    /// id alone, the same contract the window's cached slot degrees rely
+    /// on. The profile is a cache, not state — checkpoints do not carry
+    /// it, and a resumed run refills it with the same values.
     pub fn sampling_probability_windowed<G: GraphAccess>(
         &mut self,
         g: &G,
@@ -377,10 +403,10 @@ impl CssWeights {
             }
             2 => l2_probability(view.seq_cnt),
             _ => {
-                if self.d <= 2 {
-                    // Only the subsets some sequence actually uses as an
-                    // interior need a reciprocal; the rest of `recip`
-                    // stays stale and unread.
+                let Some(profile) = self.profile.as_deref_mut() else {
+                    // d ≤ 2: only the subsets some sequence actually uses
+                    // as an interior need a reciprocal; the rest of
+                    // `recip` stays stale and unread.
                     let mut used = view.used;
                     while used != 0 {
                         let si = used.trailing_zeros() as usize;
@@ -393,54 +419,57 @@ impl CssWeights {
                         };
                         self.recip[si] = lookup_recip(self.recip_of, deg, non_backtracking);
                     }
-                } else {
-                    // d ≥ 3: reuse the degrees of the l states the walk
-                    // visited (matched by slot bitmask); count G(d)
-                    // neighbors only for the remaining subsets, through
-                    // the memo (see `DegreeMemo`).
-                    //
-                    // Audited for the duplicate-node / revisit case: the
-                    // bitmask match cannot alias. This path only runs for
-                    // a *valid* sample (`distinct_count == k`, asserted
-                    // above), where the l states' union has exactly
-                    // k = d + l − 1 nodes — each transition must have
-                    // introduced a union-new node, so the l states are
-                    // pairwise-distinct node sets. A node re-entering the
-                    // window shares its original slot (`acquire` keys
-                    // slots by node, bumping a refcount, never minting a
-                    // second slot), so distinct node sets always have
-                    // distinct slot bitmasks, every state mask has
-                    // popcount d, and a bitmask equal to a subset's mask
-                    // identifies exactly that subset's node set — whose
-                    // recorded degree is `gd_state_degree` of those
-                    // nodes, the same value the fallback would compute.
-                    // Revisit-heavy walks (windows with refcount > 1
-                    // slots) are pinned bitwise against the graph-derived
-                    // path by `windowed_matches_general_on_revisit_heavy_walks`.
-                    let mut state_bits = [0u8; 8];
-                    let mut state_degs = [0u32; 8];
-                    let mut n_states = 0usize;
-                    for (bits, deg) in window.state_slot_masks() {
-                        state_bits[n_states] = bits;
-                        state_degs[n_states] = deg;
-                        n_states += 1;
-                    }
-                    let nodes = window.distinct_nodes();
-                    let mut used = view.used;
-                    while used != 0 {
-                        let si = used.trailing_zeros() as usize;
-                        used &= used - 1;
-                        let bits = view.subset_bits[si];
-                        let visited = state_bits[..n_states]
-                            .iter()
-                            .position(|&b| b == bits)
-                            .map(|i| state_degs[i] as usize);
-                        let deg = visited.unwrap_or_else(|| {
-                            let n = gather_subset_nodes(bits, nodes, &mut self.subset_nodes);
-                            self.memo.degree(g, n, &mut self.deg_scratch)
-                        });
-                        self.recip[si] = lookup_recip(self.recip_of, deg, non_backtracking);
-                    }
+                    return accumulate(view.interiors, self.stride, &self.recip);
+                };
+                // d ≥ 3: reuse the degrees of the l states the walk
+                // visited (matched by slot bitmask); take the remaining
+                // subsets' degrees from the profile, synced to this
+                // window at the first of them.
+                //
+                // Audited for the duplicate-node / revisit case: the
+                // bitmask match cannot alias. This path only runs for
+                // a *valid* sample (`distinct_count == k`, asserted
+                // above), where the l states' union has exactly
+                // k = d + l − 1 nodes — each transition must have
+                // introduced a union-new node, so the l states are
+                // pairwise-distinct node sets. A node re-entering the
+                // window shares its original slot (`acquire` keys
+                // slots by node, bumping a refcount, never minting a
+                // second slot), so distinct node sets always have
+                // distinct slot bitmasks, every state mask has
+                // popcount d, and a bitmask equal to a subset's mask
+                // identifies exactly that subset's node set — whose
+                // recorded degree is `gd_state_degree` of those
+                // nodes, the same value the profile would compute.
+                // Revisit-heavy walks (windows with refcount > 1
+                // slots) are pinned bitwise against the graph-derived
+                // path by `windowed_matches_general_on_revisit_heavy_walks`.
+                let mut state_bits = [0u8; 8];
+                let mut state_degs = [0u32; 8];
+                let mut n_states = 0usize;
+                for (bits, deg) in window.state_slot_masks() {
+                    state_bits[n_states] = bits;
+                    state_degs[n_states] = deg;
+                    n_states += 1;
+                }
+                let mut synced = false;
+                let mut used = view.used;
+                while used != 0 {
+                    let si = used.trailing_zeros() as usize;
+                    used &= used - 1;
+                    let bits = view.subset_bits[si];
+                    let visited = state_bits[..n_states]
+                        .iter()
+                        .position(|&b| b == bits)
+                        .map(|i| state_degs[i] as usize);
+                    let deg = visited.unwrap_or_else(|| {
+                        if !synced {
+                            profile.sync(g, window);
+                            synced = true;
+                        }
+                        profile.degree(bits, window.slot_adjacency())
+                    });
+                    self.recip[si] = lookup_recip(self.recip_of, deg, non_backtracking);
                 }
                 accumulate(view.interiors, self.stride, &self.recip)
             }
@@ -448,44 +477,267 @@ impl CssWeights {
     }
 }
 
-/// Entries in [`DegreeMemo`].
-const MEMO_ENTRIES: usize = 16;
+/// Window nodes a [`Profile`] tracks at most, one mask bit each (the
+/// window's union never exceeds 8 nodes).
+const PROFILE_NODES: usize = 8;
 
-/// The `G(d)` degrees of the last [`MEMO_ENTRIES`] d ≥ 3 subsets the
-/// windowed path had to count, keyed by the sorted node set (zero-padded)
-/// and replaced round-robin. A fixed array scanned linearly: no hashing
-/// (the `determinism` rule) and no allocation per step. A degree depends
-/// only on the graph, so a hit returns exactly what counting would.
-#[derive(Debug, Default)]
-struct DegreeMemo {
-    keys: [[NodeId; 8]; MEMO_ENTRIES],
-    degrees: [usize; MEMO_ENTRIES],
-    len: usize,
-    next: usize,
+/// Largest subset the profile counts degrees for: the windowed d ≥ 3
+/// path runs at l ≥ 3, so d ≤ k − 2 ≤ 4.
+const PROFILE_D: usize = 4;
+
+/// Slots a fresh profile table starts with (a power of two; the table
+/// doubles whenever it would pass load 1/2).
+const PROFILE_SLOTS: usize = 64;
+
+/// The window neighbourhood profile (see the module doc): the tracked
+/// window nodes, each one's adjacency list, and per neighbourhood node
+/// the mask of tracked nodes it is adjacent to.
+#[derive(Debug)]
+struct Profile {
+    /// The node behind each bit of `live`.
+    nodes: [NodeId; PROFILE_NODES],
+    /// Each tracked node's adjacency list, fetched when it entered.
+    lists: [Vec<NodeId>; PROFILE_NODES],
+    /// Bits of the tracked nodes.
+    live: u8,
+    /// Profile bit of each window slot as of the last [`Profile::sync`].
+    slot_bit: [u8; PROFILE_NODES],
+    table: MaskTable,
 }
 
-impl DegreeMemo {
-    /// The degree of the state `nodes` (any order), from the memo or by
-    /// [`gd_state_degree_with`].
-    // gx-lint: no_alloc
-    fn degree<G: GraphAccess>(
-        &mut self,
-        g: &G,
-        nodes: &[NodeId],
-        scratch: &mut GdDegreeScratch,
-    ) -> usize {
-        let mut key = [0 as NodeId; 8];
-        key[..nodes.len()].copy_from_slice(nodes);
-        key[..nodes.len()].sort_unstable();
-        if let Some(i) = self.keys[..self.len].iter().position(|k| *k == key) {
-            return self.degrees[i];
+impl Profile {
+    fn new() -> Self {
+        Profile {
+            nodes: [0; PROFILE_NODES],
+            lists: Default::default(),
+            live: 0,
+            slot_bit: [0; PROFILE_NODES],
+            table: MaskTable::with_slots(PROFILE_SLOTS),
         }
-        let degree = gd_state_degree_with(g, &key[..nodes.len()], scratch);
-        self.keys[self.next] = key;
-        self.degrees[self.next] = degree;
-        self.next = (self.next + 1) % MEMO_ENTRIES;
-        self.len = (self.len + 1).min(MEMO_ENTRIES);
-        degree
+    }
+
+    /// Makes the tracked set the window's distinct nodes: a node that
+    /// left clears its bit over its list, a node that entered takes a
+    /// free bit, fetches its list once and sets the bit over it.
+    // gx-lint: no_alloc
+    fn sync<G: GraphAccess>(&mut self, g: &G, window: &NodeWindow) {
+        let nodes = window.distinct_nodes();
+        debug_assert!(nodes.len() <= PROFILE_NODES);
+        let (mut kept, mut entering) = (0u8, 0u8);
+        for (p, &v) in nodes.iter().enumerate() {
+            match self.bit_of(v) {
+                Some(b) => {
+                    kept |= 1 << b;
+                    self.slot_bit[p] = b;
+                }
+                None => entering |= 1 << p,
+            }
+        }
+        let mut leaving = self.live & !kept;
+        while leaving != 0 {
+            let b = leaving.trailing_zeros() as usize;
+            leaving &= leaving - 1;
+            for &w in &self.lists[b] {
+                self.table.clear(w, 1 << b);
+            }
+        }
+        self.live = kept;
+        while entering != 0 {
+            let p = entering.trailing_zeros() as usize;
+            entering &= entering - 1;
+            // Tracked plus entering nodes are the window's ≤ 8, so a
+            // free bit exists.
+            let b = (!self.live).trailing_zeros() as usize;
+            let list = &mut self.lists[b];
+            list.clear();
+            g.visit_neighbors(nodes[p], &mut |nbrs| list.extend_from_slice(nbrs));
+            self.table.reserve(list.len());
+            for &w in list.iter() {
+                self.table.set(w, 1 << b);
+            }
+            self.nodes[b] = nodes[p];
+            self.live |= 1 << b;
+            self.slot_bit[p] = b as u8;
+        }
+    }
+
+    /// The bit tracking `v`, if any.
+    #[inline]
+    fn bit_of(&self, v: NodeId) -> Option<u8> {
+        let mut live = self.live;
+        while live != 0 {
+            let b = live.trailing_zeros() as u8;
+            if self.nodes[usize::from(b)] == v {
+                return Some(b);
+            }
+            live &= live - 1;
+        }
+        None
+    }
+
+    /// The `G(d)` degree of the window subset with slot bitmask `bits`,
+    /// the profile synced to that window and `adj` its slot adjacency
+    /// rows: the module doc's formula, in exact integers.
+    // gx-lint: no_alloc
+    fn degree(&self, bits: u8, adj: &[u64]) -> usize {
+        let (mut pos, mut d, mut rest) = ([0usize; PROFILE_D], 0usize, bits);
+        while rest != 0 {
+            pos[d] = rest.trailing_zeros() as usize;
+            d += 1;
+            rest &= rest - 1;
+        }
+        debug_assert!((3..=PROFILE_D).contains(&d), "windowed d ≥ 3 subset of {d} nodes");
+        // S's induced rows and each position's profile bit.
+        let (mut rows, mut pbit) = ([0u16; 16], [0u8; PROFILE_D]);
+        for i in 0..d {
+            pbit[i] = self.slot_bit[pos[i]];
+            for j in 0..d {
+                rows[i] |= (((adj[pos[i]] >> pos[j]) & 1) as u16) << j;
+            }
+        }
+        let mut nd = [0u8; 1 << PROFILE_D];
+        drop_counts(&rows, d, &mut nd);
+        // Σ_m count[m] · nd[m ∩ S], grouped by the S-local mask x: the
+        // masks meeting S in exactly x are x's bits plus any submask of
+        // the other tracked bits (the table holds no mask outside `live`).
+        let rest = self.live & !pbit[..d].iter().fold(0u8, |m, &b| m | (1 << b));
+        let mut all = 0usize;
+        for (x, &n) in nd.iter().enumerate().take(1 << d).filter(|&(_, &n)| n != 0) {
+            let on_s = (0..d).filter(|&i| x & (1 << i) != 0).fold(0u8, |m, i| m | (1 << pbit[i]));
+            let (mut meeting, mut r) = (0usize, rest);
+            loop {
+                meeting += self.table.count[usize::from(on_s | r)] as usize;
+                if r == 0 {
+                    break;
+                }
+                r = (r - 1) & rest;
+            }
+            all += meeting * usize::from(n);
+        }
+        let own: usize = rows[..d].iter().map(|&r| usize::from(nd[usize::from(r)])).sum();
+        all - own
+    }
+}
+
+/// A linear-probing map `w → mask` with a fixed multiplicative hash (no
+/// per-process seed: the `determinism` rule) and backward-shift
+/// deletion, plus the number of keys holding each mask.
+#[derive(Debug)]
+struct MaskTable {
+    /// `(w << 8) | mask` per slot; mask 0 marks an empty slot.
+    slots: Vec<u64>,
+    /// Occupied slots.
+    len: usize,
+    /// `32 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    /// `count[m]` = keys whose mask is `m`.
+    count: [u32; 1 << PROFILE_NODES],
+}
+
+impl MaskTable {
+    /// An empty table of `slots` slots (a power of two).
+    fn with_slots(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two());
+        MaskTable {
+            slots: vec![0; slots],
+            len: 0,
+            shift: 32 - slots.trailing_zeros(),
+            count: [0; 1 << PROFILE_NODES],
+        }
+    }
+
+    #[inline]
+    fn home(&self, w: NodeId) -> usize {
+        (w.wrapping_mul(0x9E37_79B9) >> self.shift) as usize
+    }
+
+    /// The slot holding `w`, or the empty slot ending its probe run.
+    #[inline]
+    fn find(&self, w: NodeId) -> usize {
+        let wrap = self.slots.len() - 1;
+        let mut i = self.home(w);
+        loop {
+            let s = self.slots[i];
+            if s == 0 || (s >> 8) as NodeId == w {
+                return i;
+            }
+            i = (i + 1) & wrap;
+        }
+    }
+
+    /// ORs `bit` into `w`'s mask, adding `w` if absent (after
+    /// [`MaskTable::reserve`], so the table stays at most half full).
+    // gx-lint: no_alloc
+    #[inline]
+    fn set(&mut self, w: NodeId, bit: u8) {
+        let i = self.find(w);
+        let old = self.slots[i] as u8;
+        if old == 0 {
+            self.len += 1;
+        } else {
+            self.count[usize::from(old)] -= 1;
+        }
+        let mask = old | bit;
+        self.count[usize::from(mask)] += 1;
+        self.slots[i] = (u64::from(w) << 8) | u64::from(mask);
+    }
+
+    /// Clears `bit` from `w`'s mask, removing `w` when none is left.
+    // gx-lint: no_alloc
+    #[inline]
+    fn clear(&mut self, w: NodeId, bit: u8) {
+        let i = self.find(w);
+        let old = self.slots[i] as u8;
+        debug_assert!(old & bit != 0, "node {w} does not carry bit {bit:#x}");
+        if old == 0 {
+            return;
+        }
+        self.count[usize::from(old)] -= 1;
+        let mask = old & !bit;
+        if mask == 0 {
+            self.remove_at(i);
+        } else {
+            self.count[usize::from(mask)] += 1;
+            self.slots[i] = (u64::from(w) << 8) | u64::from(mask);
+        }
+    }
+
+    /// Empties slot `i` and shifts back the entries of its probe run
+    /// that may move into the hole, so no tombstone is left.
+    // gx-lint: no_alloc
+    fn remove_at(&mut self, mut i: usize) {
+        let wrap = self.slots.len() - 1;
+        self.len -= 1;
+        let mut j = i;
+        loop {
+            j = (j + 1) & wrap;
+            let s = self.slots[j];
+            if s == 0 {
+                break;
+            }
+            // The entry at j stays put iff its home lies cyclically in
+            // (i, j]; otherwise it fills the hole, which moves to j.
+            let home = self.home((s >> 8) as NodeId);
+            if (j.wrapping_sub(home) & wrap) >= (j.wrapping_sub(i) & wrap) {
+                self.slots[i] = s;
+                i = j;
+            }
+        }
+        self.slots[i] = 0;
+    }
+
+    /// Doubles the table until `extra` more keys keep it at most half
+    /// full: the one place it allocates, at a new peak neighbourhood.
+    fn reserve(&mut self, extra: usize) {
+        while (self.len + extra) * 2 > self.slots.len() {
+            let doubled = vec![0; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.shift -= 1;
+            for s in old.into_iter().filter(|&s| s != 0) {
+                let i = self.find((s >> 8) as NodeId);
+                self.slots[i] = s;
+            }
+        }
     }
 }
 
@@ -875,6 +1127,117 @@ mod tests {
                 assert!(scored > 200, "{name} k={k} d={d} nb={nb}: {scored} windows scored");
             }
         }
+    }
+
+    /// The window neighbourhood profile against the counted degree, at
+    /// (k, d) ∈ {(5, 3), (6, 3), (6, 4)} on walks over a star, a clique, a
+    /// lollipop and a hub-heavy Holme–Kim graph: every used subset of a
+    /// scored window that the walk did not visit gets its
+    /// `gd_state_degree` from `Profile::degree`, and the table holds
+    /// exactly the tracked nodes' neighbourhood with the right masks and
+    /// counts. The profile syncs only at every third valid window, so
+    /// between syncs several nodes enter and leave, across invalid
+    /// windows too; the hub-heavy graph grows the table past its first
+    /// size.
+    #[test]
+    fn profile_degrees_match_counted_degrees() {
+        use crate::window::NodeWindow;
+        use gx_graph::generators::holme_kim;
+        use gx_walks::gd::gd_state_degree;
+        use gx_walks::{random_start_state, rng_from_seed, GdWalk, StateWalk};
+
+        /// The table holds the masks and counts a scan of the tracked
+        /// nodes' lists gives.
+        fn assert_table_exact(g: &Graph, p: &Profile, at: &str) {
+            let mut want: Vec<(NodeId, u8)> = Vec::new();
+            for b in (0..PROFILE_NODES).filter(|&b| p.live & (1 << b) != 0) {
+                for &w in g.neighbors(p.nodes[b]) {
+                    match want.iter_mut().find(|(u, _)| *u == w) {
+                        Some((_, m)) => *m |= 1 << b,
+                        None => want.push((w, 1 << b)),
+                    }
+                }
+            }
+            assert_eq!(p.table.len, want.len(), "{at}: table size");
+            let mut count = [0u32; 1 << PROFILE_NODES];
+            for &(w, m) in &want {
+                assert_eq!(
+                    p.table.slots[p.table.find(w)],
+                    (u64::from(w) << 8) | u64::from(m),
+                    "{at}"
+                );
+                count[usize::from(m)] += 1;
+            }
+            assert_eq!(p.table.count, count, "{at}: mask counts");
+        }
+
+        let graphs = [
+            ("star", classic::star(12)),
+            ("clique", classic::complete(9)),
+            ("lollipop", classic::lollipop(6, 5)),
+            ("hubs", holme_kim(400, 8, 0.5, &mut rng_from_seed(19))),
+        ];
+        let mut spanned_invalid = 0usize;
+        for (name, g) in &graphs {
+            for (k, d) in [(5usize, 3usize), (6, 3), (6, 4)] {
+                let mut rng = rng_from_seed(53);
+                let start = random_start_state(g, d, &mut rng);
+                let mut walk = GdWalk::new(g, &start, false);
+                let mut w = NodeWindow::new(k - d + 1, d);
+                let mut profile = Profile::new();
+                let mut tracked: Vec<NodeId> = Vec::new();
+                let (mut valid, mut checked, mut most_entered) = (0usize, 0usize, 0usize);
+                let mut invalid_since_sync = false;
+                for _ in 0..1_500 {
+                    let deg = walk.state_degree();
+                    w.push(g, walk.state(), deg);
+                    walk.step(&mut rng);
+                    if !w.is_valid_sample() {
+                        invalid_since_sync |= w.is_full();
+                        continue;
+                    }
+                    valid += 1;
+                    if valid % 3 != 0 {
+                        continue;
+                    }
+                    let (mask, nodes) = w.sample();
+                    let at = format!("{name} k={k} d={d} window {nodes:?}");
+                    let entered = nodes.iter().filter(|v| !tracked.contains(v)).count();
+                    most_entered = most_entered.max(entered);
+                    spanned_invalid += usize::from(invalid_since_sync && entered > 0);
+                    invalid_since_sync = false;
+                    tracked = nodes.to_vec();
+                    profile.sync(g, &w);
+                    assert_table_exact(g, &profile, &at);
+                    let visited: Vec<u8> = w.state_slot_masks().map(|(b, _)| b).collect();
+                    let view = dense_css(k, d).view(k - d - 1, mask);
+                    let mut used = view.used;
+                    while used != 0 {
+                        let bits = view.subset_bits[used.trailing_zeros() as usize];
+                        used &= used - 1;
+                        if visited.contains(&bits) {
+                            continue;
+                        }
+                        let subset: Vec<NodeId> = (0..nodes.len())
+                            .filter(|&p| bits & (1 << p) != 0)
+                            .map(|p| nodes[p])
+                            .collect();
+                        let got = profile.degree(bits, w.slot_adjacency());
+                        assert_eq!(got, gd_state_degree(g, &subset), "{at}: subset {subset:?}");
+                        checked += 1;
+                    }
+                }
+                assert!(checked > 50, "{name} k={k} d={d}: {checked} unvisited subsets checked");
+                assert!(most_entered >= 2, "{name} k={k} d={d}: at most {most_entered} entered");
+                if *name == "hubs" {
+                    assert!(
+                        profile.table.slots.len() > PROFILE_SLOTS,
+                        "{name}: the table never grew"
+                    );
+                }
+            }
+        }
+        assert!(spanned_invalid > 0, "no sync followed an invalid window");
     }
 
     /// Every CSS engine path — walk steps, the window and the CSS degree

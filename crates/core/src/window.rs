@@ -105,12 +105,22 @@ pub struct NodeWindow {
 impl NodeWindow {
     /// Window for `l` consecutive states of d-node subgraphs
     /// (`k = l + d − 1`).
+    ///
+    /// # Panics
+    ///
+    /// Unless `l ≥ 1`, `d ≤ 7` and `k ≤ 8` (every configuration
+    /// [`EstimatorConfig::try_validate`](crate::EstimatorConfig::try_validate)
+    /// admits has `k ≤ 6`).
     pub fn new(l: usize, d: usize) -> Self {
-        let k = l + d - 1;
+        // gx-lint: allow(panic_surface) -- documented precondition, like an index out of range; the estimator passes a validated config
         assert!(l >= 1, "window needs l >= 1");
+        let k = l + d - 1;
+        // gx-lint: allow(panic_surface) -- documented precondition, as above
         assert!(k <= MAX_NODES, "union size k={k} exceeds {MAX_NODES}");
+        // gx-lint: allow(panic_surface) -- documented precondition, as above (implied by k ≤ 8)
         assert!(l <= MAX_STATES, "window length l={l} exceeds {MAX_STATES}");
-        assert!(d <= MAX_D);
+        // gx-lint: allow(panic_surface) -- documented precondition, as above
+        assert!(d <= MAX_D, "state size d={d} exceeds {MAX_D}");
         Self {
             l,
             k,
@@ -184,6 +194,14 @@ impl NodeWindow {
     #[inline]
     pub fn slot_degrees(&self) -> &[u32] {
         &self.degrees[..self.dlen]
+    }
+
+    /// Adjacency rows among the distinct nodes, parallel to
+    /// [`NodeWindow::distinct_nodes`]: bit `q` of row `p` is set iff slots
+    /// `p` and `q` are adjacent in the host graph.
+    #[inline]
+    pub(crate) fn slot_adjacency(&self) -> &[u64] {
+        &self.adj[..self.dlen]
     }
 
     /// Slot-position bitmask and recorded `G(d)` degree of each remembered
@@ -291,6 +309,15 @@ impl NodeWindow {
     /// Pushes the walk's current state. `degree` is the state's degree in
     /// `G(d)` at this time.
     ///
+    /// # Panics
+    ///
+    /// If the window's union would exceed 8 nodes. A walk on `G(d)`
+    /// changes one node per step, so the union of `l` consecutive states
+    /// holds at most `k = l + d − 1` nodes (at l = 1, `d + 1` while the
+    /// old state is released after the new one is acquired), which
+    /// [`NodeWindow::new`] bounds by 8; only states that are no walk's
+    /// consecutive steps can overflow it.
+    ///
     /// Composed from three crate-internal pieces (`push_admit`,
     /// `push_acquire_first`, `push_acquire_rest`) so the engine's
     /// multi-lane schedule can run each piece as its own lock-step pass
@@ -309,6 +336,12 @@ impl NodeWindow {
     /// Ring admission half of [`NodeWindow::push`]: evict the oldest
     /// state once the window is full, then write the new record into its
     /// ring slot. Touches only window-resident state — no graph probes.
+    ///
+    /// At l = 1 the evicted state is the new one's predecessor and shares
+    /// d − 1 of its nodes, so its eviction waits for the end of
+    /// [`NodeWindow::push_acquire_rest`]: the shared nodes keep their
+    /// slots (a refcount bump) instead of being released and fetched and
+    /// probed again. The ring briefly holds two states for it.
     // gx-lint: no_alloc
     #[inline]
     pub(crate) fn push_admit(&mut self, state_nodes: &[NodeId], degree: usize) {
@@ -316,13 +349,8 @@ impl NodeWindow {
             u32::try_from(degree).is_ok(),
             "state degree {degree} exceeds u32 (would truncate)"
         );
-        if self.count == self.l {
-            let old = self.states[self.head];
-            self.head = (self.head + 1) & (MAX_STATES - 1);
-            self.count -= 1;
-            for &v in old.nodes() {
-                self.release(v);
-            }
+        if self.count == self.l && self.l > 1 {
+            self.evict_oldest();
         }
         // Write the record straight into its ring slot (no stack copy).
         let slot = (self.head + self.count) & (MAX_STATES - 1);
@@ -360,7 +388,8 @@ impl NodeWindow {
         }
     }
 
-    /// Remaining acquires of [`NodeWindow::push`]. `first` is
+    /// Remaining acquires of [`NodeWindow::push`], then the l = 1
+    /// eviction [`NodeWindow::push_admit`] deferred. `first` is
     /// [`NodeWindow::push_acquire_first`]'s slot: for a G(2) edge state
     /// the second endpoint's node degree follows from the first's cached
     /// slot degree (state degree = d_a + d_b − 2) without touching the
@@ -383,6 +412,29 @@ impl NodeWindow {
                 let _ = self.acquire(g, v, None, None);
             }
         }
+        if self.count > self.l {
+            self.evict_deferred();
+        }
+    }
+
+    /// The l = 1 eviction [`NodeWindow::push_admit`] deferred, out of
+    /// line so the l > 1 push passes keep their size: they never take it.
+    #[cold]
+    #[inline(never)]
+    fn evict_deferred(&mut self) {
+        self.evict_oldest();
+    }
+
+    /// Drops the oldest state from the ring and releases its nodes.
+    // gx-lint: no_alloc
+    #[inline]
+    fn evict_oldest(&mut self) {
+        let old = self.states[self.head];
+        self.head = (self.head + 1) & (MAX_STATES - 1);
+        self.count -= 1;
+        for &v in old.nodes() {
+            self.release(v);
+        }
     }
 
     #[inline]
@@ -402,6 +454,7 @@ impl NodeWindow {
             return p;
         }
         let p = self.dlen;
+        // gx-lint: allow(panic_surface) -- `push`'s documented precondition: consecutive walk states never overflow the union
         assert!(p < MAX_NODES, "window union overflow");
         // probe adjacency vs every existing slot: the paper's k − 1
         // binary searches per step (minus any pair the walk already
@@ -441,7 +494,7 @@ impl NodeWindow {
         p
     }
 
-    /// Drops one reference to `v`'s slot. Only `push_admit` releases,
+    /// Drops one reference to `v`'s slot. Only `evict_oldest` releases,
     /// and only the nodes of the state it evicts, each acquired by the
     /// push that admitted that state.
     fn release(&mut self, v: NodeId) {

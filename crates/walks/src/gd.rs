@@ -532,6 +532,24 @@ pub fn gd_state_degree_with<G: GraphAccess>(
     }
 }
 
+/// The factor a `G(d)` degree counts each outside candidate by, per
+/// candidate mask: for the connected state with induced adjacency rows
+/// `adj` (bit `j` of `adj[i]`: positions `i` and `j` adjacent, d ≤ 8),
+/// `nd[x]` for `x < 2^d` is the number of drop positions whose kept
+/// nodes a node adjacent to exactly the positions in `x` keeps connected.
+/// A degree is `Σ nd[mask]` over the candidates, which lets a caller
+/// that holds the candidate masks another way (the CSS window
+/// neighbourhood profile) count one without fetching or merging lists.
+// gx-lint: no_alloc
+pub fn drop_counts(adj: &[u16; 16], d: usize, nd: &mut [u8]) {
+    debug_assert!(d <= TABLE_D && nd.len() >= 1 << d, "drop counts need d <= {TABLE_D}");
+    let mut sets = DropSets::default();
+    sets.rebuild(adj, d);
+    for (n, &drops) in nd.iter_mut().zip(&sets.table).take(1 << d) {
+        *n = drops.count_ones() as u8;
+    }
+}
+
 impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
     /// `(drop_position, incoming_node)`: the state with position `drop`
     /// replaced by the outside node `incoming`.

@@ -33,16 +33,16 @@ type Row = (usize, usize, u64, u64, usize);
 const LEDGER: [Row; 12] = [
     (3, 1, 11556, 1222, 3532), // 2.889 requests/window
     (3, 2, 13055, 1196, 4000), // 3.264 requests/window
-    (3, 3, 28042, 1036, 4000), // 7.011 requests/window
+    (3, 3, 12058, 1036, 4000), // 3.014 requests/window
     (4, 1, 11540, 1222, 3080), // 2.885 requests/window
     (4, 2, 12913, 1196, 3887), // 3.228 requests/window
     (4, 3, 12070, 1038, 4000), // 3.018 requests/window
-    (4, 4, 36068, 1030, 4000), // 9.017 requests/window
+    (4, 4, 12092, 1030, 4000), // 3.023 requests/window
     (5, 1, 11498, 1222, 2687), // 2.874 requests/window
     (5, 2, 12826, 1196, 3705), // 3.207 requests/window
-    (5, 3, 28791, 1038, 3941), // 7.198 requests/window
+    (5, 3, 15677, 1038, 3941), // 3.919 requests/window
     (5, 4, 12104, 1031, 4000), // 3.026 requests/window
-    (5, 5, 44096, 918, 4000),  // 11.024 requests/window
+    (5, 5, 12128, 918, 4000),  // 3.032 requests/window
 ];
 
 /// `(total_requests, distinct_nodes_fetched, valid_samples)` of one
