@@ -62,9 +62,10 @@
 //! `w` adjacent to a tracked node to the mask of tracked nodes it
 //! touches, and `count[m]`, how many nodes carry mask `m`. It follows
 //! the window lazily, once per sample that meets an unvisited subset: a
-//! node entering costs one list fetch and one table update per list
-//! entry, a node leaving clears its bit over the list it was fetched
-//! with, and the nodes that stay cost nothing. A subset `S`'s degree is
+//! node entering costs a copy of the list the window kept when the node
+//! took its slot (no fetch) and one table update per list entry, a node
+//! leaving clears its bit over its copied list, and the nodes that stay
+//! cost nothing. A subset `S`'s degree is
 //! then exact integer arithmetic over at most 2^k mask counts,
 //!
 //! `deg(S) = Σ_m count[m] · nd_S(m ∩ S) − Σ_{u ∈ S} nd_S(adj_u ∩ S)`,
@@ -72,10 +73,11 @@
 //! where the second sum takes out S's own nodes (the table holds them
 //! too, and their S-masks are S's induced rows) and `nd_S(x)` counts the
 //! drop positions `p ∈ S` for which a node with S-mask `x` touches every
-//! component of `S ∖ p` ([`drop_counts`], the rule
-//! [`gd_state_degree_with`] counts by):
-//! no list is re-fetched or merged, and the degree, hence every bit of
-//! p̃, equals the counted one. The
+//! component of `S ∖ p`: the popcounts of S's shape's row in the
+//! process-wide drop table ([`drop_row`], the rule the `G(d)` walk and
+//! [`gd_state_degree_with`] count by, derived once per shape, not per
+//! subset). No list is re-fetched or merged, and the degree, hence every
+//! bit of p̃, equals the counted one. The
 //! table holds at most the tracked nodes' Σ degrees entries at load
 //! ≤ 1/2 and never shrinks, so its memory is bounded by the largest
 //! window neighbourhood the walk has met, never by the graph.
@@ -87,7 +89,7 @@ use gx_graphlets::canon::canon_table;
 use gx_graphlets::mask::num_pairs;
 use gx_graphlets::SmallGraph;
 use gx_walks::{
-    drop_counts, effective_degree, effective_degree_recip, gd_state_degree_with, GdDegreeScratch,
+    drop_row, effective_degree, effective_degree_recip, gd_state_degree_with, GdDegreeScratch,
 };
 use std::sync::OnceLock;
 
@@ -496,7 +498,8 @@ const PROFILE_SLOTS: usize = 64;
 struct Profile {
     /// The node behind each bit of `live`.
     nodes: [NodeId; PROFILE_NODES],
-    /// Each tracked node's adjacency list, fetched when it entered.
+    /// Each tracked node's adjacency list, copied from the window when it
+    /// entered.
     lists: [Vec<NodeId>; PROFILE_NODES],
     /// Bits of the tracked nodes.
     live: u8,
@@ -518,9 +521,11 @@ impl Profile {
 
     /// Makes the tracked set the window's distinct nodes: a node that
     /// left clears its bit over its list, a node that entered takes a
-    /// free bit, fetches its list once and sets the bit over it.
+    /// free bit, copies its list from the window and sets the bit over it.
+    /// `_g` is the graph the window was pushed against: the window
+    /// already visited every list the profile needs, so it is not read.
     // gx-lint: no_alloc
-    fn sync<G: GraphAccess>(&mut self, g: &G, window: &NodeWindow) {
+    fn sync<G: GraphAccess>(&mut self, _g: &G, window: &NodeWindow) {
         let nodes = window.distinct_nodes();
         debug_assert!(nodes.len() <= PROFILE_NODES);
         let (mut kept, mut entering) = (0u8, 0u8);
@@ -550,7 +555,7 @@ impl Profile {
             let b = (!self.live).trailing_zeros() as usize;
             let list = &mut self.lists[b];
             list.clear();
-            g.visit_neighbors(nodes[p], &mut |nbrs| list.extend_from_slice(nbrs));
+            list.extend_from_slice(window.slot_list(p));
             self.table.reserve(list.len());
             for &w in list.iter() {
                 self.table.set(w, 1 << b);
@@ -580,23 +585,12 @@ impl Profile {
     /// rows: the module doc's formula, in exact integers.
     // gx-lint: no_alloc
     fn degree(&self, bits: u8, adj: &[u64]) -> usize {
-        let (mut pos, mut d, mut rest) = ([0usize; PROFILE_D], 0usize, bits);
-        while rest != 0 {
-            pos[d] = rest.trailing_zeros() as usize;
-            d += 1;
-            rest &= rest - 1;
+        let (pos, d, rows) = subset_rows(bits, adj);
+        let mut pbit = [0u8; PROFILE_D];
+        for (b, &p) in pbit.iter_mut().zip(&pos[..d]) {
+            *b = self.slot_bit[p];
         }
-        debug_assert!((3..=PROFILE_D).contains(&d), "windowed d ≥ 3 subset of {d} nodes");
-        // S's induced rows and each position's profile bit.
-        let (mut rows, mut pbit) = ([0u16; 16], [0u8; PROFILE_D]);
-        for i in 0..d {
-            pbit[i] = self.slot_bit[pos[i]];
-            for j in 0..d {
-                rows[i] |= (((adj[pos[i]] >> pos[j]) & 1) as u16) << j;
-            }
-        }
-        let mut nd = [0u8; 1 << PROFILE_D];
-        drop_counts(&rows, d, &mut nd);
+        let nd = drops_per_mask(&rows, d);
         // Σ_m count[m] · nd[m ∩ S], grouped by the S-local mask x: the
         // masks meeting S in exactly x are x's bits plus any submask of
         // the other tracked bits (the table holds no mask outside `live`).
@@ -617,6 +611,39 @@ impl Profile {
         let own: usize = rows[..d].iter().map(|&r| usize::from(nd[usize::from(r)])).sum();
         all - own
     }
+}
+
+/// The slot positions of the window subset with slot bitmask `bits`
+/// (3 to [`PROFILE_D`] of them, ascending), their number, and the
+/// subset's induced rows over `adj`, the window's slot adjacency.
+#[inline]
+fn subset_rows(bits: u8, adj: &[u64]) -> ([usize; PROFILE_D], usize, [u16; 16]) {
+    let (mut pos, mut d, mut rest) = ([0usize; PROFILE_D], 0usize, bits);
+    while rest != 0 {
+        pos[d] = rest.trailing_zeros() as usize;
+        d += 1;
+        rest &= rest - 1;
+    }
+    debug_assert!((3..=PROFILE_D).contains(&d), "windowed d ≥ 3 subset of {d} nodes");
+    let mut rows = [0u16; 16];
+    for i in 0..d {
+        for j in 0..d {
+            rows[i] |= (((adj[pos[i]] >> pos[j]) & 1) as u16) << j;
+        }
+    }
+    (pos, d, rows)
+}
+
+/// `nd[x]`, the drop positions a node with subset mask `x` keeps
+/// connected, for the connected `d`-node subset with induced rows `rows`:
+/// the popcounts of its shape's row in the shared drop table.
+#[inline]
+fn drops_per_mask(rows: &[u16; 16], d: usize) -> [u8; 1 << PROFILE_D] {
+    let mut nd = [0u8; 1 << PROFILE_D];
+    for (n, &drops) in nd.iter_mut().zip(drop_row(rows, d)) {
+        *n = drops.count_ones() as u8;
+    }
+    nd
 }
 
 /// A linear-probing map `w → mask` with a fixed multiplicative hash (no
@@ -1238,6 +1265,73 @@ mod tests {
             }
         }
         assert!(spanned_invalid > 0, "no sync followed an invalid window");
+    }
+
+    /// The profile's `nd` for every connected 3- and 4-node shape, its
+    /// nodes spread over the window's slots: for each subset mask `x`,
+    /// the number of drop positions after which the kept nodes plus a
+    /// node adjacent to exactly `x` are connected, counted on a realized
+    /// graph with `subset_is_connected`, and the popcount of the shape's
+    /// drop-table row.
+    #[test]
+    fn profile_nd_matches_the_drop_rule() {
+        use gx_walks::gd::subset_is_connected;
+        let mut shapes = 0;
+        for (d, slots) in [(3usize, [1usize, 4, 6, 0]), (4, [0, 2, 5, 7])] {
+            let pairs: Vec<(usize, usize)> =
+                (0..d).flat_map(|i| ((i + 1)..d).map(move |j| (i, j))).collect();
+            let bits = slots[..d].iter().fold(0u8, |b, &p| b | (1 << p));
+            for shape in 0..1u32 << pairs.len() {
+                let edges: Vec<(NodeId, NodeId)> = pairs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(e, _)| shape & (1 << e) != 0)
+                    .map(|(_, &(i, j))| (i as NodeId, j as NodeId))
+                    .collect();
+                let nodes: Vec<NodeId> = (0..d as NodeId).collect();
+                let g = Graph::from_edges(d, edges.iter().copied()).unwrap();
+                if !subset_is_connected(&g, &nodes) {
+                    continue;
+                }
+                shapes += 1;
+                // The window's slot rows: the subset's edges between its
+                // slots, every other slot adjacent to everything.
+                let mut adj = [0u64; 8];
+                for (p, row) in adj.iter_mut().enumerate() {
+                    if bits & (1 << p) == 0 {
+                        *row = 0xff & !(1 << p);
+                    }
+                }
+                for &(i, j) in &edges {
+                    let (si, sj) = (slots[i as usize], slots[j as usize]);
+                    adj[si] |= 1 << sj;
+                    adj[sj] |= 1 << si;
+                }
+                let (_, n, rows) = subset_rows(bits, &adj);
+                assert_eq!(n, d);
+                let nd = drops_per_mask(&rows, d);
+                let row = drop_row(&rows, d);
+                for x in 1..1usize << d {
+                    let mut with_w = edges.clone();
+                    with_w.extend(
+                        (0..d).filter(|&i| x & (1 << i) != 0).map(|i| (i as NodeId, d as NodeId)),
+                    );
+                    let h = Graph::from_edges(d + 1, with_w).unwrap();
+                    let want = (0..d)
+                        .filter(|&drop| {
+                            let kept: Vec<NodeId> =
+                                (0..=d as NodeId).filter(|&v| v != drop as NodeId).collect();
+                            subset_is_connected(&h, &kept)
+                        })
+                        .count();
+                    let at = format!("d = {d}, shape {shape:#b}, x = {x:#b}");
+                    assert_eq!(usize::from(nd[x]), want, "{at}");
+                    assert_eq!(nd[x], row[x].count_ones() as u8, "{at}");
+                }
+            }
+        }
+        // Labelled connected graphs on 3 and 4 nodes.
+        assert_eq!(shapes, 4 + 38);
     }
 
     /// Every CSS engine path — walk steps, the window and the CSS degree

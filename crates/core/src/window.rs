@@ -38,8 +38,9 @@
 //! it over the whole eviction history, it labels the sample mask, and
 //! it fixes the CSS summation order, so replaying the ring into a fresh
 //! window would permute it. Resume checks the ring and the slots against
-//! the graph and rebuilds the degrees, refcounts and adjacency rows with
-//! one neighbor-list visit per slot (`NodeWindow::decode_from`).
+//! the graph and rebuilds the degrees, refcounts and adjacency rows (and
+//! a d ≥ 3, l ≥ 3 window's list copies) with one neighbor-list visit per
+//! slot (`NodeWindow::decode_from`).
 
 use crate::checkpoint::{put_u32, Reader};
 use crate::error::CheckpointError;
@@ -98,6 +99,12 @@ pub struct NodeWindow {
     /// [`NodeWindow::sample`] pure bit manipulation instead of a scan
     /// over a `bool` matrix.
     adj: [u64; MAX_NODES],
+    /// Each slot's adjacency list, parallel to `distinct`, copied from
+    /// the slice `acquire` probes. Kept only by d ≥ 3, l ≥ 3 windows,
+    /// whose CSS neighbourhood profile takes an entering node's list from
+    /// here rather than fetching it again; boxed, so other windows carry
+    /// one pointer.
+    lists: Option<Box<[Vec<NodeId>; MAX_NODES]>>,
     /// Adjacency probes issued so far (the paper's per-step cost metric).
     probes: u64,
 }
@@ -133,6 +140,7 @@ impl NodeWindow {
             refcount: [0; MAX_NODES],
             dlen: 0,
             adj: [0; MAX_NODES],
+            lists: (d >= 3 && l >= 3).then(Box::default),
             probes: 0,
         }
     }
@@ -204,6 +212,13 @@ impl NodeWindow {
         &self.adj[..self.dlen]
     }
 
+    /// The adjacency list of slot `p`, as `acquire` visited it. Held only
+    /// by d ≥ 3, l ≥ 3 windows; empty for the others.
+    #[inline]
+    pub(crate) fn slot_list(&self, p: usize) -> &[NodeId] {
+        self.lists.as_ref().map_or(&[], |lists| &lists[p])
+    }
+
     /// Slot-position bitmask and recorded `G(d)` degree of each remembered
     /// state, oldest first. The bitmask uses the same slot labeling as
     /// [`NodeWindow::sample`], so a CSS subset whose bits equal a state's
@@ -251,7 +266,7 @@ impl NodeWindow {
     /// has at most `k` nodes, and the slot order must be a permutation of
     /// that union. The rest is rebuilt from `g` as `push` builds it: each
     /// slot is acquired in the stored order (degree from `g.degree`,
-    /// adjacency row from one `visit_neighbors` probe pass), refcounts
+    /// adjacency row and list copy from one `visit_neighbors` pass), refcounts
     /// are the occurrence counts, and each state's `G(d)` degree is
     /// recomputed as its walk computes it — `d_v`, `d_a + d_b − 2`, or
     /// `gd_state_degree`. [`NodeWindow::probes`] is a run-local
@@ -291,7 +306,7 @@ impl NodeWindow {
             if w.slot_of(v).is_some() {
                 return Err(CheckpointError::Malformed { what: "window.slot" });
             }
-            let p = w.acquire(g, v, None, None);
+            let p = w.acquire_any(g, v, None, None);
             w.refcount[p] = count;
         }
         for rec in &mut w.states[..l] {
@@ -376,13 +391,13 @@ impl NodeWindow {
             // A G(2) state *is* an edge: each endpoint's adjacency to the
             // other is known without a probe (one of the paper's k − 1
             // per-step probes comes for free on the edge walk).
-            self.acquire(g, state_nodes[0], None, Some(state_nodes[1]))
+            self.acquire::<G, false>(g, state_nodes[0], None, Some(state_nodes[1]))
         } else {
             // For d = 1 the state degree *is* the node degree — reuse it
             // so the walk's own degree lookups are never repeated.
             let known = if state_nodes.len() == 1 { Some(degree as u32) } else { None };
             match state_nodes.first() {
-                Some(&v) => self.acquire(g, v, known, None),
+                Some(&v) => self.acquire_any(g, v, known, None),
                 None => 0,
             }
         }
@@ -406,10 +421,10 @@ impl NodeWindow {
         if self.d == 2 && state_nodes.len() == 2 {
             let (a, b) = (state_nodes[0], state_nodes[1]);
             let db = (degree + 2 - self.degrees[first] as usize) as u32;
-            self.acquire(g, b, Some(db), Some(a));
+            self.acquire::<G, false>(g, b, Some(db), Some(a));
         } else {
             for &v in state_nodes.iter().skip(1) {
-                let _ = self.acquire(g, v, None, None);
+                let _ = self.acquire_any(g, v, None, None);
             }
         }
         if self.count > self.l {
@@ -442,7 +457,29 @@ impl NodeWindow {
         self.distinct[..self.dlen].iter().position(|&x| x == v)
     }
 
-    fn acquire<G: GraphAccess>(
+    /// [`NodeWindow::acquire`], keeping the list copy iff this window
+    /// holds list copies.
+    #[inline]
+    fn acquire_any<G: GraphAccess>(
+        &mut self,
+        g: &G,
+        v: NodeId,
+        known_degree: Option<u32>,
+        known_adjacent: Option<NodeId>,
+    ) -> usize {
+        if self.lists.is_some() {
+            self.acquire::<G, true>(g, v, known_degree, known_adjacent)
+        } else {
+            self.acquire::<G, false>(g, v, known_degree, known_adjacent)
+        }
+    }
+
+    /// Takes a reference to `v`'s slot, opening the slot if `v` has none:
+    /// its adjacency row from one visit of `v`'s list, its degree, and
+    /// with `KEEP` (only for a window that holds list copies) a copy of
+    /// the list. A d = 2 window holds none, so its edge-state passes call
+    /// the `KEEP = false` probe loop directly.
+    fn acquire<G: GraphAccess, const KEEP: bool>(
         &mut self,
         g: &G,
         v: NodeId,
@@ -469,9 +506,20 @@ impl NodeWindow {
         // same direct subslice as before.
         let distinct = &self.distinct[..p];
         let adj = &mut self.adj;
+        let mut copy =
+            if KEEP { self.lists.as_deref_mut().map(|lists| &mut lists[p]) } else { None };
         let mut row = 0u64;
         let mut probed = 0u64;
         g.visit_neighbors(v, &mut |nbrs| {
+            // `KEEP` is a constant, so the d ≤ 2 probe loop carries no
+            // test for a copy: a runtime test here slowed the d = 2 push
+            // path measurably.
+            if KEEP {
+                if let Some(list) = copy.as_deref_mut() {
+                    list.clear();
+                    list.extend_from_slice(nbrs);
+                }
+            }
             for (q, &u) in distinct.iter().enumerate() {
                 let adjacent = if known_adjacent == Some(u) {
                     true
@@ -511,6 +559,9 @@ impl NodeWindow {
         self.distinct[p] = self.distinct[last];
         self.degrees[p] = self.degrees[last];
         self.refcount[p] = self.refcount[last];
+        if let Some(lists) = self.lists.as_deref_mut() {
+            lists.swap(p, last);
+        }
         self.dlen = last;
         let pbit = 1u64 << p;
         let lastbit = 1u64 << last;

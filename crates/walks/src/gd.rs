@@ -17,27 +17,35 @@
 //! request (a walk built by `new` or `resume` fetches all `d` lists on
 //! its first enumeration) and no adjacency probes.
 //!
-//! Every backend stores its lists strictly ascending, so the enumeration
-//! merges the `d` runs instead of sorting them, ORing the position bits
-//! of equal nodes. Each outside candidate gets the bitmask of state
-//! positions it is adjacent to, and the state's own nodes' masks are its
-//! induced adjacency rows. `kept ∪ {w}` is connected iff `w` touches
-//! every component of the kept nodes, so one small per-state table maps
-//! a candidate mask to the drop positions it keeps connected, and a
-//! candidate's validity is one lookup.
+//! An enumeration starts from the state's shape. Its induced adjacency
+//! rows come from d(d − 1)/2 binary searches of the lists the walk
+//! already holds, and `kept ∪ {w}` is connected iff `w` touches every
+//! component of the kept nodes, so the shape fixes, for every candidate
+//! mask (the state positions a candidate is adjacent to), the drop
+//! positions it keeps connected. For d ≤ 4 (every walk state at l ≥ 3
+//! for k ≤ 6, and every CSS profile subset) that map is one row of a
+//! process-wide table built once from `DropSets::rebuild`, the one
+//! implementation of the rule ([`drop_row`]); larger states rebuild it
+//! per enumeration.
 //!
-//! Degrees never need the neighbor list: candidates are counted per
-//! position mask (at most 2^d − 1 masks) and the degree is
-//! `Σ count[mask] × |drops(mask)|`. The walk draws its `r`-th neighbor
-//! straight from the candidates, in the same `(drop, w)` order and with
-//! the same RNG calls as drawing from the materialized list.
-//! [`gd_state_degree_with`] (the CSS d ≥ 3 fallback) is the same merge
-//! and count over freshly fetched lists.
+//! Every backend stores its lists strictly ascending, so one merge of the
+//! `d` runs visits each outside candidate once, in ascending order, with
+//! its mask, and files it, with branch-free stores, into the block of
+//! every drop position its mask keeps connected. Block `p` holds the
+//! neighbors that replace position `p`, ascending; the block lengths are
+//! the per-drop neighbor counts and the degree is their sum. The walk
+//! draws its `r`-th neighbor by index into one block, in the same
+//! `(drop, w)` order and with the same RNG calls as drawing from the
+//! materialized list; the non-backtracking rule's skip is a binary search
+//! of the at most d avoided nodes in that block.
+//! [`gd_state_degree_with`] (the CSS d ≥ 3 fallback) runs the same merge
+//! over freshly fetched lists.
 
 use crate::rng::WalkRng;
 use crate::traits::StateWalk;
 use gx_graph::{GraphAccess, NodeId};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Random walk on `G(d)`, d ≥ 2 (d = 2 is accepted for cross-validation
 /// against [`crate::G2Walk`], but the dedicated walk is faster).
@@ -56,12 +64,11 @@ pub struct GdWalk<'g, G: GraphAccess> {
     lists: Vec<Vec<NodeId>>,
     lists_valid: bool,
     /// The current state's enumeration (see [`GdWalk::enumerate`]),
-    /// valid when `enumerated`: its outside candidates, the drop sets of
-    /// their masks, and how many neighbors each drop position has (the
-    /// tables boxed, so a walk stays small to move).
-    keys: Box<Keys>,
+    /// valid when `enumerated`: its neighbors filed by drop position, and
+    /// the drop sets of a state too large for the shared table (both
+    /// boxed, so a walk stays small to move).
+    blocks: Box<Blocks>,
     sets: Box<DropSets>,
-    blocks: [usize; TABLE_D],
     degree: usize,
     enumerated: bool,
     /// The materialized `(drop, w)` list the oracle tests compare.
@@ -70,15 +77,25 @@ pub struct GdWalk<'g, G: GraphAccess> {
 }
 
 impl<'g, G: GraphAccess> GdWalk<'g, G> {
-    /// Starts at the given connected induced d-subgraph (sorted or not;
-    /// connectivity is asserted).
+    /// Starts at the given connected induced d-subgraph (sorted or not).
+    ///
+    /// # Panics
+    ///
+    /// Unless `2 ≤ d ≤ 8` and `start` holds distinct nodes inducing a
+    /// connected subgraph (the estimator draws its start with
+    /// [`crate::random_start_state`], which returns such a state, and a
+    /// resumed walk's state is checked before it gets here).
     pub fn new(g: &'g G, start: &[NodeId], non_backtracking: bool) -> Self {
         let d = start.len();
+        // gx-lint: allow(panic_surface) -- documented precondition, like an index out of range; every caller passes a validated dimension
         assert!(d >= 2, "GdWalk needs d >= 2 (use SrwWalk for d = 1)");
+        // gx-lint: allow(panic_surface) -- documented precondition, as above
         assert!(d <= TABLE_D, "GdWalk supports d <= {TABLE_D}");
         let mut state = start.to_vec();
         state.sort_unstable();
+        // gx-lint: allow(panic_surface) -- documented precondition, as above; a start state is drawn or checkpoint-validated
         assert!(state.windows(2).all(|w| w[0] < w[1]), "start state has duplicate nodes");
+        // gx-lint: allow(panic_surface) -- documented precondition, as above
         assert!(
             subset_is_connected(g, &state),
             "start state {state:?} does not induce a connected subgraph"
@@ -92,9 +109,8 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
             nb: non_backtracking,
             lists: vec![Vec::new(); d],
             lists_valid: false,
-            keys: Box::default(),
+            blocks: Box::default(),
             sets: Box::default(),
-            blocks: [0; TABLE_D],
             degree: 0,
             enumerated: false,
             #[cfg(test)]
@@ -107,6 +123,12 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
     /// lists and the enumeration are rebuilt lazily on the next step
     /// (they are pure functions of the state), so resuming against the
     /// same graph is bit-identical to never having stopped.
+    ///
+    /// # Panics
+    ///
+    /// As [`GdWalk::new`] for `current`, and if `prev` does not hold as
+    /// many nodes as `current` (a checkpoint's states are decoded at the
+    /// run's `d`).
     pub fn resume(
         g: &'g G,
         current: &[NodeId],
@@ -115,6 +137,7 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
     ) -> Self {
         let mut walk = Self::new(g, current, non_backtracking);
         if let Some(p) = prev {
+            // gx-lint: allow(panic_surface) -- documented precondition, as in `new`
             assert_eq!(p.len(), walk.d, "previous state must have the walk's dimension");
             walk.prev.extend_from_slice(p);
             walk.prev.sort_unstable();
@@ -130,11 +153,10 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
         self.has_prev.then_some(self.prev.as_slice())
     }
 
-    /// Enumerates the current state (idempotent per state): merges the
-    /// state's lists into candidates, tabulates the drop sets and counts
-    /// each drop position's neighbors. The first call after `new` or
-    /// `resume` fetches all `d` lists; later states reuse the lists
-    /// `apply` keeps current.
+    /// Enumerates the current state (idempotent per state): files its
+    /// neighbors by drop position and sums the degree. The first call
+    /// after `new` or `resume` fetches all `d` lists; later states reuse
+    /// the lists `apply` keeps current.
     // gx-lint: no_alloc
     fn enumerate(&mut self) {
         if self.enumerated {
@@ -150,44 +172,31 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
         for (run, list) in runs.iter_mut().zip(&self.lists) {
             *run = list;
         }
-        let d = self.d;
-        self.sets.rebuild(&self.keys.merge(&self.state, &runs[..d]), d);
-        self.blocks = [0; TABLE_D];
-        for (&count, &drops) in self.keys.count.iter().zip(&self.sets.table).take(1 << d) {
-            let mut drops = drops;
-            while drops != 0 {
-                self.blocks[drops.trailing_zeros() as usize] += count as usize;
-                drops &= drops - 1;
-            }
-        }
-        self.degree = self.blocks.iter().sum();
+        self.degree = self.blocks.fill(&self.state, &runs[..self.d], &mut self.sets);
         self.enumerated = true;
     }
 
     /// The `r`-th neighbor, in the order drop ascending then `w`
-    /// ascending, among those `avoid` does not skip. `r` is below their
-    /// number, so the scan always ends on its target (were it not, it
-    /// would return the block's last neighbor, still a valid move).
+    /// ascending, among those `avoid` does not skip; `r` is below their
+    /// number. An index into one block: each avoided node at or before
+    /// the target moves it one entry on.
     // gx-lint: no_alloc
     fn nth_neighbor(&self, mut r: usize, avoid: &Avoid) -> (u8, NodeId) {
         let mut drop = 0usize;
-        while drop + 1 < self.d && r >= self.blocks[drop] - avoid.count[drop] {
-            r -= self.blocks[drop] - avoid.count[drop];
+        while drop + 1 < self.d && r >= self.blocks.len[drop] - avoid.count[drop] {
+            r -= self.blocks.len[drop] - avoid.count[drop];
             drop += 1;
         }
-        let skip = if (avoid.drops >> drop) & 1 == 1 { &avoid.nodes[..avoid.len] } else { &[] };
-        let mut pick = 0;
-        for &key in &self.keys.keys {
-            let w = (key >> 16) as NodeId;
-            if (self.sets.table[usize::from(key as u16)] >> drop) & 1 == 1 && !skip.contains(&w) {
-                pick = w;
-                if r == 0 {
-                    break;
+        let block = self.blocks.block(drop);
+        if (avoid.drops >> drop) & 1 == 1 {
+            // `avoid.nodes` is ascending, so their positions are too.
+            for &v in &avoid.nodes[..avoid.len] {
+                if block.binary_search(&v).is_ok_and(|i| i <= r) {
+                    r += 1;
                 }
-                r -= 1;
             }
         }
-        (drop as u8, pick)
+        (drop as u8, block[r])
     }
 
     /// The neighbors the non-backtracking rule avoids: the one move back
@@ -209,14 +218,12 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
             if self.state.binary_search(&v).is_err() {
                 avoid.nodes[avoid.len] = v;
                 avoid.len += 1;
-                if let Ok(i) = self.keys.keys.binary_search_by_key(&v, |&key| (key >> 16) as NodeId)
-                {
-                    let mut drops =
-                        self.sets.table[usize::from(self.keys.keys[i] as u16)] & avoid.drops;
-                    while drops != 0 {
-                        avoid.count[drops.trailing_zeros() as usize] += 1;
-                        drops &= drops - 1;
-                    }
+                let mut drops = avoid.drops;
+                while drops != 0 {
+                    let drop = drops.trailing_zeros() as usize;
+                    avoid.count[drop] +=
+                        usize::from(self.blocks.block(drop).binary_search(&v).is_ok());
+                    drops &= drops - 1;
                 }
             }
         }
@@ -256,7 +263,7 @@ impl<'g, G: GraphAccess> GdWalk<'g, G> {
 }
 
 /// Neighbors a draw skips: `(drop, w)` with `drop` in `drops` and `w` in
-/// `nodes`, `count[drop]` of them per drop position.
+/// `nodes` (ascending), `count[drop]` of them per drop position.
 #[derive(Default)]
 struct Avoid {
     drops: u8,
@@ -308,91 +315,108 @@ pub fn subset_is_connected<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> bool {
     }
 }
 
-/// Largest state whose candidate masks index a table of drop sets and
-/// mask counts (2^8 entries each): every walk state. Wider degree
-/// queries (d ≤ 16) test each candidate mask against the kept components
-/// instead.
+/// Largest walk state, and largest state whose candidate masks index a
+/// table of drop sets (2^8 entries). Wider degree queries (d ≤ 16) test
+/// each candidate mask against the kept components instead.
 const TABLE_D: usize = 8;
 
-/// The outside candidates of one enumeration as `(node << 16) | mask`
-/// keys, ascending by node, where `mask` holds the state positions
-/// adjacent to `node`; for d ≤ [`TABLE_D`], also how many candidates
-/// carry each mask. Reused across enumerations.
-#[derive(Debug)]
-struct Keys {
-    keys: Vec<u64>,
-    count: [u32; 1 << TABLE_D],
-}
+/// Largest state the process-wide drop table covers ([`drop_row`]).
+const SHAPE_D: usize = 4;
 
-impl Default for Keys {
-    fn default() -> Self {
-        Keys { keys: Vec::new(), count: [0; 1 << TABLE_D] }
-    }
-}
+/// Drop rows of the shared table: one per candidate mask of a
+/// [`SHAPE_D`]-node state.
+const ROW: usize = 1 << SHAPE_D;
 
-impl Keys {
-    /// Merges the state's adjacency runs (`runs[p]` is the strictly
-    /// ascending list of state position `p`, `state` is sorted) into the
-    /// candidate keys and mask counts, and returns the state's induced
-    /// adjacency rows: the masks of its own nodes. The run count is fixed
-    /// at compile time so the per-node loop unrolls: exactly d for the
-    /// paper's d = 3, 4, 5, otherwise padded with empty runs.
-    // gx-lint: no_alloc
-    fn merge(&mut self, state: &[NodeId], runs: &[&[NodeId]]) -> [u16; 16] {
-        match runs.len() {
-            ..=3 => self.merge_n::<3>(state, runs),
-            4 => self.merge_n::<4>(state, runs),
-            5 => self.merge_n::<5>(state, runs),
-            6..=8 => self.merge_n::<8>(state, runs),
-            _ => self.merge_n::<16>(state, runs),
-        }
-    }
+/// Shapes of a [`SHAPE_D`]-node state: one bit per node pair.
+const SHAPES: usize = 1 << (SHAPE_D * (SHAPE_D - 1) / 2);
 
-    /// [`Keys::merge`] over `N ≥ d` runs (the missing ones empty).
-    /// Branch-free per node: every run holding the smallest head
-    /// contributes its bit and advances.
-    // gx-lint: no_alloc
-    #[inline]
-    fn merge_n<const N: usize>(&mut self, state: &[NodeId], runs: &[&[NodeId]]) -> [u16; 16] {
-        const DONE: u64 = u64::MAX;
-        debug_assert!((2..=N).contains(&runs.len()) && state.len() == runs.len());
-        let runs: [&[NodeId]; N] = std::array::from_fn(|i| runs.get(i).copied().unwrap_or(&[]));
-        let at = |run: &[NodeId], i: usize| run.get(i).map_or(DONE, |&v| u64::from(v));
-        let mut cursor = [0usize; N];
-        let mut head: [u64; N] = std::array::from_fn(|i| at(runs[i], 0));
-        self.keys.clear();
-        self.keys.resize(runs.iter().map(|r| r.len()).sum(), 0);
-        if N <= TABLE_D {
-            self.count[..1 << N].fill(0);
-        }
-        let (mut adj, mut out, mut p) = ([0u16; 16], 0usize, 0usize);
-        loop {
-            let node = head.iter().fold(DONE, |m, &h| m.min(h));
-            if node == DONE {
-                self.keys.truncate(out);
-                return adj;
-            }
-            let mut mask = 0u16;
-            for i in 0..N {
-                let hit = head[i] == node;
-                mask |= u16::from(hit) << i;
-                cursor[i] += usize::from(hit);
-                head[i] = at(runs[i], cursor[i]);
-            }
-            while p < state.len() && u64::from(state[p]) < node {
-                p += 1;
-            }
-            if p < state.len() && u64::from(state[p]) == node {
-                adj[p] = mask;
-            } else {
-                self.keys[out] = (node << 16) | u64::from(mask);
-                out += 1;
-                if N <= TABLE_D {
-                    self.count[usize::from(mask)] += 1;
+/// `drop_table()[d][shape]` is the drop set of every candidate mask of
+/// the connected `d`-node shape `shape` (see [`shape_key`]), copied from
+/// [`DropSets::rebuild`] once per process; rows of disconnected shapes
+/// stay zero and are never read. 5 KiB, shared by every walk and CSS
+/// profile, like the reciprocal table of the CSS weights.
+fn drop_table() -> &'static [[[u8; ROW]; SHAPES]; SHAPE_D + 1] {
+    static TABLE: OnceLock<Box<[[[u8; ROW]; SHAPES]; SHAPE_D + 1]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = Box::new([[[0u8; ROW]; SHAPES]; SHAPE_D + 1]);
+        let mut sets = DropSets::default();
+        for (d, rows) in table.iter_mut().enumerate().skip(2) {
+            for (shape, row) in rows.iter_mut().enumerate().take(1 << (d * (d - 1) / 2)) {
+                let adj = shape_rows(shape, d);
+                let full = (1u16 << d) - 1;
+                if closure(&adj, full, 1) == full {
+                    sets.rebuild(&adj, d);
+                    row[..1 << d].copy_from_slice(&sets.table[..1 << d]);
                 }
             }
         }
+        table
+    })
+}
+
+/// The shape key of a `d`-node state (d ≤ [`SHAPE_D`]) with induced
+/// adjacency rows `adj`: bit `pair_index(i, j, d)` set iff positions
+/// `i < j` are adjacent, pairs in the row-major upper-triangle order of
+/// `gx_graphlets::mask::pair_index`.
+#[inline]
+fn shape_key(adj: &[u16; 16], d: usize) -> usize {
+    let (mut shape, mut bit) = (0usize, 0usize);
+    for (i, &row) in adj.iter().enumerate().take(d) {
+        let above = usize::from(row >> (i + 1));
+        shape |= (above & ((1 << (d - i - 1)) - 1)) << bit;
+        bit += d - i - 1;
     }
+    shape
+}
+
+/// The adjacency rows of the `d`-node shape `shape` ([`shape_key`]'s
+/// inverse).
+fn shape_rows(shape: usize, d: usize) -> [u16; 16] {
+    let (mut adj, mut bit) = ([0u16; 16], 0usize);
+    for i in 0..d {
+        for j in (i + 1)..d {
+            if (shape >> bit) & 1 == 1 {
+                adj[i] |= 1 << j;
+                adj[j] |= 1 << i;
+            }
+            bit += 1;
+        }
+    }
+    adj
+}
+
+/// The drop row of the connected `d`-node state (2 ≤ d ≤ 4)
+/// with induced adjacency rows `adj` (bit `j` of `adj[i]`: positions `i`
+/// and `j` adjacent): entry `x < 2^d` holds the drop positions whose kept
+/// nodes a node adjacent to exactly the positions in `x` keeps
+/// connected. One lookup into a table built once per process, which
+/// lets a caller that holds candidate masks another way (the CSS window
+/// neighbourhood profile) count a degree without fetching or merging
+/// lists.
+///
+/// # Panics
+///
+/// If `d > 4`: larger states derive their drop sets per state.
+#[inline]
+pub fn drop_row(adj: &[u16; 16], d: usize) -> &'static [u8; 16] {
+    debug_assert!((2..=SHAPE_D).contains(&d), "the drop table covers 2 <= d <= {SHAPE_D}");
+    &drop_table()[d][shape_key(adj, d)]
+}
+
+/// The induced adjacency rows of the sorted `state` whose position `p`
+/// has the strictly ascending list `runs[p]`: d(d − 1)/2 binary searches.
+#[inline]
+fn induced_rows(state: &[NodeId], runs: &[&[NodeId]]) -> [u16; 16] {
+    let mut adj = [0u16; 16];
+    for (i, run) in runs.iter().enumerate() {
+        for (j, v) in state.iter().enumerate().skip(i + 1) {
+            if run.binary_search(v).is_ok() {
+                adj[i] |= 1 << j;
+                adj[j] |= 1 << i;
+            }
+        }
+    }
+    adj
 }
 
 /// The positions in `within` reachable from `seed` over the adjacency
@@ -474,6 +498,111 @@ impl DropSets {
     }
 }
 
+/// One state's neighbors filed by drop position, reused across
+/// enumerations: block `p`, the outside nodes that may replace position
+/// `p`, is `buf[p × stride..][..len[p]]`, ascending, where `stride` is
+/// the total length of the state's lists (no block can be longer).
+#[derive(Debug, Default)]
+struct Blocks {
+    buf: Vec<NodeId>,
+    stride: usize,
+    len: [usize; 16],
+}
+
+impl Blocks {
+    /// Block `drop` of the last [`Blocks::fill`].
+    #[inline]
+    fn block(&self, drop: usize) -> &[NodeId] {
+        &self.buf[drop * self.stride..][..self.len[drop]]
+    }
+
+    /// Files the neighbors of the connected sorted `state` (d ≤ 16)
+    /// whose position `p` has the strictly ascending list `runs[p]`, and
+    /// returns their number, the state's `G(d)` degree. The drop rule
+    /// comes from the shared table for d ≤ [`SHAPE_D`] and from `sets`,
+    /// rebuilt, otherwise. The run count is fixed at compile time so the
+    /// per-node loops unroll: exactly d for the paper's d = 3, 4, 5,
+    /// otherwise padded with empty runs.
+    // gx-lint: no_alloc
+    fn fill(&mut self, state: &[NodeId], runs: &[&[NodeId]], sets: &mut DropSets) -> usize {
+        let d = runs.len();
+        debug_assert!((2..=16).contains(&d) && state.len() == d);
+        let adj = induced_rows(state, runs);
+        if d <= SHAPE_D {
+            let row = drop_row(&adj, d);
+            let drops = |mask: usize| u16::from(row[mask]);
+            return if d <= 3 {
+                self.merge::<3>(state, runs, drops)
+            } else {
+                self.merge::<4>(state, runs, drops)
+            };
+        }
+        sets.rebuild(&adj, d);
+        let sets = &*sets;
+        match d {
+            5 => self.merge::<5>(state, runs, |mask| u16::from(sets.table[mask])),
+            6..=TABLE_D => self.merge::<TABLE_D>(state, runs, |mask| u16::from(sets.table[mask])),
+            _ => self.merge::<16>(state, runs, |mask| sets.scan(mask as u16)),
+        }
+    }
+
+    /// [`Blocks::fill`]'s merge over `N ≥ d` runs (the missing ones
+    /// empty), with `drops(mask)` the drop set of a candidate mask.
+    /// Branch-free per node: every run holding the smallest head
+    /// contributes its bit and advances, and the node is written at the
+    /// end of every block, whose length then grows by its drop bit (a
+    /// state node's drop set is taken as empty).
+    // gx-lint: no_alloc
+    #[inline]
+    fn merge<const N: usize>(
+        &mut self,
+        state: &[NodeId],
+        runs: &[&[NodeId]],
+        drops: impl Fn(usize) -> u16,
+    ) -> usize {
+        const DONE: u64 = u64::MAX;
+        let runs: [&[NodeId]; N] = std::array::from_fn(|i| runs.get(i).copied().unwrap_or(&[]));
+        let at = |run: &[NodeId], i: usize| run.get(i).map_or(DONE, |&v| u64::from(v));
+        let mut cursor = [0usize; N];
+        let mut head: [u64; N] = std::array::from_fn(|i| at(runs[i], 0));
+        let stride = runs.iter().map(|r| r.len()).sum::<usize>();
+        // Block `p` receives at most one store per merged node, and the
+        // merge visits at most `stride` nodes.
+        if self.buf.len() < N * stride {
+            self.buf.resize(N * stride, 0);
+        }
+        self.stride = stride;
+        let buf = &mut self.buf[..N * stride];
+        let mut len = [0usize; N];
+        let mut p = 0usize;
+        loop {
+            let node = head.iter().fold(DONE, |m, &h| m.min(h));
+            if node == DONE {
+                break;
+            }
+            let mut mask = 0usize;
+            for i in 0..N {
+                let hit = head[i] == node;
+                mask |= usize::from(hit) << i;
+                cursor[i] += usize::from(hit);
+                head[i] = at(runs[i], cursor[i]);
+            }
+            while p < state.len() && u64::from(state[p]) < node {
+                p += 1;
+            }
+            let outside = !(p < state.len() && u64::from(state[p]) == node);
+            let filed = drops(mask) & 0u16.wrapping_sub(u16::from(outside));
+            for i in 0..N {
+                buf[i * stride + len[i]] = node as NodeId;
+                len[i] += usize::from((filed >> i) & 1);
+            }
+        }
+        self.len = [0; 16];
+        self.len[..N].copy_from_slice(&len);
+        len.iter().sum()
+    }
+}
+
 /// Reusable buffers for [`gd_state_degree_with`], so repeated degree
 /// queries (the CSS d ≥ 3 fallback issues several per sample) allocate
 /// nothing after the first call.
@@ -482,7 +611,7 @@ pub struct GdDegreeScratch {
     state: Vec<NodeId>,
     /// The state nodes' lists, concatenated in state order.
     lists: Vec<NodeId>,
-    keys: Keys,
+    blocks: Blocks,
     sets: DropSets,
 }
 
@@ -495,9 +624,8 @@ pub fn gd_state_degree<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> usize {
 
 /// [`gd_state_degree`] with caller-provided scratch. Counts the `G(d)`
 /// neighbors of `nodes` (a connected induced d-subgraph, d ≤ 16, any
-/// order) without materializing the neighbor list or constructing a
-/// walk: one fetch per node and one merge, then candidates counted per
-/// position mask.
+/// order) without constructing a walk: one fetch per node and the walk's
+/// own merge.
 // gx-lint: no_alloc
 pub fn gd_state_degree_with<G: GraphAccess>(
     g: &G,
@@ -523,31 +651,7 @@ pub fn gd_state_degree_with<G: GraphAccess>(
         *run = &s.lists[start..end];
         start = end;
     }
-    s.sets.rebuild(&s.keys.merge(&s.state, &runs[..d]), d);
-    if d <= TABLE_D {
-        let per_mask = s.keys.count.iter().zip(&s.sets.table).take(1 << d);
-        per_mask.map(|(&c, &drops)| c as usize * drops.count_ones() as usize).sum()
-    } else {
-        s.keys.keys.iter().map(|&key| s.sets.scan(key as u16).count_ones() as usize).sum()
-    }
-}
-
-/// The factor a `G(d)` degree counts each outside candidate by, per
-/// candidate mask: for the connected state with induced adjacency rows
-/// `adj` (bit `j` of `adj[i]`: positions `i` and `j` adjacent, d ≤ 8),
-/// `nd[x]` for `x < 2^d` is the number of drop positions whose kept
-/// nodes a node adjacent to exactly the positions in `x` keeps connected.
-/// A degree is `Σ nd[mask]` over the candidates, which lets a caller
-/// that holds the candidate masks another way (the CSS window
-/// neighbourhood profile) count one without fetching or merging lists.
-// gx-lint: no_alloc
-pub fn drop_counts(adj: &[u16; 16], d: usize, nd: &mut [u8]) {
-    debug_assert!(d <= TABLE_D && nd.len() >= 1 << d, "drop counts need d <= {TABLE_D}");
-    let mut sets = DropSets::default();
-    sets.rebuild(adj, d);
-    for (n, &drops) in nd.iter_mut().zip(&sets.table).take(1 << d) {
-        *n = drops.count_ones() as u8;
-    }
+    s.blocks.fill(&s.state, &runs[..d], &mut s.sets)
 }
 
 impl<G: GraphAccess> StateWalk for GdWalk<'_, G> {
@@ -647,16 +751,16 @@ mod probe_oracle {
         out
     }
 
-    /// `GdWalk::choose` over an oracle neighbor list: uniform, or uniform
-    /// over the neighbors that are not `prev` under non-backtracking.
-    pub fn choose(
+    /// The neighbors `GdWalk::choose` draws from: all of them, or under
+    /// non-backtracking those that are not `prev` (all of them again if
+    /// going back is the only move).
+    pub fn allowed(
         neighbors: &[(u8, NodeId)],
         state: &[NodeId],
         prev: Option<&[NodeId]>,
-        rng: &mut WalkRng,
-    ) -> (u8, NodeId) {
+    ) -> Vec<(u8, NodeId)> {
         let Some(prev) = prev else {
-            return neighbors[rng.gen_range(0..neighbors.len())];
+            return neighbors.to_vec();
         };
         let non_prev: Vec<(u8, NodeId)> = neighbors
             .iter()
@@ -667,10 +771,22 @@ mod probe_oracle {
             })
             .collect();
         if non_prev.is_empty() {
-            neighbors[rng.gen_range(0..neighbors.len())]
+            neighbors.to_vec()
         } else {
-            non_prev[rng.gen_range(0..non_prev.len())]
+            non_prev
         }
+    }
+
+    /// `GdWalk::choose` over an oracle neighbor list: uniform over
+    /// [`allowed`].
+    pub fn choose(
+        neighbors: &[(u8, NodeId)],
+        state: &[NodeId],
+        prev: Option<&[NodeId]>,
+        rng: &mut WalkRng,
+    ) -> (u8, NodeId) {
+        let allowed = allowed(neighbors, state, prev);
+        allowed[rng.gen_range(0..allowed.len())]
     }
 }
 
@@ -900,6 +1016,70 @@ mod tests {
         let mut rev = state.to_vec();
         rev.reverse();
         assert_eq!(gd_state_degree_with(g, &rev, scratch), want.len(), "degree at {state:?}");
+    }
+
+    /// The shared drop table holds, for every connected shape of d ≤ 4
+    /// nodes, exactly the drop sets `DropSets::rebuild` derives, and
+    /// nothing for a disconnected one.
+    #[test]
+    fn drop_table_matches_rebuild() {
+        let mut sets = DropSets::default();
+        for d in 2..=SHAPE_D {
+            let full = (1u16 << d) - 1;
+            let mut connected = 0;
+            for shape in 0..1usize << (d * (d - 1) / 2) {
+                let adj = shape_rows(shape, d);
+                assert_eq!(shape_key(&adj, d), shape, "d = {d}");
+                let row = &drop_table()[d][shape];
+                if closure(&adj, full, 1) != full {
+                    assert_eq!(row, &[0; ROW], "disconnected shape {shape:#b}, d = {d}");
+                    continue;
+                }
+                connected += 1;
+                sets.rebuild(&adj, d);
+                assert_eq!(row[..1 << d], sets.table[..1 << d], "shape {shape:#b}, d = {d}");
+                assert!(row[1 << d..].iter().all(|&x| x == 0));
+                assert!(std::ptr::eq(drop_row(&adj, d), row));
+            }
+            // Labelled connected graphs on 2, 3, 4 nodes.
+            assert_eq!(connected, [1, 4, 38][d - 2], "d = {d}");
+        }
+    }
+
+    /// Every rank of the index draw, plain and non-backtracking, is the
+    /// probe oracle's neighbor at that rank among the allowed ones: the
+    /// block-skip arithmetic checked exhaustively at each visited state,
+    /// not only where random draws land. d = 5 takes the `rebuild` path.
+    #[test]
+    fn every_draw_rank_matches_probe_oracle() {
+        let graphs = [
+            classic::complete(7),
+            classic::lollipop(6, 5),
+            holme_kim(300, 5, 0.5, &mut rng_from_seed(29)),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            for (d, nb) in [3, 4, 5].into_iter().flat_map(|d| [(d, false), (d, true)]) {
+                let mut rng = rng_from_seed(100 + gi as u64 * 10 + d as u64);
+                let start = random_start_state(g, d, &mut rng);
+                let mut walk = GdWalk::new(g, &start, nb);
+                for step in 0..40 {
+                    let state = walk.state().to_vec();
+                    let prev = walk.prev_state().filter(|_| nb).map(<[NodeId]>::to_vec);
+                    let want = probe_oracle::neighbors(g, &state);
+                    let allowed = probe_oracle::allowed(&want, &state, prev.as_deref());
+                    walk.enumerate();
+                    let avoid = walk.avoided();
+                    let at = format!("graph {gi}, d = {d}, nb = {nb}, step {step}, {state:?}");
+                    assert_eq!(walk.degree, want.len(), "{at}");
+                    let skipped: usize = avoid.count.iter().sum();
+                    assert_eq!(walk.degree - skipped, allowed.len(), "{at}");
+                    for (r, &expect) in allowed.iter().enumerate() {
+                        assert_eq!(walk.nth_neighbor(r, &avoid), expect, "rank {r}, {at}");
+                    }
+                    walk.step(&mut rng);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -29,7 +29,7 @@ pub mod start;
 pub mod traits;
 
 pub use g2::{G2Choice, G2Walk};
-pub use gd::{drop_counts, gd_state_degree, gd_state_degree_with, GdDegreeScratch, GdWalk};
+pub use gd::{drop_row, gd_state_degree, gd_state_degree_with, GdDegreeScratch, GdWalk};
 pub use mh::MhWalk;
 pub use rng::{derive_seed, export_rng_state, import_rng_state, rng_from_seed, WalkRng};
 pub use srw::SrwWalk;

@@ -40,7 +40,7 @@ const LEDGER: [Row; 12] = [
     (4, 4, 12092, 1030, 4000), // 3.023 requests/window
     (5, 1, 11498, 1222, 2687), // 2.874 requests/window
     (5, 2, 12826, 1196, 3705), // 3.207 requests/window
-    (5, 3, 15677, 1038, 3941), // 3.919 requests/window
+    (5, 3, 11964, 1038, 3941), // 2.991 requests/window
     (5, 4, 12104, 1031, 4000), // 3.026 requests/window
     (5, 5, 12128, 918, 4000),  // 3.032 requests/window
 ];
